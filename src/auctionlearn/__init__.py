@@ -26,7 +26,7 @@ from .mechanisms import (CLASS_TAGS, AnonymousSecondPriceReserve, BestOf,
                          analytic_true_revenue, bidder_utility,
                          hypothesis_from_record, hypothesis_to_record,
                          monte_carlo_true_revenue, profile_revenues, revenue,
-                         run_mechanism, true_revenue)
+                         revenue_matrix, run_mechanism, true_revenue)
 from .model import (DEFAULT_RANGE, Discrete, DistributionSpec, Marginal,
                     SampleSet, Seed, TruncatedExponential, Uniform,
                     ValuationProfile, load_samples, sample_values, save_samples)

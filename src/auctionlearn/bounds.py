@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .erm import ClassSpec, erm
-from .errors import AnalyticUnsupported
+from .errors import AnalyticUnsupported, AuctionLearnError
 from .mechanisms import (TAG_ASP, TAG_PLAYER, TAG_SINGLE,
                          analytic_true_revenue, monte_carlo_true_revenue,
                          profile_revenues)
@@ -26,7 +26,7 @@ def massart_bound(cardinality: int, m: int,
                   value_range: tuple[float, float] = DEFAULT_RANGE) -> float:
     """Finite-class Rademacher bound: (beta-alpha) * sqrt(2 ln(card) / m)."""
     if cardinality < 1 or m < 1:
-        raise ValueError("cardinality and m must be >= 1")
+        raise AuctionLearnError("cardinality and m must be >= 1")
     alpha, beta = value_range
     return (beta - alpha) * math.sqrt(2.0 * math.log(cardinality) / m)
 
@@ -59,7 +59,7 @@ def main_bound(spec: ClassSpec, m: int, n: int = 1, k: int = 1,
                value_range: tuple[float, float] = DEFAULT_RANGE) -> BoundReport:
     """Expected-gap bound from the class's split-sample count bound at 2m."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise AuctionLearnError("m must be >= 1")
     alpha, beta = value_range
     log_tau = theoretical_growth_bound(spec, 2 * m, n, k).log
     bound = (beta - alpha) * math.sqrt(2.0 * log_tau / m)
@@ -74,7 +74,7 @@ def main_bound(spec: ClassSpec, m: int, n: int = 1, k: int = 1,
 
 def _check_delta(delta: float) -> None:
     if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie strictly between 0 and 1")
+        raise AuctionLearnError("delta must lie strictly between 0 and 1")
 
 
 def high_prob_bound(report: BoundReport, delta: float) -> float:
@@ -108,7 +108,7 @@ def tlevel_epsilon(n: int, m: int) -> TLevelTuning:
     """Grid width epsilon = (2n ln(2m) / m)^(1/3), its level count, and the
     resulting overall bound 2 * epsilon."""
     if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
+        raise AuctionLearnError("n and m must be >= 1")
     eps = (2.0 * n * math.log(2 * m) / m) ** (1.0 / 3.0)
     return TLevelTuning(eps, math.ceil(1.0 / eps), 2.0 * eps)
 
@@ -122,7 +122,7 @@ def sample_complexity_estimate(spec: ClassSpec, epsilon: float, n: int = 1, k: i
     trivially returns 1.
     """
     if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+        raise AuctionLearnError("epsilon must be positive")
 
     def bound(m: int) -> float:
         return main_bound(spec, m, n, k, value_range=value_range).expected_gap_bound
@@ -167,9 +167,9 @@ def rademacher_estimate(S: SampleSet, hypotheses, draws: int,
     """
     hyps = list(hypotheses)
     if not hyps:
-        raise ValueError("need at least one hypothesis")
+        raise AuctionLearnError("need at least one hypothesis")
     if draws < 2:
-        raise ValueError("need at least 2 sign draws")
+        raise AuctionLearnError("need at least 2 sign draws")
     alpha = S.value_range[0]
     R = np.stack([profile_revenues(h, S.values, alpha) for h in hyps])  # (H, m)
     rng = seed.rng()
@@ -224,7 +224,7 @@ def generalization_chain_check(spec: ClassSpec, dist: DistributionSpec, m: int,
     Carlo bias is inherited by the gap estimate).
     """
     if replicates < 2:
-        raise ValueError("need at least 2 replicates")
+        raise AuctionLearnError("need at least 2 replicates")
     if optimum is not None:
         source = "provided"
     else:

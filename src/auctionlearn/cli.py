@@ -52,12 +52,13 @@ def parse_marginal(text: str):
 
 def parse_values(text: str, value_range) -> SampleSet:
     """Inline sample syntax: profiles by ',', bidders by ';', items by '/'."""
-    profiles = []
-    for rec in text.split(","):
-        rows = [[float(x) for x in bidder.split("/")] for bidder in rec.split(";")]
-        profiles.append(rows)
-    return SampleSet(np.asarray(profiles, dtype=float), value_range,
-                     provenance="cli:--values")
+    try:
+        profiles = [[[float(x) for x in bidder.split("/")] for bidder in rec.split(";")]
+                    for rec in text.split(",")]
+        values = np.asarray(profiles, dtype=float)
+    except ValueError as exc:
+        raise AuctionLearnError(f"cannot parse values {text!r}: {exc}") from exc
+    return SampleSet(values, value_range, provenance="cli:--values")
 
 
 class Options:
@@ -68,8 +69,11 @@ class Options:
         self.config = {}
         path = getattr(args, "config", None)
         if path:
-            with open(path, encoding="utf-8") as fh:
-                self.config = json.load(fh)
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    self.config = json.load(fh)
+            except (OSError, ValueError) as exc:
+                raise AuctionLearnError(f"cannot read config {path!r}: {exc}") from exc
 
     def get(self, name: str, default=None):
         flag = getattr(self.args, name, None)
@@ -90,10 +94,11 @@ class Options:
 
     def value_range(self) -> tuple[float, float]:
         raw = self.get("range", "0,1")
-        if isinstance(raw, str):
-            a, b = (float(x) for x in raw.split(","))
-            return (a, b)
-        return (float(raw[0]), float(raw[1]))
+        try:
+            a, b = (float(x) for x in (raw.split(",") if isinstance(raw, str) else raw))
+        except (TypeError, ValueError) as exc:
+            raise AuctionLearnError(f"cannot parse range {raw!r}: {exc}") from exc
+        return (a, b)
 
     def dist(self) -> DistributionSpec:
         raw = self.get("dist")

@@ -24,51 +24,15 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import AuctionLearnError, CeilingExceeded, DimensionMismatch
-from .mechanisms import (CLASS_TAGS, TAG_ASP, TAG_BEST, TAG_BUNDLE, TAG_ITEM, TAG_PLAYER,
-                         TAG_SINGLE, TAG_TLEVEL, AnonymousSecondPriceReserve,
-                         BestOf, BundlePrice, Hypothesis, ItemPrices,
-                         PlayerReserves, SingleReserve, TLevel, _vec_second,
-                         profile_revenues)
+from .errors import CeilingExceeded
+from .mechanisms import (TAG_ASP, TAG_BEST, TAG_BUNDLE, TAG_ITEM, TAG_PLAYER,
+                         TAG_SINGLE, TAG_TLEVEL, BestOf, ClassSpec, Hypothesis,
+                         TLevel, check_class_dims, hypothesis_from_params,
+                         profile_revenues, reserve_revenue, revenue_matrix, top_two)
 from .model import SampleSet
 
 DEFAULT_CANDIDATE_CEILING = 10**7
 _CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class ClassSpec:
-    """Names one hypothesis class: a tag plus its mode parameters."""
-
-    tag: str
-    levels: int | None = None     # t-level only: thresholds per bidder
-    per_player: bool = False      # pricing classes: per-player reserves
-
-    def __post_init__(self):
-        if self.tag not in CLASS_TAGS:
-            raise AuctionLearnError(f"unknown class tag {self.tag!r}")
-        if self.tag == TAG_TLEVEL:
-            if self.levels is None or self.levels < 1:
-                raise AuctionLearnError("t-level spec needs levels >= 1")
-        elif self.levels is not None:
-            raise AuctionLearnError(f"{self.tag} does not take levels")
-        if self.per_player and self.tag not in (TAG_BUNDLE, TAG_ITEM, TAG_BEST):
-            raise AuctionLearnError(f"{self.tag} does not take per_player")
-
-    def describe(self) -> str:
-        parts = [self.tag]
-        if self.levels is not None:
-            parts.append(f"s={self.levels}")
-        if self.per_player:
-            parts.append("per-player")
-        return " ".join(parts)
-
-
-def _check_dims(spec: ClassSpec, n: int, k: int) -> None:
-    if spec.tag == TAG_SINGLE and (n, k) != (1, 1):
-        raise DimensionMismatch("single reserve requires n = 1, k = 1")
-    if spec.tag in (TAG_ASP, TAG_PLAYER, TAG_TLEVEL) and k != 1:
-        raise DimensionMismatch(f"{spec.tag} requires k = 1")
 
 
 # ---------------------------------------------------------------------------
@@ -98,29 +62,42 @@ def _pools(spec: ClassSpec, values: np.ndarray, beta: float):
             return [np.unique(values[:, i, j]) for i in range(n) for j in range(k)]
         return [np.unique(values[:, :, j]) for j in range(k)]
     if tag == TAG_BEST:
-        bundle = _pools(ClassSpec(TAG_BUNDLE, per_player=spec.per_player), values, beta)
-        items = _pools(ClassSpec(TAG_ITEM, per_player=spec.per_player), values, beta)
-        return (bundle, items)
+        return tuple(_pools(branch, values, beta) for branch in spec.branches())
     raise ValueError(f"unknown class tag {tag!r}")
 
 
 def candidate_count(spec: ClassSpec, S: SampleSet) -> int:
     """Exact size of the deduplicated candidate set."""
-    _check_dims(spec, S.n, S.k)
+    check_class_dims(spec, S.n, S.k)
     pools = _pools(spec, S.values, S.value_range[1])
     return _count_from_pools(spec, pools)
 
 
 def _count_from_pools(spec: ClassSpec, pools) -> int:
     if spec.tag == TAG_BEST:
-        bundle, items = pools
-        b = _count_from_pools(ClassSpec(TAG_BUNDLE, per_player=spec.per_player), bundle)
-        i = _count_from_pools(ClassSpec(TAG_ITEM, per_player=spec.per_player), items)
-        return b * i
+        return math.prod(_count_from_pools(branch, p)
+                         for branch, p in zip(spec.branches(), pools))
     if spec.tag == TAG_TLEVEL:
         s = spec.levels
         return math.prod(math.comb(len(p) + s - 1, s) for p in pools)
     return math.prod(len(p) for p in pools)
+
+
+def _factors(spec: ClassSpec, pools) -> list[np.ndarray]:
+    """Per-coordinate blocks of parameter columns (one row per choice) whose
+    lexicographic product is the candidate set."""
+    if spec.tag == TAG_TLEVEL:
+        return [np.array(list(itertools.combinations_with_replacement(p, spec.levels)))
+                for p in pools]
+    if spec.tag == TAG_BEST:
+        return [f for branch, p in zip(spec.branches(), pools) for f in _factors(branch, p)]
+    return [p[:, None] for p in pools]
+
+
+def _product_rows(factors, start: int, stop: int) -> np.ndarray:
+    """Candidate parameter rows start..stop-1, in ascending lexicographic order."""
+    picks = np.unravel_index(np.arange(start, stop), [len(f) for f in factors])
+    return np.hstack([f[i] for f, i in zip(factors, picks)])
 
 
 @dataclass(frozen=True)
@@ -146,55 +123,18 @@ class CandidateSet:
 
 def candidate_set(spec: ClassSpec, S: SampleSet) -> CandidateSet:
     """All sample-valued candidates for the class on sample S."""
-    _check_dims(spec, S.n, S.k)
-    values = S.values
+    check_class_dims(spec, S.n, S.k)
     n, k = S.n, S.k
-    beta = S.value_range[1]
-    pools = _pools(spec, values, beta)
+    pools = _pools(spec, S.values, S.value_range[1])
     count = _count_from_pools(spec, pools)
 
     def factory() -> Iterator[Hypothesis]:
-        return _iter_hypotheses(spec, pools, n, k)
+        factors = _factors(spec, pools)
+        return (hypothesis_from_params(spec, row, n, k)
+                for start in range(0, count, _CHUNK)
+                for row in _product_rows(factors, start, min(start + _CHUNK, count)))
 
     return CandidateSet(spec, n, k, count, factory)
-
-
-def _iter_hypotheses(spec: ClassSpec, pools, n: int, k: int) -> Iterator[Hypothesis]:
-    tag = spec.tag
-    if tag == TAG_SINGLE:
-        return (SingleReserve(float(c)) for c in pools[0])
-    if tag == TAG_ASP:
-        return (AnonymousSecondPriceReserve(float(c)) for c in pools[0])
-    if tag == TAG_PLAYER:
-        return (PlayerReserves(t) for t in itertools.product(*map(tuple, pools)))
-    if tag == TAG_TLEVEL:
-        rows = [tuple(itertools.combinations_with_replacement(map(float, p), spec.levels))
-                for p in pools]
-        return (TLevel(t) for t in itertools.product(*rows))
-    if tag == TAG_BUNDLE:
-        if spec.per_player:
-            return (BundlePrice(prices=t) for t in itertools.product(*map(tuple, pools)))
-        return (BundlePrice(price=float(c)) for c in pools[0])
-    if tag == TAG_ITEM:
-        if spec.per_player:
-            def gen_pp():
-                for flat in itertools.product(*map(tuple, pools)):
-                    matrix = tuple(flat[i * k:(i + 1) * k] for i in range(n))
-                    yield ItemPrices(price_matrix=matrix)
-            return gen_pp()
-        return (ItemPrices(prices=t) for t in itertools.product(*map(tuple, pools)))
-    if tag == TAG_BEST:
-        bundle_pools, item_pools = pools
-        def gen_best():
-            bundles = _iter_hypotheses(ClassSpec(TAG_BUNDLE, per_player=spec.per_player),
-                                       bundle_pools, n, k)
-            for b in bundles:
-                items = _iter_hypotheses(ClassSpec(TAG_ITEM, per_player=spec.per_player),
-                                         item_pools, n, k)
-                for it in items:
-                    yield BestOf(b, it)
-        return gen_best()
-    raise ValueError(f"unknown class tag {tag!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -206,64 +146,34 @@ def _sorted_mean_rows(mat: np.ndarray) -> np.ndarray:
     return np.mean(np.sort(mat, axis=-1), axis=-1)
 
 
+def _sorted_sum_rows(mat: np.ndarray) -> np.ndarray:
+    return np.sum(np.sort(mat, axis=-1), axis=-1)
+
+
 def empirical_revenue(h: Hypothesis, S: SampleSet) -> float:
     """Mean revenue of h over the sample (order-independent accumulation)."""
     revs = profile_revenues(h, S.values, S.value_range[0])
     return float(np.mean(np.sort(revs)))
 
 
-# ---------------------------------------------------------------------------
-# per-class candidate-by-profile revenue matrices (canonical candidate order)
-
-
-def _posted_rows(cands: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # posted price to one bidder: rows (C, m)
-    return np.where(v[None, :] >= cands[:, None], cands[:, None], 0.0)
-
-
-def _second_price_rows(cands: np.ndarray, columns: np.ndarray, alpha: float) -> np.ndarray:
-    # anonymous reserve on one item: rows (C, m)
-    top = columns.max(axis=1)
-    sec = _vec_second(columns, alpha)
-    return np.where(top[None, :] >= cands[:, None],
-                    np.maximum(cands[:, None], sec[None, :]), 0.0)
-
-
-def _tlevel_rows(thr: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    # thr (C, n, s), columns (m, n) -> rows (C, m)
-    C, n, s = thr.shape
-    idx = np.sum(columns[None, :, :, None] >= thr[:, None, :, :], axis=3)  # (C, m, n)
-    w = np.argmax(idx, axis=2)
-    top = np.take_along_axis(idx, w[..., None], axis=2)[..., 0]
-    rest = idx
-    np.put_along_axis(rest, w[..., None], -1, axis=2)
-    m_other = np.maximum(rest.max(axis=2), 0)
-    l_star = np.argmax(rest, axis=2)
-    j_min = np.where(m_other == 0, 1, np.where(w < l_star, m_other, m_other + 1))
-    flat = thr.reshape(C, n * s)
-    pay = np.take_along_axis(flat, w * s + (j_min - 1), axis=1)
-    return np.where(top >= 1, pay, 0.0)
-
-
-def _lazy_curve(pool: np.ndarray, columns: np.ndarray, bidder: int,
-                alpha: float) -> np.ndarray:
-    """Sorted-sum revenue curve g(price) for one bidder's lazy reserve.
-
-    A bidder's reserve only earns on profiles where that bidder is the
-    tentative winner, so the empirical objective separates per coordinate.
-    """
-    w = np.argmax(columns, axis=1)
-    sec = _vec_second(columns, alpha)
-    mask = w == bidder
-    vi = columns[mask, bidder]
-    si = sec[mask]
-    rows = np.where(vi[None, :] >= pool[:, None],
-                    np.maximum(pool[:, None], si[None, :]), 0.0)
-    return np.sum(np.sort(rows, axis=-1), axis=-1)
-
-
 def _last_argmax(arr: np.ndarray) -> int:
     return int(np.flatnonzero(arr == arr.max())[-1])
+
+
+def _lazy_picks(pools, columns: np.ndarray, alpha: float) -> list[float]:
+    """Best lazy reserve per bidder on one item's (m, n) values.
+
+    A bidder's reserve only earns on the profiles that bidder wins, so the
+    empirical objective separates per bidder: each pool is scored by the
+    reserve rule on exactly those profiles, never on zero-padded others.
+    """
+    w, top, second = top_two(columns, alpha)
+    picks = []
+    for i, pool in enumerate(pools):
+        mask = w == i
+        g = _sorted_sum_rows(reserve_revenue(pool[:, None], top[mask], second[mask]))
+        picks.append(float(pool[_last_argmax(g)]))
+    return picks
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +193,7 @@ def erm(spec: ClassSpec, S: SampleSet,
 
 def erm_with_value(spec: ClassSpec, S: SampleSet,
                    ceiling: int = DEFAULT_CANDIDATE_CEILING) -> tuple[Hypothesis, float]:
-    _check_dims(spec, S.n, S.k)
+    check_class_dims(spec, S.n, S.k)
     h = _erm_on_values(spec, S.values, S.value_range, ceiling)
     return h, empirical_revenue(h, S)
 
@@ -302,98 +212,60 @@ def _erm_on_values(spec: ClassSpec, values: np.ndarray,
     tag = spec.tag
     m, n, k = values.shape
 
-    if tag == TAG_SINGLE:
-        rows = _posted_rows(pools[0], values[:, 0, 0])
-        best = _last_argmax(_sorted_mean_rows(rows))
-        return SingleReserve(float(pools[0][best]))
-
-    if tag == TAG_ASP:
-        rows = _second_price_rows(pools[0], values[:, :, 0], alpha)
-        best = _last_argmax(_sorted_mean_rows(rows))
-        return AnonymousSecondPriceReserve(float(pools[0][best]))
-
-    if tag == TAG_PLAYER:
-        picks = tuple(float(p[_last_argmax(_lazy_curve(p, values[:, :, 0], i, alpha))])
-                      for i, p in enumerate(pools))
-        return PlayerReserves(picks)
-
     if tag == TAG_TLEVEL:
-        return _erm_tlevel(spec, pools, values[:, :, 0])
-
-    if tag == TAG_BUNDLE:
-        totals = np.sum(values, axis=2)
-        if spec.per_player:
-            picks = tuple(float(p[_last_argmax(_lazy_curve(p, totals, i, alpha))])
-                          for i, p in enumerate(pools))
-            return BundlePrice(prices=picks)
-        rows = _second_price_rows(pools[0], totals, alpha)
-        best = _last_argmax(_sorted_mean_rows(rows))
-        return BundlePrice(price=float(pools[0][best]))
-
-    if tag == TAG_ITEM:
-        return _erm_items(spec, pools, values, alpha)
-
+        return _erm_tlevel(spec, pools, values, alpha)
     if tag == TAG_BEST:
         return _erm_best(spec, pools, values, alpha)
 
-    raise ValueError(f"unknown class tag {tag!r}")
+    if tag in (TAG_SINGLE, TAG_ASP) or (tag == TAG_BUNDLE and not spec.per_player):
+        rows = revenue_matrix(spec, pools[0][:, None], values, alpha)
+        params = [pools[0][_last_argmax(_sorted_mean_rows(rows))]]
+    elif tag in (TAG_PLAYER, TAG_BUNDLE):
+        columns = values[:, :, 0] if tag == TAG_PLAYER else np.sum(values, axis=2)
+        params = _lazy_picks(pools, columns, alpha)
+    elif spec.per_player:   # item prices: each (bidder, item) reserve separately
+        params = [0.0] * (n * k)
+        for j in range(k):
+            params[j::k] = _lazy_picks(pools[j::k], values[:, :, j], alpha)
+    else:                   # anonymous item prices: one anonymous reserve per item
+        params = []
+        for j, pool in enumerate(pools):
+            rows = revenue_matrix(ClassSpec(TAG_ASP), pool[:, None], values[:, :, j:j + 1], alpha)
+            params.append(pool[_last_argmax(_sorted_sum_rows(rows))])
+    return hypothesis_from_params(spec, params, n, k)
 
 
-def _erm_items(spec: ClassSpec, pools, values: np.ndarray, alpha: float) -> ItemPrices:
+def _erm_tlevel(spec: ClassSpec, pools, values: np.ndarray, alpha: float) -> TLevel:
     m, n, k = values.shape
-    if spec.per_player:
-        picks = []
-        for i in range(n):
-            for j in range(k):
-                pool = pools[i * k + j]
-                g = _lazy_curve(pool, values[:, :, j], i, alpha)
-                picks.append(float(pool[_last_argmax(g)]))
-        matrix = tuple(tuple(picks[i * k:(i + 1) * k]) for i in range(n))
-        return ItemPrices(price_matrix=matrix)
-    picks = []
-    for j in range(k):
-        rows = _second_price_rows(pools[j], values[:, :, j], alpha)
-        g = np.sum(np.sort(rows, axis=-1), axis=-1)
-        picks.append(float(pools[j][_last_argmax(g)]))
-    return ItemPrices(prices=tuple(picks))
-
-
-def _erm_tlevel(spec: ClassSpec, pools, columns: np.ndarray) -> TLevel:
-    m, n = columns.shape
-    s = spec.levels
-    rows_per_bidder = [tuple(itertools.combinations_with_replacement(map(float, p), s))
-                       for p in pools]
+    factors = _factors(spec, pools)
+    count = math.prod(len(f) for f in factors)
     best_rev = -math.inf
     best_params = None
-    it = itertools.product(*rows_per_bidder)
-    while True:
-        chunk = list(itertools.islice(it, _CHUNK))
-        if not chunk:
-            break
-        thr = np.asarray(chunk)  # (C, n, s)
-        revs = _sorted_mean_rows(_tlevel_rows(thr, columns))
+    for start in range(0, count, _CHUNK):
+        chunk = _product_rows(factors, start, min(start + _CHUNK, count))
+        revs = _sorted_mean_rows(revenue_matrix(spec, chunk, values, alpha))
         local = _last_argmax(revs)
         if revs[local] >= best_rev:
             best_rev = float(revs[local])
             best_params = chunk[local]
-    return TLevel(best_params)
+    return hypothesis_from_params(spec, best_params, n, k)
 
 
 def _erm_best(spec: ClassSpec, pools, values: np.ndarray, alpha: float) -> BestOf:
-    bundle_pools, item_pools = pools
-    bundle_spec = ClassSpec(TAG_BUNDLE, per_player=spec.per_player)
-    item_spec = ClassSpec(TAG_ITEM, per_player=spec.per_player)
     m, n, k = values.shape
-    bundle_cands = list(_iter_hypotheses(bundle_spec, bundle_pools, n, k))
-    item_cands = list(_iter_hypotheses(item_spec, item_pools, n, k))
-    rev_b = np.stack([profile_revenues(h, values, alpha) for h in bundle_cands])
-    rev_i = np.stack([profile_revenues(h, values, alpha) for h in item_cands])
+    rows = []
+    for branch, branch_pools in zip(spec.branches(), pools):
+        factors = _factors(branch, branch_pools)
+        rows.append(_product_rows(factors, 0, math.prod(len(f) for f in factors)))
+    bundle_rows, item_rows = rows
+    rev_b, rev_i = (revenue_matrix(branch, r, values, alpha)
+                    for branch, r in zip(spec.branches(), rows))
     best_rev = -math.inf
     best_pair = None
-    for b in range(len(bundle_cands)):
+    for b in range(len(bundle_rows)):
         revs = _sorted_mean_rows(np.maximum(rev_b[b][None, :], rev_i))
         local = _last_argmax(revs)
         if revs[local] >= best_rev:
             best_rev = float(revs[local])
-            best_pair = (bundle_cands[b], item_cands[local])
-    return BestOf(*best_pair)
+            best_pair = np.concatenate([bundle_rows[b], item_rows[local]])
+    return hypothesis_from_params(spec, best_pair, n, k)

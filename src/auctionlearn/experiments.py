@@ -19,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import main_bound, sample_complexity_estimate
-from .erm import DEFAULT_CANDIDATE_CEILING, ClassSpec, _tlevel_rows, erm
-from .errors import AnalyticUnsupported, CeilingExceeded
+from .erm import DEFAULT_CANDIDATE_CEILING, erm
+from .errors import AnalyticUnsupported, AuctionLearnError, CeilingExceeded
 from .mechanisms import (TAG_ASP, TAG_BEST, TAG_BUNDLE, TAG_ITEM, TAG_PLAYER,
-                         TAG_SINGLE, TAG_TLEVEL, Discrete, Uniform,
-                         _bundle_total_distribution, _vec_second,
-                         analytic_true_revenue, monte_carlo_true_revenue)
+                         TAG_SINGLE, TAG_TLEVEL, ClassSpec, Discrete, Uniform,
+                         _bundle_total_distribution, analytic_true_revenue,
+                         monte_carlo_true_revenue, reserve_revenue, revenue_matrix,
+                         top_two)
 from .model import DistributionSpec, Seed, sample_values
 
 _GRID_BUDGET = 2 * 10**8  # grid points x draws ceiling for joint grid optima
@@ -75,36 +76,31 @@ def _price_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + np.arange(count + 1) * step
 
 
-def _grid_second_price(grid: np.ndarray, columns: np.ndarray, alpha: float):
-    """Mean revenue of each anonymous reserve in `grid` on the drawn columns."""
-    top = columns.max(axis=1)
-    sec = _vec_second(columns, alpha)
+def _grid_curve(grid: np.ndarray, revenue_rows, draws: int, row_cells: int) -> np.ndarray:
+    """Mean over the draws of each grid row's revenue.
+
+    Rows are scored in chunks sized from the grid budget, and each chunk's
+    revenue array is reduced before the next one is built.
+    """
     out = np.empty(len(grid))
-    chunk = max(1, _GRID_BUDGET // (20 * len(top)))
+    chunk = max(1, _GRID_BUDGET // (20 * max(1, row_cells)))
     for start in range(0, len(grid), chunk):
-        g = grid[start:start + chunk]
-        rows = np.where(top[None, :] >= g[:, None],
-                        np.maximum(g[:, None], sec[None, :]), 0.0)
-        out[start:start + chunk] = rows.mean(axis=1)
-    return out
+        out[start:start + chunk] = revenue_rows(grid[start:start + chunk]).sum(axis=1)
+    return out / draws
 
 
-def _grid_lazy_coordinate(grid: np.ndarray, columns: np.ndarray, bidder: int,
-                          alpha: float) -> np.ndarray:
-    """Per-draw-mean revenue curve of bidder's lazy reserve over the grid."""
-    w = np.argmax(columns, axis=1)
-    sec = _vec_second(columns, alpha)
-    mask = w == bidder
-    vi = columns[mask, bidder]
-    si = sec[mask]
-    out = np.empty(len(grid))
-    chunk = max(1, _GRID_BUDGET // (20 * max(1, len(vi))))
-    for start in range(0, len(grid), chunk):
-        g = grid[start:start + chunk]
-        rows = np.where(vi[None, :] >= g[:, None],
-                        np.maximum(g[:, None], si[None, :]), 0.0)
-        out[start:start + chunk] = rows.sum(axis=1)
-    return out / columns.shape[0]
+def _reserve_grid_max(grid: np.ndarray, columns: np.ndarray, alpha: float, lazy: bool):
+    """Best grid reserve for one item's (draws, n) values: one anonymous
+    reserve, or each bidder's best lazy reserve on the draws it wins."""
+    w, top, second = top_two(columns, alpha)
+    draws = len(columns)
+
+    def curve(t, s):
+        return _grid_curve(grid, lambda g: reserve_revenue(g[:, None], t, s), draws, len(t))
+
+    if not lazy:
+        return curve(top, second).max()
+    return sum(curve(top[w == i], second[w == i]).max() for i in range(columns.shape[1]))
 
 
 def _grid_optimum(spec: ClassSpec, dist: DistributionSpec, grid_step: float,
@@ -120,46 +116,27 @@ def _grid_optimum(spec: ClassSpec, dist: DistributionSpec, grid_step: float,
     values = sample.values
     n, k = dist.n, dist.k
     tag = spec.tag
+    grid = _price_grid(alpha, beta, grid_step)
 
-    def finish(curve: np.ndarray) -> OptimumEstimate:
-        return OptimumEstimate(float(curve.max()), None, "grid-mc")
+    def finish(value) -> OptimumEstimate:
+        return OptimumEstimate(float(value), None, "grid-mc")
 
     if tag == TAG_SINGLE or (tag in (TAG_ASP, TAG_PLAYER) and n == 1) \
             or (tag == TAG_TLEVEL and n == 1):
-        grid = _price_grid(alpha, beta, grid_step)
         v = np.sort(values[:, 0, 0])
         counts = len(v) - np.searchsorted(v, grid, side="left")
-        return finish(grid * counts / len(v))
+        return finish((grid * counts / len(v)).max())
 
-    if tag == TAG_ASP:
-        grid = _price_grid(alpha, beta, grid_step)
-        return finish(_grid_second_price(grid, values[:, :, 0], alpha))
-
-    if tag == TAG_PLAYER:
-        grid = _price_grid(alpha, beta, grid_step)
-        total = sum(_grid_lazy_coordinate(grid, values[:, :, 0], i, alpha).max()
-                    for i in range(n))
-        return OptimumEstimate(float(total), None, "grid-mc")
-
+    lazy = tag == TAG_PLAYER or spec.per_player
     if tag == TAG_BUNDLE:
-        totals = np.sum(values, axis=2)
         grid = _price_grid(k * alpha, k * beta, grid_step)
-        if spec.per_player:
-            total = sum(_grid_lazy_coordinate(grid, totals, i, alpha).max()
-                        for i in range(n))
-            return OptimumEstimate(float(total), None, "grid-mc")
-        return finish(_grid_second_price(grid, totals, alpha))
+        return finish(_reserve_grid_max(grid, np.sum(values, axis=2), alpha, lazy))
 
-    if tag == TAG_ITEM:
-        grid = _price_grid(alpha, beta, grid_step)
+    if tag in (TAG_ASP, TAG_PLAYER, TAG_ITEM):
         total = 0.0
         for j in range(k):
-            if spec.per_player:
-                total += sum(_grid_lazy_coordinate(grid, values[:, :, j], i, alpha).max()
-                             for i in range(n))
-            else:
-                total += _grid_second_price(grid, values[:, :, j], alpha).max()
-        return OptimumEstimate(float(total), None, "grid-mc")
+            total += _reserve_grid_max(grid, values[:, :, j], alpha, lazy)
+        return finish(total)
 
     if tag == TAG_TLEVEL:
         if spec.levels != 1:
@@ -167,20 +144,14 @@ def _grid_optimum(spec: ClassSpec, dist: DistributionSpec, grid_step: float,
                 "grid optimum for multi-bidder t-level supports a single level; "
                 "use coarser candidate-based estimates for s > 1"
             )
-        grid = _price_grid(alpha, beta, grid_step)
         if len(grid)**n * draws > _GRID_BUDGET:
             raise CeilingExceeded(
                 "t-level grid optimum over budget; increase grid_step or lower draws"
             )
-        mesh = np.stack(np.meshgrid(*([grid] * n), indexing="ij"), axis=-1)
-        thr = mesh.reshape(-1, n, 1)
-        cols = values[:, :, 0]
-        best = -math.inf
-        chunk = max(1, _GRID_BUDGET // (20 * draws * n))
-        for start in range(0, len(thr), chunk):
-            revs = _tlevel_rows(thr[start:start + chunk], cols).mean(axis=1)
-            best = max(best, float(revs.max()))
-        return OptimumEstimate(best, None, "grid-mc")
+        thr = np.stack(np.meshgrid(*([grid] * n), indexing="ij"), axis=-1).reshape(-1, n)
+        curve = _grid_curve(thr, lambda t: revenue_matrix(spec, t, values, alpha),
+                            draws, draws * n)
+        return finish(curve.max())
 
     if tag == TAG_BEST:
         if k != 1 or spec.per_player:
@@ -188,22 +159,18 @@ def _grid_optimum(spec: ClassSpec, dist: DistributionSpec, grid_step: float,
                 "joint grid optimum for best-of is limited to anonymous k = 1; "
                 "the branch classes cover multi-item grids separably"
             )
-        # k = 1: both branches are anonymous reserves on the same column
-        cols = values[:, :, 0]
-        grid = _price_grid(alpha, beta, grid_step)
         if len(grid)**2 * draws > _GRID_BUDGET:
             raise CeilingExceeded(
                 "best-of grid optimum over budget; increase grid_step or lower draws"
             )
-        top = cols.max(axis=1)
-        sec = _vec_second(cols, alpha)
-        bundle_rows = np.where(top[None, :] >= grid[:, None],
-                               np.maximum(grid[:, None], sec[None, :]), 0.0)
+        # k = 1: both branches are anonymous reserves on the same column, so
+        # one branch matrix serves both
+        rows = revenue_matrix(ClassSpec(TAG_BUNDLE), grid[:, None], values, alpha)
         best = -math.inf
         for b in range(len(grid)):
-            mixed = np.maximum(bundle_rows[b][None, :], bundle_rows)
+            mixed = np.maximum(rows[b][None, :], rows)
             best = max(best, float(mixed.mean(axis=1).max()))
-        return OptimumEstimate(best, None, "grid-mc")
+        return finish(best)
 
     raise AnalyticUnsupported(f"no grid optimum for {tag}")
 
@@ -247,6 +214,16 @@ class ExperimentConfig:
     optimum_grid_step: float = 1e-3
     optimum_draws: int = 10**6
     optimum_override: float | None = None   # for classes with no feasible estimator
+
+    def __post_init__(self):
+        if self.replicates < 2:
+            raise AuctionLearnError("replicates must be >= 2 for a standard error")
+        if not 0.0 < self.delta < 1.0:
+            raise AuctionLearnError("delta must lie strictly between 0 and 1")
+        if not self.m_grid or any(m < 1 for m in self.m_grid):
+            raise AuctionLearnError("m_grid needs at least one sample size, each >= 1")
+        if self.eval_method not in ("auto", "analytic", "monte-carlo"):
+            raise AuctionLearnError(f"unknown eval_method {self.eval_method!r}")
 
     def canonical_dict(self) -> dict:
         # threads excluded: worker count must never change results

@@ -9,9 +9,12 @@ plus per-bidder payments).  Conventions shared by all classes:
   sale happens only if that bidder clears their own reserve
 * multi-item valuations are additive; the grand bundle is worth the row sum
 
-``run_mechanism`` is the scalar reference semantics.  ``profile_revenues``
-evaluates one hypothesis on a whole array of profiles with identical
-floating-point results, and is what the samplers and experiment loops use.
+The revenue rules live in exactly two places.  ``run_mechanism`` is the
+scalar reference semantics (the oracle).  ``revenue_matrix`` is the one
+batched kernel: it scores a batch of parameter rows of one class on an array
+of profiles with results identical to the oracle bit for bit, and ERM, the
+grid optima and ``profile_revenues`` (its single-row case) all call it or its
+single-item primitive ``reserve_revenue``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnalyticUnsupported, DimensionMismatch
+from .errors import AnalyticUnsupported, AuctionLearnError, DimensionMismatch
 from .model import (Discrete, DistributionSpec, Seed, Uniform,
                     ValuationProfile, sample_values)
 
@@ -34,6 +37,39 @@ TAG_ITEM = "item-prices"
 TAG_BEST = "best-of"
 
 CLASS_TAGS = (TAG_SINGLE, TAG_ASP, TAG_PLAYER, TAG_TLEVEL, TAG_BUNDLE, TAG_ITEM, TAG_BEST)
+
+
+@dataclass(frozen=True)
+class ClassSpec:
+    """Names one hypothesis class: a tag plus its mode parameters."""
+
+    tag: str
+    levels: int | None = None     # t-level only: thresholds per bidder
+    per_player: bool = False      # pricing classes: per-player reserves
+
+    def __post_init__(self):
+        if self.tag not in CLASS_TAGS:
+            raise AuctionLearnError(f"unknown class tag {self.tag!r}")
+        if self.tag == TAG_TLEVEL:
+            if self.levels is None or self.levels < 1:
+                raise AuctionLearnError("t-level spec needs levels >= 1")
+        elif self.levels is not None:
+            raise AuctionLearnError(f"{self.tag} does not take levels")
+        if self.per_player and self.tag not in (TAG_BUNDLE, TAG_ITEM, TAG_BEST):
+            raise AuctionLearnError(f"{self.tag} does not take per_player")
+
+    def describe(self) -> str:
+        parts = [self.tag]
+        if self.levels is not None:
+            parts.append(f"s={self.levels}")
+        if self.per_player:
+            parts.append("per-player")
+        return " ".join(parts)
+
+    def branches(self) -> tuple["ClassSpec", "ClassSpec"]:
+        """best-of only: the bundle and item classes it combines."""
+        return (ClassSpec(TAG_BUNDLE, per_player=self.per_player),
+                ClassSpec(TAG_ITEM, per_player=self.per_player))
 
 
 # ---------------------------------------------------------------------------
@@ -275,34 +311,26 @@ def run_mechanism(h: Hypothesis, v: ValuationProfile) -> Outcome:
     vals = v.values
     n, k = vals.shape
     alpha = v.value_range[0]
+    _check_dims(h, n, k)
 
     if isinstance(h, SingleReserve):
-        if (n, k) != (1, 1):
-            raise DimensionMismatch("single reserve requires n = 1, k = 1")
         if vals[0, 0] >= h.price:
             return Outcome((0,), (float(h.price),))
         return Outcome((None,), (0.0,))
 
     if isinstance(h, AnonymousSecondPriceReserve):
-        if k != 1:
-            raise DimensionMismatch("anonymous second price requires k = 1")
         w, pay = _single_item_outcome(vals[:, 0], np.full(n, h.price), alpha)
         return _one_item_result(w, pay, n)
 
     if isinstance(h, PlayerReserves):
-        if k != 1 or len(h.prices) != n:
-            raise DimensionMismatch("player reserves require k = 1 and one price per bidder")
         w, pay = _single_item_outcome(vals[:, 0], np.asarray(h.prices), alpha)
         return _one_item_result(w, pay, n)
 
     if isinstance(h, TLevel):
-        if k != 1 or len(h.thresholds) != n:
-            raise DimensionMismatch("t-level requires k = 1 and one threshold row per bidder")
         w, pay = _tlevel_outcome(vals[:, 0], h)
         return _one_item_result(w, pay, n)
 
     if isinstance(h, BundlePrice):
-        _check_bundle_dims(h, n)
         totals = np.sum(vals, axis=1)
         reserves = np.full(n, h.price) if not h.per_player else np.asarray(h.prices)
         w, pay = _single_item_outcome(totals, reserves, alpha)
@@ -313,7 +341,6 @@ def run_mechanism(h: Hypothesis, v: ValuationProfile) -> Outcome:
         return Outcome((w,) * k, tuple(payments))
 
     if isinstance(h, ItemPrices):
-        _check_item_dims(h, n, k)
         allocation: list[int | None] = []
         payments = [0.0] * n
         for j in range(k):
@@ -343,17 +370,57 @@ def _one_item_result(w, pay, n) -> Outcome:
     return Outcome((w,), tuple(payments))
 
 
-def _check_bundle_dims(h: BundlePrice, n: int) -> None:
-    if h.per_player and len(h.prices) != n:
-        raise DimensionMismatch("bundle price needs one reserve per bidder")
+def spec_of(h: Hypothesis) -> ClassSpec:
+    """The class a hypothesis belongs to."""
+    if not hasattr(h, "tag"):
+        raise TypeError(f"unknown hypothesis type {type(h)!r}")
+    return ClassSpec(h.tag, levels=h.levels if isinstance(h, TLevel) else None,
+                     per_player=getattr(h, "per_player", False))
 
 
-def _check_item_dims(h: ItemPrices, n: int, k: int) -> None:
-    if h.per_player:
-        if len(h.price_matrix) != n or len(h.price_matrix[0]) != k:
-            raise DimensionMismatch("item price matrix must be n x k")
-    elif len(h.prices) != k:
-        raise DimensionMismatch("item prices need one price per item")
+def check_class_dims(spec: ClassSpec, n: int, k: int) -> None:
+    if spec.tag == TAG_SINGLE and (n, k) != (1, 1):
+        raise DimensionMismatch("single reserve requires n = 1, k = 1")
+    if spec.tag in (TAG_ASP, TAG_PLAYER, TAG_TLEVEL) and k != 1:
+        raise DimensionMismatch(f"{spec.tag} requires k = 1")
+
+
+def _param_shape(spec: ClassSpec, n: int, k: int) -> tuple[int, ...]:
+    """Bidder-major shape of one parameter vector; best-of has one per branch."""
+    if spec.tag == TAG_PLAYER or (spec.tag == TAG_BUNDLE and spec.per_player):
+        return (n,)
+    if spec.tag == TAG_TLEVEL:
+        return (n, spec.levels)
+    if spec.tag == TAG_ITEM:
+        return (n, k) if spec.per_player else (k,)
+    return (1,)
+
+
+def _param_width(spec: ClassSpec, n: int, k: int) -> int:
+    if spec.tag == TAG_BEST:
+        return sum(_param_width(b, n, k) for b in spec.branches())
+    return math.prod(_param_shape(spec, n, k))
+
+
+def _check_dims(h: Hypothesis, n: int, k: int) -> ClassSpec:
+    """The dimension check shared by run_mechanism and profile_revenues;
+    returns the class of h."""
+    spec = spec_of(h)
+    if isinstance(h, BestOf):
+        _check_dims(h.bundle, n, k)
+        _check_dims(h.items, n, k)
+        return spec
+    check_class_dims(spec, n, k)
+    if isinstance(h, TLevel):
+        shape = (len(h.thresholds), h.levels)
+    elif isinstance(h, ItemPrices) and h.per_player:
+        shape = (len(h.price_matrix), len(h.price_matrix[0]))
+    else:
+        shape = (len(h.param_vector()),)
+    if shape != _param_shape(spec, n, k):
+        raise DimensionMismatch(
+            f"{spec.describe()} parameters of shape {shape} do not fit n = {n}, k = {k}")
+    return spec
 
 
 def revenue(h: Hypothesis, v: ValuationProfile) -> float:
@@ -370,44 +437,86 @@ def bidder_utility(h: Hypothesis, i: int, true_values: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# vectorized evaluation over arrays of profiles
+# the batched kernel: parameter rows x profiles
 
 
-def _vec_second(columns: np.ndarray, alpha: float) -> np.ndarray:
-    # columns: (N, n) -> per-row second-highest value, alpha when n == 1
-    if columns.shape[1] < 2:
-        return np.full(columns.shape[0], alpha)
-    return np.partition(columns, -2, axis=1)[:, -2]
-
-
-def _vec_lazy(columns: np.ndarray, reserves: np.ndarray, alpha: float):
-    # second price with per-bidder reserves, vectorized over profiles;
-    # returns (winner, sale mask, payment-if-sold)
+def top_two(columns: np.ndarray, alpha: float):
+    """Per-profile winner (ties to the lowest index), top value and second
+    value of an (m, n) value array; the second value is alpha when n = 1."""
     w = np.argmax(columns, axis=1)
-    vw = np.take_along_axis(columns, w[:, None], axis=1)[:, 0]
-    rw = np.asarray(reserves)[w]
-    sec = _vec_second(columns, alpha)
-    return w, vw >= rw, np.maximum(rw, sec)
+    if columns.shape[1] < 2:
+        return w, columns[:, 0], np.full(len(columns), alpha)
+    part = np.partition(columns, -2, axis=1)
+    return w, part[:, -1], part[:, -2]
 
 
-def _vec_lazy_revenue(columns: np.ndarray, reserves: np.ndarray, alpha: float) -> np.ndarray:
-    w, sale, pay = _vec_lazy(columns, reserves, alpha)
-    return np.where(sale, pay, 0.0)
+def reserve_revenue(reserve, top, second) -> np.ndarray:
+    """The single-item reserve rule, broadcast over its arguments: sell iff
+    the top value clears the reserve, and charge max(reserve, second value)."""
+    return np.where(top >= reserve, np.maximum(reserve, second), 0.0)
 
 
-def _vec_tlevel_revenue(columns: np.ndarray, thr: np.ndarray) -> np.ndarray:
-    # columns (N, n), thr (n, s)
-    idx = np.sum(columns[:, :, None] >= thr[None, :, :], axis=2)  # (N, n)
-    w = np.argmax(idx, axis=1)
-    top = np.take_along_axis(idx, w[:, None], axis=1)[:, 0]
-    rest = idx.copy()
-    np.put_along_axis(rest, w[:, None], -1, axis=1)
-    m_other = rest.max(axis=1)
-    m_other = np.maximum(m_other, 0)
-    l_star = np.argmax(rest, axis=1)
+def _tlevel_rows(thr: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    # thr (C, n, s), columns (m, n) -> rows (C, m)
+    C, n, s = thr.shape
+    idx = np.sum(columns[None, :, :, None] >= thr[:, None, :, :], axis=3)  # (C, m, n)
+    w = np.argmax(idx, axis=2)
+    top = np.take_along_axis(idx, w[..., None], axis=2)[..., 0]
+    rest = idx
+    np.put_along_axis(rest, w[..., None], -1, axis=2)
+    m_other = np.maximum(rest.max(axis=2), 0)
+    l_star = np.argmax(rest, axis=2)
     j_min = np.where(m_other == 0, 1, np.where(w < l_star, m_other, m_other + 1))
-    pay = thr[w, j_min - 1]
+    flat = thr.reshape(C, n * s)
+    pay = np.take_along_axis(flat, w * s + (j_min - 1), axis=1)
     return np.where(top >= 1, pay, 0.0)
+
+
+def revenue_matrix(spec: ClassSpec, params, values, alpha: float = 0.0) -> np.ndarray:
+    """Revenue of each parameter row of the class on each profile.
+
+    ``params`` is (C, P), row c laid out as its hypothesis's
+    ``param_vector()``; ``values`` is (m, n, k).  Entry [c, t] equals
+    ``revenue(h_c, profile_t)`` bit for bit.  Lazy reserves read the winning
+    bidder's own reserve, and item payments are accumulated per bidder before
+    the bidders are summed, as in ``run_mechanism``.
+    """
+    params = np.asarray(params, dtype=float)
+    values = np.asarray(values, dtype=float)
+    m, n, k = values.shape
+    check_class_dims(spec, n, k)
+    if params.ndim != 2 or params.shape[1] != _param_width(spec, n, k):
+        raise DimensionMismatch(
+            f"{spec.describe()} needs parameter rows of width {_param_width(spec, n, k)} "
+            f"at n = {n}, k = {k}, got an array of shape {params.shape}")
+    tag = spec.tag
+    lazy = tag == TAG_PLAYER or spec.per_player
+
+    if tag == TAG_SINGLE:
+        # a posted price has no competing bid, so it charges the price itself
+        return reserve_revenue(params, values[:, 0, 0], -math.inf)
+
+    if tag == TAG_TLEVEL:
+        return _tlevel_rows(params.reshape(len(params), n, spec.levels), values[:, :, 0])
+
+    if tag == TAG_ITEM:
+        payments = np.zeros((len(params), m, n))
+        profiles = np.arange(m)
+        for j in range(k):
+            w, top, second = top_two(values[:, :, j], alpha)
+            reserve = params[:, w * k + j] if lazy else params[:, j:j + 1]
+            payments[:, profiles, w] += reserve_revenue(reserve, top, second)
+        return payments.sum(axis=2)
+
+    if tag == TAG_BEST:
+        bundle, items = spec.branches()
+        split = _param_width(bundle, n, k)
+        return np.maximum(revenue_matrix(bundle, params[:, :split], values, alpha),
+                          revenue_matrix(items, params[:, split:], values, alpha))
+
+    columns = np.sum(values, axis=2) if tag == TAG_BUNDLE else values[:, :, 0]
+    w, top, second = top_two(columns, alpha)
+    return reserve_revenue(params[:, w] if lazy else params, top, second)
 
 
 def profile_revenues(h: Hypothesis, values: np.ndarray, alpha: float = 0.0) -> np.ndarray:
@@ -416,59 +525,38 @@ def profile_revenues(h: Hypothesis, values: np.ndarray, alpha: float = 0.0) -> n
     Entry t equals ``revenue(h, profile_t)`` bit-for-bit.
     """
     values = np.asarray(values, dtype=float)
-    N, n, k = values.shape
-
-    if isinstance(h, SingleReserve):
-        if (n, k) != (1, 1):
-            raise DimensionMismatch("single reserve requires n = 1, k = 1")
-        v = values[:, 0, 0]
-        return np.where(v >= h.price, float(h.price), 0.0)
-
-    if isinstance(h, AnonymousSecondPriceReserve):
-        if k != 1:
-            raise DimensionMismatch("anonymous second price requires k = 1")
-        return _vec_lazy_revenue(values[:, :, 0], np.full(n, h.price), alpha)
-
-    if isinstance(h, PlayerReserves):
-        if k != 1 or len(h.prices) != n:
-            raise DimensionMismatch("player reserves require k = 1 and one price per bidder")
-        return _vec_lazy_revenue(values[:, :, 0], np.asarray(h.prices), alpha)
-
-    if isinstance(h, TLevel):
-        if k != 1 or len(h.thresholds) != n:
-            raise DimensionMismatch("t-level requires k = 1 and one threshold row per bidder")
-        return _vec_tlevel_revenue(values[:, :, 0], np.asarray(h.thresholds))
-
-    if isinstance(h, BundlePrice):
-        _check_bundle_dims(h, n)
-        totals = np.sum(values, axis=2)
-        reserves = np.asarray(h.prices) if h.per_player else np.full(n, h.price)
-        return _vec_lazy_revenue(totals, reserves, alpha)
-
-    if isinstance(h, ItemPrices):
-        _check_item_dims(h, n, k)
-        # accumulate per bidder, then sum bidders, to match the scalar
-        # Outcome.revenue float-for-float
-        payments = np.zeros((N, n))
-        rows = np.arange(N)
-        for j in range(k):
-            if h.per_player:
-                reserves = np.asarray([h.price_matrix[i][j] for i in range(n)])
-            else:
-                reserves = np.full(n, h.prices[j])
-            w, sale, pay = _vec_lazy(values[:, :, j], reserves, alpha)
-            payments[rows, w] = payments[rows, w] + np.where(sale, pay, 0.0)
-        return payments.sum(axis=1)
-
-    if isinstance(h, BestOf):
-        return np.maximum(profile_revenues(h.bundle, values, alpha),
-                          profile_revenues(h.items, values, alpha))
-
-    raise TypeError(f"unknown hypothesis type {type(h)!r}")
+    spec = _check_dims(h, values.shape[1], values.shape[2])
+    return revenue_matrix(spec, [h.param_vector()], values, alpha)[0]
 
 
 # ---------------------------------------------------------------------------
 # serialization (tagged records; round-trips are exact)
+
+
+def hypothesis_from_params(spec: ClassSpec, params, n: int, k: int) -> Hypothesis:
+    """The hypothesis of the class on n bidders and k items whose
+    ``param_vector()`` is ``params``."""
+    row = tuple(float(x) for x in params)
+    tag = spec.tag
+    if tag == TAG_SINGLE:
+        return SingleReserve(row[0])
+    if tag == TAG_ASP:
+        return AnonymousSecondPriceReserve(row[0])
+    if tag == TAG_PLAYER:
+        return PlayerReserves(row)
+    if tag == TAG_TLEVEL:
+        s = spec.levels
+        return TLevel(tuple(row[i * s:(i + 1) * s] for i in range(n)))
+    if tag == TAG_BUNDLE:
+        return BundlePrice(prices=row) if spec.per_player else BundlePrice(price=row[0])
+    if tag == TAG_ITEM:
+        if spec.per_player:
+            return ItemPrices(price_matrix=tuple(row[i * k:(i + 1) * k] for i in range(n)))
+        return ItemPrices(prices=row)
+    bundle, items = spec.branches()
+    split = _param_width(bundle, n, k)
+    return BestOf(hypothesis_from_params(bundle, row[:split], n, k),
+                  hypothesis_from_params(items, row[split:], n, k))
 
 
 def hypothesis_to_record(h: Hypothesis) -> dict:
@@ -588,7 +676,7 @@ def analytic_true_revenue(h: Hypothesis, spec: DistributionSpec) -> float:
 def monte_carlo_true_revenue(h: Hypothesis, spec: DistributionSpec, draws: int,
                              seed: Seed) -> RevenueEstimate:
     if draws < 2:
-        raise ValueError("monte carlo needs at least 2 draws")
+        raise AuctionLearnError("monte carlo needs at least 2 draws")
     sample = sample_values(spec, draws, seed)
     revs = profile_revenues(h, sample.values, spec.value_range[0])
     return RevenueEstimate(float(revs.mean()),

@@ -41,7 +41,7 @@ class Seed:
 
     def __post_init__(self):
         if not 0 <= int(self.master) < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+            raise AuctionLearnError("seed must be a 64-bit unsigned integer")
 
     def child(self, label: str, index: int = 0) -> "Seed":
         key = f"{self.master}|{label}|{index}".encode()
@@ -309,17 +309,8 @@ class SampleSet:
     def k(self) -> int:
         return self.values.shape[2]
 
-    @property
-    def profiles(self) -> list[ValuationProfile]:
-        return [ValuationProfile(self.values[t], self.value_range) for t in range(self.m)]
-
     def profile(self, t: int) -> ValuationProfile:
         return ValuationProfile(self.values[t], self.value_range)
-
-    def subset(self, indices) -> "SampleSet":
-        idx = list(indices)
-        return SampleSet(self.values[idx], self.value_range,
-                         provenance=f"{self.provenance} (subset {idx})")
 
     def concat(self, other: "SampleSet") -> "SampleSet":
         if (self.n, self.k) != (other.n, other.k) or self.value_range != other.value_range:

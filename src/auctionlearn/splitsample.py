@@ -17,11 +17,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .erm import DEFAULT_CANDIDATE_CEILING, ClassSpec, _check_dims, _erm_on_values
-from .errors import CeilingExceeded
+from .erm import DEFAULT_CANDIDATE_CEILING, _erm_on_values
+from .errors import AuctionLearnError, CeilingExceeded
 from .mechanisms import (TAG_ASP, TAG_BEST, TAG_BUNDLE, TAG_ITEM, TAG_PLAYER,
-                         TAG_SINGLE, TAG_TLEVEL, Hypothesis, SingleReserve,
-                         sort_key)
+                         TAG_SINGLE, TAG_TLEVEL, ClassSpec, Hypothesis, SingleReserve,
+                         check_class_dims, sort_key)
 from .model import DistributionSpec, SampleSet, Seed, sample_values
 
 DEFAULT_SUBSET_CEILING = 10**6
@@ -51,7 +51,7 @@ def split_sample_space(spec: ClassSpec, S: SampleSet, mode: str = "exact",
     order; monte-carlo mode samples `trials` subsets uniformly (its distinct
     set is always a subset of the exact one).
     """
-    _check_dims(spec, S.n, S.k)
+    check_class_dims(spec, S.n, S.k)
     m = S.m
     size = math.ceil(m / 2)
     total = math.comb(m, size)
@@ -68,13 +68,13 @@ def split_sample_space(spec: ClassSpec, S: SampleSet, mode: str = "exact",
         examined = total
     elif mode == "monte-carlo":
         if trials is None or trials < 1 or seed is None:
-            raise ValueError("monte-carlo mode needs trials >= 1 and a seed")
+            raise AuctionLearnError("monte-carlo mode needs trials >= 1 and a seed")
         rng = seed.rng()
         index_sets = (tuple(sorted(rng.choice(m, size=size, replace=False)))
                       for _ in range(trials))
         examined = trials
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise AuctionLearnError(f"unknown mode {mode!r}")
 
     distinct: dict[tuple, Hypothesis] = {}
     values = S.values
@@ -130,7 +130,7 @@ class GrowthBound:
 def theoretical_growth_bound(spec: ClassSpec, m: int, n: int = 1, k: int = 1) -> GrowthBound:
     """Per-class bound on the split-sample space cardinality at sample size m."""
     if m < 1 or n < 1 or k < 1:
-        raise ValueError("m, n, k must be positive")
+        raise AuctionLearnError("m, n, k must be positive")
     tag = spec.tag
     if tag == TAG_SINGLE:
         return GrowthBound(m, math.log(m))
@@ -179,7 +179,7 @@ def growth_rate_estimate(spec: ClassSpec, m: int, dist: DistributionSpec,
     bound is reported alongside.
     """
     if draws < 1:
-        raise ValueError("draws must be >= 1")
+        raise AuctionLearnError("draws must be >= 1")
     observed = 0
     for i in range(draws):
         S = sample_values(dist, m, seed.child("growth-draw", i))

@@ -136,6 +136,27 @@ def test_invalid_input_exits_nonzero(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["erm", "--class", "single-reserve", "--values", "abc"],
+    ["erm", "--class", "single-reserve", "--values", "0.5", "--range", "x"],
+    ["bound", "--class", "single-reserve", "--delta", "2"],
+    ["bound", "--class", "single-reserve", "--m", "0"],
+    ["erm", "--class", "single-reserve", "--values", "0.5",
+     "--config", "/nonexistent.json"],
+    ["split-sample", "--class", "single-reserve", "--values", "0.5",
+     "--mode", "monte-carlo"],
+    ["rademacher", "--class", "single-reserve", "--values", "0.5,0.6",
+     "--draws", "1"],
+], ids=["values", "range", "delta", "m", "config", "trials", "draws"])
+def test_input_errors_are_one_line_messages(argv):
+    proc = subprocess.run([sys.executable, "-m", "auctionlearn.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_missing_sample_exits_nonzero(capsys):
     code, _, err = run_cli(capsys, "erm", "--class", "single-reserve")
     assert code == 1

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from auctionlearn import (ClassSpec, Discrete, DistributionSpec,
+from auctionlearn import (AuctionLearnError, ClassSpec, Discrete, DistributionSpec,
                           ExperimentConfig, Seed, Uniform, config_fingerprint,
                           generalization_experiment, in_class_optimum,
                           sample_complexity_curve, write_gap_svg,
@@ -72,12 +72,47 @@ def test_optimum_grid_second_price_sanity():
     assert abs(est.value - best) <= 0.005
 
 
+U01_PAIR = DistributionSpec.iid(Uniform(0, 1), 2, 1)
+U01_PAIR_2 = DistributionSpec.iid(Uniform(0, 1), 2, 2)
+
+# Grid optima recorded before the grid branches moved onto the shared
+# revenue kernel; the rewrite must reproduce them bit for bit.
+GRID_OPTIMA = [
+    (ClassSpec("anonymous-second-price"), U01_PAIR, 0.42610011072213205),
+    (ClassSpec("player-reserves"), U01_PAIR, 0.42610011072213205),
+    (ClassSpec("bundle-price"), U01_PAIR_2, 0.8374333495200308),
+    (ClassSpec("bundle-price", per_player=True), U01_PAIR_2, 0.8396846731838574),
+    (ClassSpec("item-prices"), U01_PAIR_2, 0.8228930786302542),
+    (ClassSpec("item-prices", per_player=True), U01_PAIR_2, 0.8250915409882182),
+    (ClassSpec("t-level", levels=1), U01_PAIR, 0.39935000000000004),
+    (ClassSpec("best-of"), U01_PAIR, 0.516124445569),
+]
+
+
+@pytest.mark.parametrize("spec,dist,expected", GRID_OPTIMA,
+                         ids=[spec.describe().replace(" ", "-") for spec, _, _ in GRID_OPTIMA])
+def test_grid_optimum_bits_are_pinned(spec, dist, expected):
+    est = in_class_optimum(spec, dist, method="grid", grid_step=0.05, draws=1000)
+    assert est.method == "grid-mc"
+    assert est.value == expected
+
+
 def small_config(**kw):
     defaults = dict(class_spec=SINGLE, dist=U01, m_grid=(25, 50),
                     replicates=200, delta=0.25, seed=Seed(33),
                     eval_method="analytic")
     defaults.update(kw)
     return ExperimentConfig(**defaults)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(replicates=0), dict(replicates=1), dict(delta=0.0), dict(delta=1.0),
+    dict(m_grid=()), dict(m_grid=(25, 0)), dict(eval_method="analytc"),
+], ids=["replicates0", "replicates1", "delta0", "delta1", "empty-grid",
+        "m0", "eval-method"])
+def test_config_rejects_values_that_make_bad_rows(bad):
+    with pytest.raises(AuctionLearnError):
+        small_config(**bad)
 
 
 def test_experiment_rows_basic_contracts():

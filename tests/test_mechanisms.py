@@ -3,17 +3,20 @@
 import zlib
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
-from oracles import (ALL_TAGS, TRUTHFUL_TAGS, misreport_improvement,
-                     random_hypothesis, random_instance)
+from oracles import (ALL_TAGS, TRUTHFUL_TAGS, draw_eighth_sample, draw_grid_sample,
+                     misreport_improvement, random_hypothesis, random_instance)
 import pytest
 
 from auctionlearn import (AnonymousSecondPriceReserve, BestOf, BundlePrice,
-                          DimensionMismatch, Discrete, DistributionSpec,
+                          ClassSpec, DimensionMismatch, Discrete, DistributionSpec,
                           ItemPrices, PlayerReserves, Seed, SingleReserve,
                           TLevel, Uniform, ValuationProfile, bidder_utility,
                           hypothesis_from_record, hypothesis_to_record,
-                          profile_revenues, revenue, run_mechanism, true_revenue)
+                          profile_revenues, revenue, revenue_matrix, run_mechanism,
+                          true_revenue)
+from auctionlearn.mechanisms import hypothesis_from_params
 
 rng = np.random.default_rng(20240817)
 
@@ -191,6 +194,50 @@ def test_profile_revenues_matches_scalar_bitwise(tag):
         scalar = np.array([revenue(h, ValuationProfile(values[t]))
                            for t in range(len(values))])
         assert np.array_equal(batch, scalar)
+
+
+KERNEL_SPECS = [ClassSpec("single-reserve"), ClassSpec("anonymous-second-price"),
+                ClassSpec("player-reserves"), ClassSpec("t-level", levels=1),
+                ClassSpec("t-level", levels=2), ClassSpec("bundle-price"),
+                ClassSpec("bundle-price", per_player=True), ClassSpec("item-prices"),
+                ClassSpec("item-prices", per_player=True), ClassSpec("best-of"),
+                ClassSpec("best-of", per_player=True)]
+
+
+def grid_param_rows(spec, draw, gen, C, n, k):
+    """C parameter rows of the class, laid out as param_vector(), on the
+    same grid as the profiles so that reserves tie with values."""
+    if spec.tag == "best-of":
+        return np.hstack([grid_param_rows(b, draw, gen, C, n, k) for b in spec.branches()])
+    if spec.tag == "t-level":
+        return np.sort(draw(gen, C, n, spec.levels), axis=2).reshape(C, -1)
+    if spec.tag == "bundle-price":
+        return draw(gen, C, n if spec.per_player else 1, k).sum(axis=2)
+    if spec.tag == "item-prices":
+        return draw(gen, C, n if spec.per_player else 1, k).reshape(C, -1)
+    return draw(gen, C, n if spec.tag == "player-reserves" else 1, 1).reshape(C, -1)
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS,
+                         ids=[s.describe().replace(" ", "-") for s in KERNEL_SPECS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_revenue_matrix_rows_match_scalar_bitwise(spec, data):
+    single_item = spec.tag in ("single-reserve", "anonymous-second-price",
+                               "player-reserves", "t-level")
+    n = 1 if spec.tag == "single-reserve" else data.draw(st.integers(1, 3), label="n")
+    k = 1 if single_item else data.draw(st.integers(1, 3), label="k")
+    m = data.draw(st.integers(1, 10), label="m")
+    C = data.draw(st.integers(2, 5), label="C")
+    draw = data.draw(st.sampled_from([draw_grid_sample, draw_eighth_sample]), label="grid")
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    values = draw(gen, m, n, k)
+    params = grid_param_rows(spec, draw, gen, C, n, k)
+    hyps = [hypothesis_from_params(spec, row, n, k) for row in params]
+    assert [h.param_vector() for h in hyps] == [tuple(row) for row in params]
+    scalar = np.array([[revenue(h, ValuationProfile(values[t])) for t in range(m)]
+                       for h in hyps])
+    assert np.array_equal(revenue_matrix(spec, params, values, 0.0), scalar)
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
