@@ -15,9 +15,9 @@ import numpy as np
 
 from .erm import ClassSpec, erm
 from .errors import AnalyticUnsupported, AuctionLearnError
-from .mechanisms import (TAG_ASP, TAG_PLAYER, TAG_SINGLE,
+from .mechanisms import (TAG_ASP, TAG_PLAYER, TAG_SINGLE, _check_dims,
                          analytic_true_revenue, monte_carlo_true_revenue,
-                         profile_revenues)
+                         revenue_matrix)
 from .model import DEFAULT_RANGE, DistributionSpec, SampleSet, Seed, sample_values
 from .splitsample import split_sample_space, theoretical_growth_bound
 
@@ -170,8 +170,13 @@ def rademacher_estimate(S: SampleSet, hypotheses, draws: int,
         raise AuctionLearnError("need at least one hypothesis")
     if draws < 2:
         raise AuctionLearnError("need at least 2 sign draws")
-    alpha = S.value_range[0]
-    R = np.stack([profile_revenues(h, S.values, alpha) for h in hyps])  # (H, m)
+    by_class: dict[ClassSpec, list[int]] = {}
+    for i, h in enumerate(hyps):
+        by_class.setdefault(_check_dims(h, S.n, S.k), []).append(i)
+    R = np.empty((len(hyps), S.m))
+    for spec, rows in by_class.items():   # one kernel call per class in the list
+        R[rows] = revenue_matrix(spec, [hyps[i].param_vector() for i in rows],
+                                 S.values, S.value_range[0])
     rng = seed.rng()
     signs = rng.integers(0, 2, size=(draws, S.m)).astype(float) * 2.0 - 1.0
     sups = (R @ signs.T).max(axis=0) * (2.0 / S.m)

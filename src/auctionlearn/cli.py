@@ -61,6 +61,14 @@ def parse_values(text: str, value_range) -> SampleSet:
     return SampleSet(values, value_range, provenance="cli:--values")
 
 
+def _convert(kind, name: str, raw):
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        what = "an integer" if kind is int else "a number"
+        raise AuctionLearnError(f"--{name.replace('_', '-')} needs {what}, got {raw!r}") from exc
+
+
 class Options:
     """Flag > config-file > default resolution for one subcommand run."""
 
@@ -83,14 +91,28 @@ class Options:
             return self.config[name]
         return default
 
+    def number(self, kind, name: str, default=None):
+        """Option `name` converted by `kind` (int or float); None stays None."""
+        raw = self.get(name, default)
+        return None if raw is None else _convert(kind, name, raw)
+
+    def numbers(self, kind, name: str, default: str) -> tuple:
+        """A comma list (or a config-file list) of numbers."""
+        raw = self.get(name, default)
+        if isinstance(raw, str):
+            raw = raw.split(",")
+        try:
+            return tuple(_convert(kind, name, x) for x in raw)
+        except TypeError as exc:
+            raise AuctionLearnError(f"--{name.replace('_', '-')} needs a list, "
+                                    f"got {raw!r}") from exc
+
     def class_spec(self) -> ClassSpec:
         tag = self.get("klass")
         if tag is None:
             raise AuctionLearnError("--class is required")
-        levels = self.get("levels")
         per_player = bool(self.get("per_player", False))
-        return ClassSpec(tag, levels=None if levels is None else int(levels),
-                         per_player=per_player)
+        return ClassSpec(tag, levels=self.number(int, "levels"), per_player=per_player)
 
     def value_range(self) -> tuple[float, float]:
         raw = self.get("range", "0,1")
@@ -107,11 +129,11 @@ class Options:
         if isinstance(raw, dict):
             return DistributionSpec.from_dict(raw)
         marginal = parse_marginal(raw)
-        return DistributionSpec.iid(marginal, int(self.get("n", 1)),
-                                    int(self.get("k", 1)), self.value_range())
+        return DistributionSpec.iid(marginal, self.number(int, "n", 1),
+                                    self.number(int, "k", 1), self.value_range())
 
     def seed(self) -> Seed:
-        return Seed(int(self.get("seed", 0)))
+        return Seed(self.number(int, "seed", 0))
 
     def sample(self) -> SampleSet:
         values = self.get("values")
@@ -130,7 +152,7 @@ class Options:
 def cmd_sample(args) -> int:
     opt = Options(args)
     spec = opt.dist()
-    m = int(opt.get("m", 100))
+    m = opt.number(int, "m", 100)
     sample = sample_values(spec, m, opt.seed())
     out = opt.get("out")
     if out:
@@ -146,7 +168,7 @@ def cmd_erm(args) -> int:
     opt = Options(args)
     spec = opt.class_spec()
     S = opt.sample()
-    ceiling = int(opt.get("ceiling", DEFAULT_CANDIDATE_CEILING))
+    ceiling = opt.number(int, "ceiling", DEFAULT_CANDIDATE_CEILING)
     h = erm(spec, S, ceiling)
     rev = empirical_revenue(h, S)
     print(json.dumps(hypothesis_to_record(h)))
@@ -159,12 +181,10 @@ def cmd_split_sample(args) -> int:
     spec = opt.class_spec()
     S = opt.sample()
     mode = opt.get("mode", "exact")
-    trials = opt.get("trials")
     space = split_mod.split_sample_space(
-        spec, S, mode, trials=None if trials is None else int(trials),
-        seed=opt.seed(),
-        subset_ceiling=int(opt.get("subset_ceiling", split_mod.DEFAULT_SUBSET_CEILING)),
-        candidate_ceiling=int(opt.get("ceiling", DEFAULT_CANDIDATE_CEILING)))
+        spec, S, mode, trials=opt.number(int, "trials"), seed=opt.seed(),
+        subset_ceiling=opt.number(int, "subset_ceiling", split_mod.DEFAULT_SUBSET_CEILING),
+        candidate_ceiling=opt.number(int, "ceiling", DEFAULT_CANDIDATE_CEILING))
     print(f"{len(space)} distinct hypotheses over {space.subsets_examined} "
           f"subsets of size {space.subset_size}")
     for h in space.hypotheses:
@@ -177,8 +197,8 @@ def cmd_growth(args) -> int:
     spec = opt.class_spec()
     dist = opt.dist()
     est = split_mod.growth_rate_estimate(
-        spec, int(opt.get("m", 8)), dist, int(opt.get("draws", 20)), opt.seed(),
-        subset_ceiling=int(opt.get("subset_ceiling", split_mod.DEFAULT_SUBSET_CEILING)))
+        spec, opt.number(int, "m", 8), dist, opt.number(int, "draws", 20), opt.seed(),
+        subset_ceiling=opt.number(int, "subset_ceiling", split_mod.DEFAULT_SUBSET_CEILING))
     header = "class,m,n,k,s,draws,observed_max,log_bound"
     row = ",".join(str(x) for x in split_mod.growth_csv_row(est))
     out = opt.get("out")
@@ -195,11 +215,9 @@ def cmd_growth(args) -> int:
 def cmd_bound(args) -> int:
     opt = Options(args)
     spec = opt.class_spec()
-    delta = opt.get("delta")
     report = bounds_mod.main_bound(
-        spec, int(opt.get("m", 100)), int(opt.get("n", 1)), int(opt.get("k", 1)),
-        delta=None if delta is None else float(delta),
-        value_range=opt.value_range())
+        spec, opt.number(int, "m", 100), opt.number(int, "n", 1), opt.number(int, "k", 1),
+        delta=opt.number(float, "delta"), value_range=opt.value_range())
     out = opt.get("out")
     if out:
         header = "class,m,n,k,s,delta,log_tau_2m,bound,hp_bound,vacuous_flag"
@@ -222,9 +240,9 @@ def cmd_rademacher(args) -> int:
     S = opt.sample()
     space = split_mod.split_sample_space(
         spec, S, "exact",
-        subset_ceiling=int(opt.get("subset_ceiling", split_mod.DEFAULT_SUBSET_CEILING)))
+        subset_ceiling=opt.number(int, "subset_ceiling", split_mod.DEFAULT_SUBSET_CEILING))
     est = bounds_mod.rademacher_estimate(S, space.hypotheses,
-                                         int(opt.get("draws", 10000)), opt.seed())
+                                         opt.number(int, "draws", 10000), opt.seed())
     print(f"rademacher estimate: {_fmt(est.estimate)} +/- {_fmt(est.std_error)} "
           f"({est.set_size} hypotheses, {est.draws} sign draws)")
     massart = bounds_mod.massart_bound(est.set_size, S.m, S.value_range)
@@ -233,24 +251,19 @@ def cmd_rademacher(args) -> int:
 
 
 def _experiment_config(opt: Options) -> exp_mod.ExperimentConfig:
-    raw_grid = opt.get("m_grid", "50,100,200")
-    if isinstance(raw_grid, str):
-        m_grid = tuple(int(x) for x in raw_grid.split(","))
-    else:
-        m_grid = tuple(int(x) for x in raw_grid)
     return exp_mod.ExperimentConfig(
         class_spec=opt.class_spec(),
         dist=opt.dist(),
-        m_grid=m_grid,
-        replicates=int(opt.get("replicates", 1000)),
-        delta=float(opt.get("delta", 0.1)),
+        m_grid=opt.numbers(int, "m_grid", "50,100,200"),
+        replicates=opt.number(int, "replicates", 1000),
+        delta=opt.number(float, "delta", 0.1),
         seed=opt.seed(),
-        eval_draws=int(opt.get("eval_draws", 100_000)),
+        eval_draws=opt.number(int, "eval_draws", 100_000),
         eval_method=opt.get("eval_method", "auto"),
-        threads=int(opt.get("threads", 1)),
-        candidate_ceiling=int(opt.get("ceiling", DEFAULT_CANDIDATE_CEILING)),
-        optimum_grid_step=float(opt.get("optimum_grid_step", 1e-3)),
-        optimum_draws=int(opt.get("optimum_draws", 10**6)),
+        threads=opt.number(int, "threads", 1),
+        candidate_ceiling=opt.number(int, "ceiling", DEFAULT_CANDIDATE_CEILING),
+        optimum_grid_step=opt.number(float, "optimum_grid_step", 1e-3),
+        optimum_draws=opt.number(int, "optimum_draws", 10**6),
     )
 
 
@@ -282,11 +295,7 @@ def cmd_experiment(args) -> int:
 def cmd_curve(args) -> int:
     opt = Options(args)
     config = _experiment_config(opt)
-    raw_eps = opt.get("eps", "0.5,0.2,0.1")
-    if isinstance(raw_eps, str):
-        eps_grid = tuple(float(x) for x in raw_eps.split(","))
-    else:
-        eps_grid = tuple(float(x) for x in raw_eps)
+    eps_grid = opt.numbers(float, "eps", "0.5,0.2,0.1")
     rows, curve = exp_mod.sample_complexity_curve(config, eps_grid)
     _print_rows(rows)
     print("epsilon m_bound m_empirical")

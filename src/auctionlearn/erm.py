@@ -94,9 +94,10 @@ def _factors(spec: ClassSpec, pools) -> list[np.ndarray]:
     return [p[:, None] for p in pools]
 
 
-def _product_rows(factors, start: int, stop: int) -> np.ndarray:
-    """Candidate parameter rows start..stop-1, in ascending lexicographic order."""
-    picks = np.unravel_index(np.arange(start, stop), [len(f) for f in factors])
+def _product_rows(factors, indices: np.ndarray) -> np.ndarray:
+    """The candidate parameter rows at the given positions of the ascending
+    lexicographic candidate order."""
+    picks = np.unravel_index(indices, [len(f) for f in factors])
     return np.hstack([f[i] for f, i in zip(factors, picks)])
 
 
@@ -132,7 +133,7 @@ def candidate_set(spec: ClassSpec, S: SampleSet) -> CandidateSet:
         factors = _factors(spec, pools)
         return (hypothesis_from_params(spec, row, n, k)
                 for start in range(0, count, _CHUNK)
-                for row in _product_rows(factors, start, min(start + _CHUNK, count)))
+                for row in _product_rows(factors, np.arange(start, min(start + _CHUNK, count))))
 
     return CandidateSet(spec, n, k, count, factory)
 
@@ -160,20 +161,34 @@ def _last_argmax(arr: np.ndarray) -> int:
     return int(np.flatnonzero(arr == arr.max())[-1])
 
 
-def _lazy_picks(pools, columns: np.ndarray, alpha: float) -> list[float]:
-    """Best lazy reserve per bidder on one item's (m, n) values.
+def _separable(spec: ClassSpec) -> bool:
+    """Whether empirical revenue is a sum of per-coordinate objectives: lazy
+    player reserves, per-player bundle prices and both item-pricing modes."""
+    return spec.tag in (TAG_PLAYER, TAG_ITEM) or (spec.tag == TAG_BUNDLE and spec.per_player)
 
-    A bidder's reserve only earns on the profiles that bidder wins, so the
-    empirical objective separates per bidder: each pool is scored by the
-    reserve rule on exactly those profiles, never on zero-padded others.
+
+def _coordinates(spec: ClassSpec, pools, values: np.ndarray, alpha: float):
+    """Per pool of a separable class: (rows, counted), the reserve rule of
+    each pool value on every profile and the profiles its objective sums.
+
+    A lazy reserve only earns on the profiles its bidder wins, so it is
+    scored on exactly those, never on zero-padded others; an anonymous item
+    price counts every profile.
     """
-    w, top, second = top_two(columns, alpha)
-    picks = []
-    for i, pool in enumerate(pools):
-        mask = w == i
-        g = _sorted_sum_rows(reserve_revenue(pool[:, None], top[mask], second[mask]))
-        picks.append(float(pool[_last_argmax(g)]))
-    return picks
+    m, n, k = values.shape
+    if spec.tag == TAG_ITEM:
+        items = [values[:, :, j] for j in range(k)]
+    else:
+        items = [values[:, :, 0] if spec.tag == TAG_PLAYER else np.sum(values, axis=2)]
+    rules = [top_two(columns, alpha) for columns in items]
+    lazy = spec.tag == TAG_PLAYER or spec.per_player
+    coords = []
+    for f, pool in enumerate(pools):   # pool f is bidder f // items of item f % items
+        bidder, item = divmod(f, len(items)) if lazy else (None, f)
+        w, top, second = rules[item]
+        counted = w == bidder if lazy else np.ones(m, dtype=bool)
+        coords.append((reserve_revenue(pool[:, None], top, second), counted))
+    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -217,21 +232,12 @@ def _erm_on_values(spec: ClassSpec, values: np.ndarray,
     if tag == TAG_BEST:
         return _erm_best(spec, pools, values, alpha)
 
-    if tag in (TAG_SINGLE, TAG_ASP) or (tag == TAG_BUNDLE and not spec.per_player):
+    if _separable(spec):
+        params = [pool[_last_argmax(_sorted_sum_rows(rows[:, counted]))]
+                  for pool, (rows, counted) in zip(pools, _coordinates(spec, pools, values, alpha))]
+    else:                   # one pool: single reserve, anonymous reserve or bundle price
         rows = revenue_matrix(spec, pools[0][:, None], values, alpha)
         params = [pools[0][_last_argmax(_sorted_mean_rows(rows))]]
-    elif tag in (TAG_PLAYER, TAG_BUNDLE):
-        columns = values[:, :, 0] if tag == TAG_PLAYER else np.sum(values, axis=2)
-        params = _lazy_picks(pools, columns, alpha)
-    elif spec.per_player:   # item prices: each (bidder, item) reserve separately
-        params = [0.0] * (n * k)
-        for j in range(k):
-            params[j::k] = _lazy_picks(pools[j::k], values[:, :, j], alpha)
-    else:                   # anonymous item prices: one anonymous reserve per item
-        params = []
-        for j, pool in enumerate(pools):
-            rows = revenue_matrix(ClassSpec(TAG_ASP), pool[:, None], values[:, :, j:j + 1], alpha)
-            params.append(pool[_last_argmax(_sorted_sum_rows(rows))])
     return hypothesis_from_params(spec, params, n, k)
 
 
@@ -242,7 +248,7 @@ def _erm_tlevel(spec: ClassSpec, pools, values: np.ndarray, alpha: float) -> TLe
     best_rev = -math.inf
     best_params = None
     for start in range(0, count, _CHUNK):
-        chunk = _product_rows(factors, start, min(start + _CHUNK, count))
+        chunk = _product_rows(factors, np.arange(start, min(start + _CHUNK, count)))
         revs = _sorted_mean_rows(revenue_matrix(spec, chunk, values, alpha))
         local = _last_argmax(revs)
         if revs[local] >= best_rev:
@@ -256,7 +262,7 @@ def _erm_best(spec: ClassSpec, pools, values: np.ndarray, alpha: float) -> BestO
     rows = []
     for branch, branch_pools in zip(spec.branches(), pools):
         factors = _factors(branch, branch_pools)
-        rows.append(_product_rows(factors, 0, math.prod(len(f) for f in factors)))
+        rows.append(_product_rows(factors, np.arange(math.prod(len(f) for f in factors))))
     bundle_rows, item_rows = rows
     rev_b, rev_i = (revenue_matrix(branch, r, values, alpha)
                     for branch, r in zip(spec.branches(), rows))

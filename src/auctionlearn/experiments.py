@@ -79,11 +79,13 @@ def _price_grid(lo: float, hi: float, step: float) -> np.ndarray:
 def _grid_curve(grid: np.ndarray, revenue_rows, draws: int, row_cells: int) -> np.ndarray:
     """Mean over the draws of each grid row's revenue.
 
-    Rows are scored in chunks sized from the grid budget, and each chunk's
-    revenue array is reduced before the next one is built.
+    Rows are scored in chunks of at most _GRID_BUDGET / 80 cells (row_cells
+    per row), and each chunk's revenue array is reduced before the next one
+    is built; the reserve rule's temporaries, about twice a chunk, set the
+    peak memory of a grid optimum.
     """
     out = np.empty(len(grid))
-    chunk = max(1, _GRID_BUDGET // (20 * max(1, row_cells)))
+    chunk = max(1, _GRID_BUDGET // (80 * max(1, row_cells)))
     for start in range(0, len(grid), chunk):
         out[start:start + chunk] = revenue_rows(grid[start:start + chunk]).sum(axis=1)
     return out / draws

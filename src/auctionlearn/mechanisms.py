@@ -244,10 +244,6 @@ Hypothesis = (SingleReserve | AnonymousSecondPriceReserve | PlayerReserves
               | TLevel | BundlePrice | ItemPrices | BestOf)
 
 
-def sort_key(h: Hypothesis) -> tuple:
-    return (h.tag, h.param_vector())
-
-
 @dataclass(frozen=True)
 class Outcome:
     """Per-item winners (or None) and per-bidder payments for one profile."""

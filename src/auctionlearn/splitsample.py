@@ -17,14 +17,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .erm import DEFAULT_CANDIDATE_CEILING, _erm_on_values
+from .erm import (_CHUNK, DEFAULT_CANDIDATE_CEILING, _coordinates, _factors, _pools,
+                  _product_rows, _separable)
 from .errors import AuctionLearnError, CeilingExceeded
 from .mechanisms import (TAG_ASP, TAG_BEST, TAG_BUNDLE, TAG_ITEM, TAG_PLAYER,
                          TAG_SINGLE, TAG_TLEVEL, ClassSpec, Hypothesis, SingleReserve,
-                         check_class_dims, sort_key)
+                         check_class_dims, hypothesis_from_params, revenue_matrix)
 from .model import DistributionSpec, SampleSet, Seed, sample_values
 
 DEFAULT_SUBSET_CEILING = 10**6
+_BLOCK_CELLS = 2**18   # candidate x subset x profile cells gathered per scoring step
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,10 @@ def split_sample_space(spec: ClassSpec, S: SampleSet, mode: str = "exact",
 
     Exact mode walks all C(m, ceil(m/2)) subsets in lexicographic index
     order; monte-carlo mode samples `trials` subsets uniformly (its distinct
-    set is always a subset of the exact one).
+    set is always a subset of the exact one).  Every subset's ERM output
+    is scored in bulk from revenue rows built once on the full sample, and
+    `candidate_ceiling` bounds the candidate rows so built: the candidate
+    product of a joint class, each coordinate's pool of a separable one.
     """
     check_class_dims(spec, S.n, S.k)
     m = S.m
@@ -64,25 +69,132 @@ def split_sample_space(spec: ClassSpec, S: SampleSet, mode: str = "exact",
         if spec.tag == TAG_SINGLE:
             hyps = _single_reserve_exact(S, size)
             return SplitSampleSpace(S, size, hyps, "exact", total)
-        index_sets = itertools.combinations(range(m), size)
+
+        # blocks(rows): the subsets as index arrays of at most `rows` rows,
+        # streamed afresh on each call
+        def blocks(rows: int):
+            combos = itertools.combinations(range(m), size)
+            while (flat := np.fromiter(itertools.chain.from_iterable(
+                    itertools.islice(combos, rows)), dtype=np.intp)).size:
+                yield flat.reshape(-1, size)
         examined = total
     elif mode == "monte-carlo":
         if trials is None or trials < 1 or seed is None:
             raise AuctionLearnError("monte-carlo mode needs trials >= 1 and a seed")
         rng = seed.rng()
-        index_sets = (tuple(sorted(rng.choice(m, size=size, replace=False)))
-                      for _ in range(trials))
+        draws = np.array([np.sort(rng.choice(m, size=size, replace=False))
+                          for _ in range(trials)], dtype=np.intp)
+
+        def blocks(rows: int):
+            return (draws[i:i + rows] for i in range(0, trials, rows))
         examined = trials
     else:
         raise AuctionLearnError(f"unknown mode {mode!r}")
 
-    distinct: dict[tuple, Hypothesis] = {}
-    values = S.values
-    for idx in index_sets:
-        h = _erm_on_values(spec, values[list(idx)], S.value_range, candidate_ceiling)
-        distinct[sort_key(h)] = h
-    hyps = tuple(distinct[key] for key in sorted(distinct))
+    score = _separable_winners if _separable(spec) else _joint_winners
+    rows = score(spec, S, size, examined, blocks, candidate_ceiling)
+    hyps = tuple(hypothesis_from_params(spec, row, S.n, S.k) for row in rows)
     return SplitSampleSpace(S, size, hyps, mode, examined)
+
+
+def _occurrences(spec: ClassSpec, S: SampleSet, pools) -> list[np.ndarray]:
+    """Per coordinate pool: [p, t] is whether pool value p is in profile t's
+    own pool for that coordinate.
+
+    A subset's pools are the unions of its profiles' pools, so a candidate is
+    a candidate on the subset iff each of its values occurs in some subset
+    profile (for t-level, beta is in every profile's pool).
+    """
+    beta = S.value_range[1]
+    occ = [np.zeros((len(pool), S.m), dtype=bool) for pool in pools]
+    for t in range(S.m):
+        for o, pool, own in zip(occ, pools, _flat(spec, _pools(spec, S.values[t:t + 1], beta))):
+            o[np.searchsorted(pool, own), t] = True
+    return occ
+
+
+def _flat(spec: ClassSpec, pools) -> list[np.ndarray]:
+    """The coordinate pools in parameter order (best-of nests one list per branch)."""
+    return [p for branch in pools for p in branch] if spec.tag == TAG_BEST else pools
+
+
+def _joint_winners(spec: ClassSpec, S: SampleSet, size: int, examined: int, blocks,
+                   ceiling: int) -> np.ndarray:
+    """The distinct ERM parameter rows over all subsets, ascending.
+
+    Each candidate chunk's revenue rows are built once on the full sample;
+    a subset scores them on its own profiles by the sorted mean, with the
+    candidates absent from its pools set to -inf, and keeps the last argmax,
+    carried across chunks with ``>=`` as in ``erm``.
+    """
+    pools = _pools(spec, S.values, S.value_range[1])
+    factors = _factors(spec, pools)
+    lengths = [len(f) for f in factors]
+    count = math.prod(lengths)
+    if count > ceiling:
+        raise CeilingExceeded(f"{spec.describe()} scores {count} candidates on the full "
+                              f"sample, over the ceiling {ceiling}")
+    flat = _flat(spec, pools)
+    occ = _occurrences(spec, S, flat)
+    members = [np.searchsorted(p, f) for p, f in zip(flat, factors)]   # factor rows as pool indices
+    chunk = min(count, _CHUNK)
+    best_rev = np.full(examined, -np.inf)
+    best = np.zeros(examined, dtype=np.intp)
+    for start in range(0, count, chunk):
+        index = np.arange(start, min(start + chunk, count))
+        picks = np.unravel_index(index, lengths)
+        R = revenue_matrix(spec, _product_rows(factors, index), S.values, S.value_range[0])
+        at = 0
+        for block in blocks(max(1, _BLOCK_CELLS // (len(index) * size))):
+            # per factor row and subset: do all of the row's values occur in it
+            present = [o[:, block].any(axis=-1)[mem].all(axis=1) for o, mem in zip(occ, members)]
+            valid = np.logical_and.reduce([p[i] for p, i in zip(present, picks)])
+            g = R[:, block][valid]            # scored only where the candidate is one
+            g.sort(axis=-1)
+            revs = np.full(valid.shape, -np.inf)
+            revs[valid] = g.mean(axis=-1)
+            local = len(revs) - 1 - np.argmax(revs[::-1], axis=0)
+            top = revs[local, np.arange(len(block))]
+            span = slice(at, at + len(block))
+            better = top >= best_rev[span]
+            best_rev[span][better] = top[better]
+            best[span][better] = start + local[better]
+            at += len(block)
+    return _product_rows(factors, np.unique(best))
+
+
+def _separable_winners(spec: ClassSpec, S: SampleSet, size: int, examined: int, blocks,
+                       ceiling: int) -> np.ndarray:
+    """The distinct ERM parameter rows over all subsets, ascending.
+
+    Each coordinate is scored on its own: the sorted sum of its reserve rows
+    over the subset's counted profiles, grouped by how many a subset holds
+    (zero-padding would change the summation order), and the last argmax
+    among the pool values present in the subset.
+    """
+    pools = _pools(spec, S.values, S.value_range[1])
+    longest = max(len(p) for p in pools)
+    if longest > ceiling:
+        raise CeilingExceeded(f"{spec.describe()} scores a pool of {longest} values on the "
+                              f"full sample, over the ceiling {ceiling}")
+    occ = _occurrences(spec, S, pools)
+    coords = _coordinates(spec, pools, S.values, S.value_range[0])
+    winners = []
+    for block in blocks(max(1, _BLOCK_CELLS // (longest * size))):
+        params = np.empty((len(block), len(pools)))
+        for f, (pool, o, (rows, counted)) in enumerate(zip(pools, occ, coords)):
+            revs = np.empty((len(pool), len(block)))
+            kept = counted[block]
+            counts = kept.sum(axis=1)
+            for c in np.unique(counts):
+                group = counts == c
+                g = rows[:, block[group][kept[group]].reshape(int(group.sum()), c)]
+                g.sort(axis=-1)
+                revs[:, group] = g.sum(axis=-1)
+            revs[~o[:, block].any(axis=-1)] = -np.inf
+            params[:, f] = pool[len(pool) - 1 - np.argmax(revs[::-1], axis=0)]
+        winners.append(np.unique(params, axis=0))
+    return np.unique(np.vstack(winners), axis=0)
 
 
 @lru_cache(maxsize=64)

@@ -147,8 +147,17 @@ def test_invalid_input_exits_nonzero(capsys):
      "--mode", "monte-carlo"],
     ["rademacher", "--class", "single-reserve", "--values", "0.5,0.6",
      "--draws", "1"],
-], ids=["values", "range", "delta", "m", "config", "trials", "draws"])
-def test_input_errors_are_one_line_messages(argv):
+    ["experiment", "--class", "single-reserve", "--dist", "uniform:0,1",
+     "--m-grid", "5,x"],
+    ["curve", "--class", "single-reserve", "--dist", "uniform:0,1", "--eps", "0.5,x"],
+    ["experiment", "--class", "single-reserve", "--dist", "uniform:0,1",
+     "--config", "{config}"],
+], ids=["values", "range", "delta", "m", "config", "trials", "draws", "m-grid", "eps",
+        "config-value"])
+def test_input_errors_are_one_line_messages(argv, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"replicates": "many"}))
+    argv = [str(config) if a == "{config}" else a for a in argv]
     proc = subprocess.run([sys.executable, "-m", "auctionlearn.cli", *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 1

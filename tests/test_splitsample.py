@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from auctionlearn import (CeilingExceeded, ClassSpec, Discrete,
                           DistributionSpec, SampleSet, Seed, SingleReserve,
@@ -79,6 +80,98 @@ def test_subset_ceiling():
     S = SampleSet(gen.random((20, 1, 1)))
     with pytest.raises(CeilingExceeded):
         split_sample_space(SINGLE, S, "exact", subset_ceiling=100)
+
+
+SPLIT_SPECS = [SINGLE, ClassSpec("anonymous-second-price"), ClassSpec("player-reserves"),
+               ClassSpec("t-level", levels=1), ClassSpec("t-level", levels=2),
+               ClassSpec("bundle-price"), ClassSpec("bundle-price", per_player=True),
+               ClassSpec("item-prices"), ClassSpec("item-prices", per_player=True),
+               ClassSpec("best-of"), ClassSpec("best-of", per_player=True)]
+SPLIT_IDS = [s.describe().replace(" ", "-") for s in SPLIT_SPECS]
+
+
+def split_dims(spec):
+    """(max n, max k, max m): the bulk scorer scores every candidate of the
+    full sample, so best-of and two-level t-level stay small to stay fast."""
+    if spec.tag == "single-reserve":
+        return 1, 1, 8
+    k = 1 if spec.tag in ("anonymous-second-price", "player-reserves", "t-level") else 2
+    if spec.tag == "best-of":
+        return 2, k, 6
+    if spec.tag == "t-level" and spec.levels == 2:
+        return 2, k, 8
+    return 3, k, 8
+
+
+def per_subset_space(spec, values, value_range):
+    """Brute force: one ERM per half-size subset of the sample."""
+    size = math.ceil(len(values) / 2)
+    return {erm(spec, SampleSet(values[list(idx)], value_range))
+            for idx in itertools.combinations(range(len(values)), size)}
+
+
+@pytest.mark.parametrize("spec", SPLIT_SPECS, ids=SPLIT_IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_split_sample_space_matches_per_subset_erm(spec, data):
+    max_n, max_k, max_m = split_dims(spec)
+    n = data.draw(st.integers(1, max_n), label="n")
+    k = data.draw(st.integers(1, max_k), label="k")
+    m = data.draw(st.integers(1, max_m), label="m")
+    if data.draw(st.booleans(), label="tenths"):   # a tenths grid, so values tie
+        unit = np.array(data.draw(st.lists(st.integers(0, 10), min_size=m * n * k,
+                                           max_size=m * n * k), label="tenths")) / 10
+    else:
+        unit = np.array(data.draw(st.lists(st.floats(0, 1), min_size=m * n * k,
+                                           max_size=m * n * k), label="unit"))
+    low, width = data.draw(st.sampled_from([(0.0, 1.0), (2.0, 3.0)]), label="range")
+    values = low + width * unit.reshape(m, n, k)
+    value_range = (low, low + width)
+    space = split_sample_space(spec, SampleSet(values, value_range), "exact")
+    assert space.subsets_examined == math.comb(m, math.ceil(m / 2))
+    assert set(space.hypotheses) == per_subset_space(spec, values, value_range)
+    assert list(space.hypotheses) == sorted(space.hypotheses, key=lambda h: h.param_vector())
+
+
+@pytest.mark.parametrize("spec", SPLIT_SPECS, ids=SPLIT_IDS)
+def test_split_sample_space_on_degenerate_samples(spec):
+    max_n, max_k, _ = split_dims(spec)
+    for values in (np.full((1, max_n, max_k), 0.3), np.full((5, max_n, max_k), 0.7)):
+        space = split_sample_space(spec, SampleSet(values), "exact")
+        assert set(space.hypotheses) == per_subset_space(spec, values, (0.0, 1.0))
+        assert len(space) == 1
+
+
+@pytest.mark.parametrize("spec", [ClassSpec("anonymous-second-price"),
+                                  ClassSpec("player-reserves"),
+                                  ClassSpec("t-level", levels=1), ClassSpec("best-of")],
+                         ids=lambda s: s.describe().replace(" ", "-"))
+def test_monte_carlo_matches_per_subset_draws(spec):
+    k = 2 if spec.tag == "best-of" else 1
+    values = np.round(np.random.default_rng(21).random((9, 2, k)) * 10) / 10
+    S = SampleSet(values)
+    space = split_sample_space(spec, S, "monte-carlo", trials=30, seed=Seed(5))
+    rng = Seed(5).rng()   # the same draws, one ERM per drawn subset
+    expected = {erm(spec, SampleSet(values[np.sort(rng.choice(9, size=5, replace=False))]))
+                for _ in range(30)}
+    assert space.subsets_examined == 30
+    assert set(space.hypotheses) == expected
+
+
+def test_candidate_ceiling_bounds_full_sample_rows():
+    values = np.random.default_rng(6).random((6, 2, 1))
+    S = SampleSet(values)
+    tlevel = ClassSpec("t-level", levels=1)   # 7 thresholds per bidder with beta
+    assert len(split_sample_space(tlevel, S, "exact", candidate_ceiling=49)) >= 1
+    with pytest.raises(CeilingExceeded):
+        split_sample_space(tlevel, S, "exact", candidate_ceiling=48)
+    player = ClassSpec("player-reserves")      # separable: 6 reserves per bidder
+    assert len(split_sample_space(player, S, "exact", candidate_ceiling=6)) >= 1
+    with pytest.raises(CeilingExceeded):
+        split_sample_space(player, S, "exact", candidate_ceiling=5)
+    with pytest.raises(CeilingExceeded):
+        split_sample_space(player, S, "monte-carlo", trials=3, seed=Seed(1),
+                           candidate_ceiling=5)
 
 
 def test_theoretical_growth_bound_values():
