@@ -10,9 +10,8 @@ from .bounds import (BoundReport, ChainReport, RademacherEstimate, TLevelTuning,
                      bound_formula, generalization_chain_check, high_prob_bound,
                      main_bound, massart_bound, rademacher_estimate,
                      sample_complexity_estimate, tlevel_epsilon)
-from .erm import (DEFAULT_CANDIDATE_CEILING, CandidateSet, ClassSpec,
-                  candidate_count, candidate_set, empirical_revenue, erm,
-                  erm_with_value)
+from .erm import (DEFAULT_CANDIDATE_CEILING, ClassSpec, candidate_count,
+                  empirical_revenue, erm, erm_with_value)
 from .errors import (AnalyticUnsupported, AuctionLearnError, CeilingExceeded,
                      DimensionMismatch, InvalidDistribution, SampleFileError)
 from .experiments import (CurveRow, ExperimentConfig, ExperimentRow,

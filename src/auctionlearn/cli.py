@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("erm", help="empirical revenue maximizer on a sample")
     _add_common(p, klass=True, sample=True)
     p.add_argument("--ceiling", type=int,
-                   help=f"candidate-count ceiling (default {DEFAULT_CANDIDATE_CEILING})")
+                   help=f"ceiling on candidate rows scored (default {DEFAULT_CANDIDATE_CEILING})")
     p.set_defaults(func=cmd_erm)
 
     p = subs.add_parser("split-sample",
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, help="monte-carlo subset draws")
     p.add_argument("--subset-ceiling", dest="subset_ceiling", type=int,
                    help=f"exact-mode subset ceiling (default {split_mod.DEFAULT_SUBSET_CEILING})")
-    p.add_argument("--ceiling", type=int, help="candidate-count ceiling")
+    p.add_argument("--ceiling", type=int, help="ceiling on candidate rows scored")
     p.set_defaults(func=cmd_split_sample)
 
     p = subs.add_parser("growth", help="observed split-sample growth vs the bound")
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="revenue evaluation method (default auto)")
     p.add_argument("--threads", type=int,
                    help="worker threads; never changes results (default 1)")
-    p.add_argument("--ceiling", type=int, help="candidate-count ceiling")
+    p.add_argument("--ceiling", type=int, help="ceiling on candidate rows scored")
     p.add_argument("--out", help="output prefix for .csv/.jsonl")
     p.add_argument("--svg", action="store_const", const=True,
                    help="also write a gap-vs-bound SVG chart")
@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-method", dest="eval_method",
                    choices=("auto", "analytic", "monte-carlo"))
     p.add_argument("--threads", type=int, help="worker threads")
-    p.add_argument("--ceiling", type=int, help="candidate-count ceiling")
+    p.add_argument("--ceiling", type=int, help="ceiling on candidate rows scored")
     p.add_argument("--out", help="output prefix")
     p.set_defaults(func=cmd_curve)
 

@@ -7,6 +7,9 @@ sentinel so a bidder can be priced out entirely).  ERM enumerates or
 separably maximizes that set and breaks ties toward the lexicographically
 largest parameter vector.
 
+ERM and split-sample scoring share this candidate model: per-coordinate
+pools, their lexicographic product and the candidates' revenue rows.
+
 Determinism rules used throughout:
 
 * candidates are deduplicated and enumerated in ascending lexicographic
@@ -19,16 +22,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import CeilingExceeded
-from .mechanisms import (TAG_ASP, TAG_BEST, TAG_BUNDLE, TAG_ITEM, TAG_PLAYER,
-                         TAG_SINGLE, TAG_TLEVEL, BestOf, ClassSpec, Hypothesis,
-                         TLevel, check_class_dims, hypothesis_from_params,
-                         profile_revenues, reserve_revenue, revenue_matrix, top_two)
+from .mechanisms import (TAG_BEST, TAG_BUNDLE, TAG_ITEM, TAG_PLAYER, TAG_TLEVEL,
+                         ClassSpec, Hypothesis, check_class_dims,
+                         hypothesis_from_params, profile_revenues, reserve_revenue,
+                         revenue_matrix, top_two)
 from .model import SampleSet
 
 DEFAULT_CANDIDATE_CEILING = 10**7
@@ -36,51 +37,59 @@ _CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
-# candidate pools (deduplicated ascending value lists drawn from the sample)
+# the candidate model (deduplicated ascending value pools drawn from the sample)
 
 
-def _pools(spec: ClassSpec, values: np.ndarray, beta: float):
-    """Per-class pool structure the candidate set is the product of."""
+def _columns(spec: ClassSpec, values: np.ndarray, beta: float) -> list[np.ndarray]:
+    """Per parameter coordinate, in parameter order: the (m, w) values each
+    profile contributes to that coordinate's pool."""
     m, n, k = values.shape
     tag = spec.tag
-    if tag == TAG_SINGLE:
-        return [np.unique(values[:, 0, 0])]
-    if tag == TAG_ASP:
-        return [np.unique(values[:, :, 0])]
-    if tag == TAG_PLAYER:
-        return [np.unique(values[:, i, 0]) for i in range(n)]
+    if tag == TAG_BEST:
+        return [c for branch in spec.branches() for c in _columns(branch, values, beta)]
     if tag == TAG_TLEVEL:
         # the top of the range acts as the no-sale sentinel per bidder
-        return [np.unique(np.append(values[:, i, 0], beta)) for i in range(n)]
-    if tag == TAG_BUNDLE:
-        totals = np.sum(values, axis=2)
-        if spec.per_player:
-            return [np.unique(totals[:, i]) for i in range(n)]
-        return [np.unique(totals)]
+        return [np.column_stack((values[:, i, 0], np.full(m, beta))) for i in range(n)]
     if tag == TAG_ITEM:
         if spec.per_player:
-            return [np.unique(values[:, i, j]) for i in range(n) for j in range(k)]
-        return [np.unique(values[:, :, j]) for j in range(k)]
-    if tag == TAG_BEST:
-        return tuple(_pools(branch, values, beta) for branch in spec.branches())
-    raise ValueError(f"unknown class tag {tag!r}")
+            return [values[:, i, j:j + 1] for i in range(n) for j in range(k)]
+        return [values[:, :, j] for j in range(k)]
+    columns = np.sum(values, axis=2) if tag == TAG_BUNDLE else values[:, :, 0]
+    if tag == TAG_PLAYER or spec.per_player:
+        return [columns[:, i:i + 1] for i in range(n)]
+    return [columns]        # single reserve, anonymous reserve or bundle price
+
+
+def _pools(columns: list[np.ndarray]) -> list[np.ndarray]:
+    return [np.unique(c) for c in columns]
+
+
+def _count(spec: ClassSpec, pools) -> int:
+    """Size of the candidate product; a t-level bidder picks its s levels
+    from its pool with replacement."""
+    s = spec.levels or 1
+    return math.prod(math.comb(len(p) + s - 1, s) for p in pools)
 
 
 def candidate_count(spec: ClassSpec, S: SampleSet) -> int:
     """Exact size of the deduplicated candidate set."""
     check_class_dims(spec, S.n, S.k)
-    pools = _pools(spec, S.values, S.value_range[1])
-    return _count_from_pools(spec, pools)
+    return _count(spec, _pools(_columns(spec, S.values, S.value_range[1])))
 
 
-def _count_from_pools(spec: ClassSpec, pools) -> int:
-    if spec.tag == TAG_BEST:
-        return math.prod(_count_from_pools(branch, p)
-                         for branch, p in zip(spec.branches(), pools))
-    if spec.tag == TAG_TLEVEL:
-        s = spec.levels
-        return math.prod(math.comb(len(p) + s - 1, s) for p in pools)
-    return math.prod(len(p) for p in pools)
+def _separable(spec: ClassSpec) -> bool:
+    """Whether empirical revenue is a sum of per-coordinate objectives: lazy
+    player reserves, per-player bundle prices and both item-pricing modes."""
+    return spec.tag in (TAG_PLAYER, TAG_ITEM) or (spec.tag == TAG_BUNDLE and spec.per_player)
+
+
+def _check_ceiling(spec: ClassSpec, pools, ceiling: int) -> None:
+    """Refuse work over `ceiling` candidate rows scored: the candidate
+    product of a joint class, the longest coordinate pool of a separable one."""
+    rows = max(len(p) for p in pools) if _separable(spec) else _count(spec, pools)
+    if rows > ceiling:
+        raise CeilingExceeded(f"{spec.describe()} scores {rows} candidate rows, over the "
+                              f"ceiling {ceiling}; raise the ceiling explicitly to score them")
 
 
 def _factors(spec: ClassSpec, pools) -> list[np.ndarray]:
@@ -89,53 +98,38 @@ def _factors(spec: ClassSpec, pools) -> list[np.ndarray]:
     if spec.tag == TAG_TLEVEL:
         return [np.array(list(itertools.combinations_with_replacement(p, spec.levels)))
                 for p in pools]
-    if spec.tag == TAG_BEST:
-        return [f for branch, p in zip(spec.branches(), pools) for f in _factors(branch, p)]
     return [p[:, None] for p in pools]
 
 
-def _product_rows(factors, indices: np.ndarray) -> np.ndarray:
+def _product_rows(factors, indices) -> np.ndarray:
     """The candidate parameter rows at the given positions of the ascending
-    lexicographic candidate order."""
+    lexicographic candidate order (one row for a scalar position)."""
+    if len(factors) == 1:
+        return factors[0][indices]
     picks = np.unravel_index(indices, [len(f) for f in factors])
     return np.hstack([f[i] for f, i in zip(factors, picks)])
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Finite, deduplicated candidate hypotheses in canonical ascending order."""
+def _candidate_rows(spec: ClassSpec, factors, values: np.ndarray, alpha: float):
+    """(start, R) over the candidate product in chunks of about ``_CHUNK``
+    rows: R[c] is the revenue row of the candidate at position start + c.
 
-    spec: ClassSpec
-    n: int
-    k: int
-    count: int
-    _factory: Callable[[], Iterator[Hypothesis]]
-
-    def __iter__(self) -> Iterator[Hypothesis]:
-        return self._factory()
-
-    def materialize(self, ceiling: int = DEFAULT_CANDIDATE_CEILING) -> tuple[Hypothesis, ...]:
-        if self.count > ceiling:
-            raise CeilingExceeded(
-                f"{self.count} candidates exceed the ceiling {ceiling}"
-            )
-        return tuple(self._factory())
-
-
-def candidate_set(spec: ClassSpec, S: SampleSet) -> CandidateSet:
-    """All sample-valued candidates for the class on sample S."""
-    check_class_dims(spec, S.n, S.k)
-    n, k = S.n, S.k
-    pools = _pools(spec, S.values, S.value_range[1])
-    count = _count_from_pools(spec, pools)
-
-    def factory() -> Iterator[Hypothesis]:
-        factors = _factors(spec, pools)
-        return (hypothesis_from_params(spec, row, n, k)
-                for start in range(0, count, _CHUNK)
-                for row in _product_rows(factors, np.arange(start, min(start + _CHUNK, count))))
-
-    return CandidateSet(spec, n, k, count, factory)
+    Best-of rows are the max of the two branch matrices, each built once;
+    a chunk pairs whole bundle rows with every item row.
+    """
+    if spec.tag != TAG_BEST:
+        count = math.prod(len(f) for f in factors)
+        for start in range(0, count, _CHUNK):
+            rows = _product_rows(factors, np.arange(start, min(start + _CHUNK, count)))
+            yield start, revenue_matrix(spec, rows, values, alpha)
+        return
+    split = values.shape[1] if spec.per_player else 1     # the bundle factors come first
+    rev_b, rev_i = (np.vstack([R for _, R in _candidate_rows(branch, f, values, alpha)])
+                    for branch, f in zip(spec.branches(), (factors[:split], factors[split:])))
+    step = max(1, _CHUNK // len(rev_i))
+    for b in range(0, len(rev_b), step):
+        pairs = np.maximum(rev_b[b:b + step, None], rev_i[None])   # (bundle, item, profile)
+        yield b * len(rev_i), pairs.reshape(-1, len(values))
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +153,6 @@ def empirical_revenue(h: Hypothesis, S: SampleSet) -> float:
 
 def _last_argmax(arr: np.ndarray) -> int:
     return int(np.flatnonzero(arr == arr.max())[-1])
-
-
-def _separable(spec: ClassSpec) -> bool:
-    """Whether empirical revenue is a sum of per-coordinate objectives: lazy
-    player reserves, per-player bundle prices and both item-pricing modes."""
-    return spec.tag in (TAG_PLAYER, TAG_ITEM) or (spec.tag == TAG_BUNDLE and spec.per_player)
 
 
 def _coordinates(spec: ClassSpec, pools, values: np.ndarray, alpha: float):
@@ -202,8 +190,8 @@ def erm(spec: ClassSpec, S: SampleSet,
     Ties are broken toward the lexicographically largest parameter vector;
     the result is a pure function of (spec, S as a multiset).
     """
-    h, _ = erm_with_value(spec, S, ceiling)
-    return h
+    check_class_dims(spec, S.n, S.k)
+    return _erm_on_values(spec, S.values, S.value_range, ceiling)
 
 
 def erm_with_value(spec: ClassSpec, S: SampleSet,
@@ -217,61 +205,18 @@ def _erm_on_values(spec: ClassSpec, values: np.ndarray,
                    value_range: tuple[float, float],
                    ceiling: int = DEFAULT_CANDIDATE_CEILING) -> Hypothesis:
     alpha, beta = value_range
-    pools = _pools(spec, values, beta)
-    count = _count_from_pools(spec, pools)
-    if count > ceiling:
-        raise CeilingExceeded(
-            f"{spec.describe()} has {count} candidates, over the ceiling {ceiling}; "
-            "raise the ceiling explicitly to enumerate"
-        )
-    tag = spec.tag
-    m, n, k = values.shape
-
-    if tag == TAG_TLEVEL:
-        return _erm_tlevel(spec, pools, values, alpha)
-    if tag == TAG_BEST:
-        return _erm_best(spec, pools, values, alpha)
-
+    pools = _pools(_columns(spec, values, beta))
+    _check_ceiling(spec, pools, ceiling)
     if _separable(spec):
         params = [pool[_last_argmax(_sorted_sum_rows(rows[:, counted]))]
                   for pool, (rows, counted) in zip(pools, _coordinates(spec, pools, values, alpha))]
-    else:                   # one pool: single reserve, anonymous reserve or bundle price
-        rows = revenue_matrix(spec, pools[0][:, None], values, alpha)
-        params = [pools[0][_last_argmax(_sorted_mean_rows(rows))]]
-    return hypothesis_from_params(spec, params, n, k)
-
-
-def _erm_tlevel(spec: ClassSpec, pools, values: np.ndarray, alpha: float) -> TLevel:
-    m, n, k = values.shape
-    factors = _factors(spec, pools)
-    count = math.prod(len(f) for f in factors)
-    best_rev = -math.inf
-    best_params = None
-    for start in range(0, count, _CHUNK):
-        chunk = _product_rows(factors, np.arange(start, min(start + _CHUNK, count)))
-        revs = _sorted_mean_rows(revenue_matrix(spec, chunk, values, alpha))
-        local = _last_argmax(revs)
-        if revs[local] >= best_rev:
-            best_rev = float(revs[local])
-            best_params = chunk[local]
-    return hypothesis_from_params(spec, best_params, n, k)
-
-
-def _erm_best(spec: ClassSpec, pools, values: np.ndarray, alpha: float) -> BestOf:
-    m, n, k = values.shape
-    rows = []
-    for branch, branch_pools in zip(spec.branches(), pools):
-        factors = _factors(branch, branch_pools)
-        rows.append(_product_rows(factors, np.arange(math.prod(len(f) for f in factors))))
-    bundle_rows, item_rows = rows
-    rev_b, rev_i = (revenue_matrix(branch, r, values, alpha)
-                    for branch, r in zip(spec.branches(), rows))
-    best_rev = -math.inf
-    best_pair = None
-    for b in range(len(bundle_rows)):
-        revs = _sorted_mean_rows(np.maximum(rev_b[b][None, :], rev_i))
-        local = _last_argmax(revs)
-        if revs[local] >= best_rev:
-            best_rev = float(revs[local])
-            best_pair = np.concatenate([bundle_rows[b], item_rows[local]])
-    return hypothesis_from_params(spec, best_pair, n, k)
+    else:                   # the last argmax in candidate order, carried across chunks
+        factors = _factors(spec, pools)
+        best_rev, best = -math.inf, 0
+        for start, R in _candidate_rows(spec, factors, values, alpha):
+            revs = _sorted_mean_rows(R)
+            local = _last_argmax(revs)
+            if revs[local] >= best_rev:
+                best_rev, best = revs[local], start + local
+        params = _product_rows(factors, best)
+    return hypothesis_from_params(spec, params, values.shape[1], values.shape[2])

@@ -17,12 +17,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .erm import (_CHUNK, DEFAULT_CANDIDATE_CEILING, _coordinates, _factors, _pools,
-                  _product_rows, _separable)
+from .erm import (DEFAULT_CANDIDATE_CEILING, _candidate_rows, _check_ceiling, _columns,
+                  _coordinates, _factors, _pools, _product_rows, _separable)
 from .errors import AuctionLearnError, CeilingExceeded
 from .mechanisms import (TAG_ASP, TAG_BEST, TAG_BUNDLE, TAG_ITEM, TAG_PLAYER,
                          TAG_SINGLE, TAG_TLEVEL, ClassSpec, Hypothesis, SingleReserve,
-                         check_class_dims, hypothesis_from_params, revenue_matrix)
+                         check_class_dims, hypothesis_from_params)
 from .model import DistributionSpec, SampleSet, Seed, sample_values
 
 DEFAULT_SUBSET_CEILING = 10**6
@@ -53,8 +53,8 @@ def split_sample_space(spec: ClassSpec, S: SampleSet, mode: str = "exact",
     order; monte-carlo mode samples `trials` subsets uniformly (its distinct
     set is always a subset of the exact one).  Every subset's ERM output
     is scored in bulk from revenue rows built once on the full sample, and
-    `candidate_ceiling` bounds the candidate rows so built: the candidate
-    product of a joint class, each coordinate's pool of a separable one.
+    `candidate_ceiling` bounds the rows scored, as in ``erm``: the candidate
+    product of a joint class, the longest coordinate pool of a separable one.
     """
     check_class_dims(spec, S.n, S.k)
     m = S.m
@@ -91,13 +91,16 @@ def split_sample_space(spec: ClassSpec, S: SampleSet, mode: str = "exact",
     else:
         raise AuctionLearnError(f"unknown mode {mode!r}")
 
+    columns = _columns(spec, S.values, S.value_range[1])
+    pools = _pools(columns)
+    _check_ceiling(spec, pools, candidate_ceiling)
     score = _separable_winners if _separable(spec) else _joint_winners
-    rows = score(spec, S, size, examined, blocks, candidate_ceiling)
+    rows = score(spec, S, pools, _occurrences(columns, pools), size, examined, blocks)
     hyps = tuple(hypothesis_from_params(spec, row, S.n, S.k) for row in rows)
     return SplitSampleSpace(S, size, hyps, mode, examined)
 
 
-def _occurrences(spec: ClassSpec, S: SampleSet, pools) -> list[np.ndarray]:
+def _occurrences(columns, pools) -> list[np.ndarray]:
     """Per coordinate pool: [p, t] is whether pool value p is in profile t's
     own pool for that coordinate.
 
@@ -105,21 +108,14 @@ def _occurrences(spec: ClassSpec, S: SampleSet, pools) -> list[np.ndarray]:
     a candidate on the subset iff each of its values occurs in some subset
     profile (for t-level, beta is in every profile's pool).
     """
-    beta = S.value_range[1]
-    occ = [np.zeros((len(pool), S.m), dtype=bool) for pool in pools]
-    for t in range(S.m):
-        for o, pool, own in zip(occ, pools, _flat(spec, _pools(spec, S.values[t:t + 1], beta))):
-            o[np.searchsorted(pool, own), t] = True
+    occ = [np.zeros((len(pool), len(c)), dtype=bool) for c, pool in zip(columns, pools)]
+    for o, c, pool in zip(occ, columns, pools):
+        o[np.searchsorted(pool, c), np.arange(len(c))[:, None]] = True
     return occ
 
 
-def _flat(spec: ClassSpec, pools) -> list[np.ndarray]:
-    """The coordinate pools in parameter order (best-of nests one list per branch)."""
-    return [p for branch in pools for p in branch] if spec.tag == TAG_BEST else pools
-
-
-def _joint_winners(spec: ClassSpec, S: SampleSet, size: int, examined: int, blocks,
-                   ceiling: int) -> np.ndarray:
+def _joint_winners(spec: ClassSpec, S: SampleSet, pools, occ, size: int, examined: int,
+                   blocks) -> np.ndarray:
     """The distinct ERM parameter rows over all subsets, ascending.
 
     Each candidate chunk's revenue rows are built once on the full sample;
@@ -127,25 +123,15 @@ def _joint_winners(spec: ClassSpec, S: SampleSet, size: int, examined: int, bloc
     candidates absent from its pools set to -inf, and keeps the last argmax,
     carried across chunks with ``>=`` as in ``erm``.
     """
-    pools = _pools(spec, S.values, S.value_range[1])
     factors = _factors(spec, pools)
     lengths = [len(f) for f in factors]
-    count = math.prod(lengths)
-    if count > ceiling:
-        raise CeilingExceeded(f"{spec.describe()} scores {count} candidates on the full "
-                              f"sample, over the ceiling {ceiling}")
-    flat = _flat(spec, pools)
-    occ = _occurrences(spec, S, flat)
-    members = [np.searchsorted(p, f) for p, f in zip(flat, factors)]   # factor rows as pool indices
-    chunk = min(count, _CHUNK)
+    members = [np.searchsorted(p, f) for p, f in zip(pools, factors)]  # factor rows as pool indices
     best_rev = np.full(examined, -np.inf)
     best = np.zeros(examined, dtype=np.intp)
-    for start in range(0, count, chunk):
-        index = np.arange(start, min(start + chunk, count))
-        picks = np.unravel_index(index, lengths)
-        R = revenue_matrix(spec, _product_rows(factors, index), S.values, S.value_range[0])
+    for start, R in _candidate_rows(spec, factors, S.values, S.value_range[0]):
+        picks = np.unravel_index(np.arange(start, start + len(R)), lengths)
         at = 0
-        for block in blocks(max(1, _BLOCK_CELLS // (len(index) * size))):
+        for block in blocks(max(1, _BLOCK_CELLS // (len(R) * size))):
             # per factor row and subset: do all of the row's values occur in it
             present = [o[:, block].any(axis=-1)[mem].all(axis=1) for o, mem in zip(occ, members)]
             valid = np.logical_and.reduce([p[i] for p, i in zip(present, picks)])
@@ -163,8 +149,8 @@ def _joint_winners(spec: ClassSpec, S: SampleSet, size: int, examined: int, bloc
     return _product_rows(factors, np.unique(best))
 
 
-def _separable_winners(spec: ClassSpec, S: SampleSet, size: int, examined: int, blocks,
-                       ceiling: int) -> np.ndarray:
+def _separable_winners(spec: ClassSpec, S: SampleSet, pools, occ, size: int,
+                       examined: int, blocks) -> np.ndarray:
     """The distinct ERM parameter rows over all subsets, ascending.
 
     Each coordinate is scored on its own: the sorted sum of its reserve rows
@@ -172,12 +158,7 @@ def _separable_winners(spec: ClassSpec, S: SampleSet, size: int, examined: int, 
     (zero-padding would change the summation order), and the last argmax
     among the pool values present in the subset.
     """
-    pools = _pools(spec, S.values, S.value_range[1])
     longest = max(len(p) for p in pools)
-    if longest > ceiling:
-        raise CeilingExceeded(f"{spec.describe()} scores a pool of {longest} values on the "
-                              f"full sample, over the ceiling {ceiling}")
-    occ = _occurrences(spec, S, pools)
     coords = _coordinates(spec, pools, S.values, S.value_range[0])
     winners = []
     for block in blocks(max(1, _BLOCK_CELLS // (longest * size))):

@@ -5,11 +5,15 @@ definitions over dense parameter grids, without touching the package's
 candidate-set or ERM code paths.
 """
 
+import itertools
+from dataclasses import dataclass
+
 import numpy as np
 
 from auctionlearn import (AnonymousSecondPriceReserve, BestOf, BundlePrice,
                           ItemPrices, PlayerReserves, SingleReserve, TLevel,
                           ValuationProfile, bidder_utility)
+from auctionlearn.mechanisms import hypothesis_from_params
 
 FINE_GRID = np.arange(1001) / 1000.0          # step 1e-3 on [0, 1]
 
@@ -118,11 +122,70 @@ def draw_grid_sample(gen: np.random.Generator, m: int, n: int, k: int) -> np.nda
     return gen.integers(0, 11, size=(m, n, k)) / 10.0
 
 
+def draw_thousandths_sample(gen: np.random.Generator, m: int, n: int, k: int) -> np.ndarray:
+    """Values uniform on {0, 0.001, ..., 1.0}: each is a FINE_GRID point."""
+    return gen.integers(0, 1001, size=(m, n, k)) / 1000.0
+
+
 def draw_eighth_sample(gen: np.random.Generator, m: int, n: int, k: int) -> np.ndarray:
     """Values uniform on {0, 1/8, ..., 1}: binary-exact, so additive bundle
     totals also land exactly on the thousandths grid (tenths do not: e.g.
     0.1 + 0.7 != 0.8 in floats, which would shift a grid sale)."""
     return gen.integers(0, 9, size=(m, n, k)) / 8.0
+
+
+# ---------------------------------------------------------------------------
+# exhaustive candidate enumeration (the set ERM must maximize over)
+
+
+@dataclass(frozen=True)
+class CandidateSet:
+    """Deduplicated sample-valued candidates in ascending parameter order."""
+
+    hypotheses: tuple
+
+    @property
+    def count(self) -> int:
+        return len(self.hypotheses)
+
+    def __iter__(self):
+        return iter(self.hypotheses)
+
+    def materialize(self) -> tuple:
+        return self.hypotheses
+
+
+def _coordinate_choices(spec, values, beta):
+    """Per parameter coordinate: its ascending choices, each a tuple."""
+    _, n, k = values.shape
+    tag = spec.tag
+    if tag == "best-of":
+        return [c for b in spec.branches() for c in _coordinate_choices(b, values, beta)]
+    if tag == "t-level":   # beta joins each bidder's pool as the no-sale sentinel
+        return [list(itertools.combinations_with_replacement(
+                    np.unique(np.append(values[:, i, 0], beta)).tolist(), spec.levels))
+                for i in range(n)]
+    if tag == "item-prices":
+        if spec.per_player:
+            pools = [values[:, i, j] for i in range(n) for j in range(k)]
+        else:
+            pools = [values[:, :, j] for j in range(k)]
+    elif tag == "bundle-price":
+        totals = values.sum(axis=2)
+        pools = [totals[:, i] for i in range(n)] if spec.per_player else [totals]
+    elif tag == "player-reserves":
+        pools = [values[:, i, 0] for i in range(n)]
+    else:                  # single reserve, anonymous second price
+        pools = [values[:, :, 0]]
+    return [[(x,) for x in np.unique(p).tolist()] for p in pools]
+
+
+def candidate_set(spec, S) -> CandidateSet:
+    """Every sample-valued candidate of the class on S, enumerated directly
+    as the lexicographic product of per-coordinate choices."""
+    choices = _coordinate_choices(spec, S.values, S.value_range[1])
+    return CandidateSet(tuple(hypothesis_from_params(spec, sum(row, ()), S.n, S.k)
+                              for row in itertools.product(*choices)))
 
 
 # ---------------------------------------------------------------------------

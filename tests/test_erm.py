@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import oracles
-from auctionlearn import (CeilingExceeded, ClassSpec, PlayerReserves,
-                          SampleSet, SingleReserve, candidate_count,
-                          candidate_set, empirical_revenue, erm,
+from auctionlearn import (DEFAULT_CANDIDATE_CEILING, CeilingExceeded, ClassSpec,
+                          PlayerReserves, SampleSet, SingleReserve,
+                          candidate_count, empirical_revenue, erm,
                           erm_with_value)
+from oracles import candidate_set
 
 
 def sample(values, value_range=(0.0, 1.0)):
@@ -106,24 +107,47 @@ ALL_SPECS = [
 ]
 
 
+def assert_exhaustive_argmax(spec, S) -> np.ndarray:
+    """ERM equals the argmax over the materialized candidate set, with ties
+    broken toward the largest parameter vector, and ``candidate_count`` its
+    size; returns the positions of the maximum in the candidate set."""
+    cands = candidate_set(spec, S).materialize()
+    assert candidate_count(spec, S) == len(cands)
+    revs = np.array([empirical_revenue(c, S) for c in cands])
+    top = np.flatnonzero(revs == revs.max())
+    best = max((cands[i] for i in top), key=lambda c: c.param_vector())
+    h = erm(spec, S)
+    assert h == best, f"{spec.describe()}: {h} vs {best}"
+    return top
+
+
 @pytest.mark.parametrize("spec,n,k", ALL_SPECS)
 def test_erm_equals_exhaustive_enumeration(spec, n, k):
     """The fast per-class paths must agree with argmax over the materialized
-    candidate set, including the largest-parameter tie-break."""
+    candidate set, on continuous samples and on tenths-grid samples, whose
+    ties exercise the tie-break."""
     gen = np.random.default_rng(zlib.crc32(spec.describe().encode()))
     for _ in range(8):
         m = int(gen.integers(1, 6))
-        S = SampleSet(gen.random((m, n, k)))
-        h = erm(spec, S)
-        cands = candidate_set(spec, S).materialize()
-        assert h in cands
-        best_rev, best_key, best_h = -np.inf, None, None
-        for c in cands:
-            r = empirical_revenue(c, S)
-            key = c.param_vector()
-            if r > best_rev or (r == best_rev and key > best_key):
-                best_rev, best_key, best_h = r, key, c
-        assert h == best_h, f"{spec.describe()}: {h} vs {best_h}"
+        assert_exhaustive_argmax(spec, SampleSet(gen.random((m, n, k))))
+    for _ in range(8):
+        m = int(gen.integers(1, 6))
+        assert_exhaustive_argmax(spec, SampleSet(oracles.draw_grid_sample(gen, m, n, k)))
+
+
+@pytest.mark.parametrize("spec,shape,seed,chunk", [
+    # 91^2 = 8,281 candidates in chunks of 4,096 rows
+    (ClassSpec("t-level", levels=2), (12, 2, 1), 45, 4096),
+    (ClassSpec("t-level", levels=2), (12, 2, 1), 62, 4096),
+    # 6^6 = 46,656 candidates; a chunk is 3 whole bundle rows x 1,296 item rows
+    (ClassSpec("best-of", per_player=True), (6, 2, 2), 9, 3888),
+], ids=["t-level-s2-a", "t-level-s2-b", "best-of-per-player"])
+def test_erm_ties_across_candidate_chunks(spec, shape, seed, chunk):
+    """Samples whose maximum is tied in more than one ERM candidate chunk:
+    the last argmax must be carried across chunks with >=."""
+    S = SampleSet(np.random.default_rng(seed).random(shape))
+    top = assert_exhaustive_argmax(spec, S)
+    assert len(np.unique(top // chunk)) > 1
 
 
 @pytest.mark.parametrize("spec,n,k", ALL_SPECS)
@@ -141,12 +165,42 @@ def test_erm_permutation_invariance_and_determinism(spec, n, k):
 
 
 def test_erm_ceiling_error():
+    """The ceiling bounds the rows ERM scores: the candidate product of a
+    joint class, the longest coordinate pool of a separable one."""
     gen = np.random.default_rng(1)
     S = SampleSet(gen.random((10, 2, 1)))
+    player = ClassSpec("player-reserves")      # separable: 10 reserves per bidder
     with pytest.raises(CeilingExceeded):
-        erm(ClassSpec("player-reserves"), S, ceiling=50)
+        erm(player, S, ceiling=9)
+    assert erm(player, S, ceiling=10) == erm(player, S)
+    tlevel = ClassSpec("t-level", levels=1)    # joint: 11 thresholds per bidder with beta
+    assert candidate_count(tlevel, S) == 121
     with pytest.raises(CeilingExceeded):
-        candidate_set(ClassSpec("player-reserves"), S).materialize(ceiling=50)
+        erm(tlevel, S, ceiling=120)
+    assert erm(tlevel, S, ceiling=121) == erm(tlevel, S)
+
+
+@pytest.mark.parametrize("spec,n,k,m,oracle", [
+    (ClassSpec("player-reserves"), 3, 1, 400,
+     lambda v: oracles.grid_max_player_reserves(v[:, :, 0])),
+    (ClassSpec("item-prices"), 3, 3, 200,
+     lambda v: oracles.grid_max_item_prices(v, False)),
+], ids=["player-reserves-n3-m400", "item-prices-n3-k3-m200"])
+def test_separable_erm_runs_past_the_product_count(spec, n, k, m, oracle):
+    """Separable classes whose candidate product is far over the default
+    ceiling still run, and attain the fine-grid maximum."""
+    gen = np.random.default_rng(zlib.crc32((spec.describe() + "-ceiling").encode()))
+    values = oracles.draw_grid_sample(gen, m, n, k)
+    S = SampleSet(values)
+    _, rev = erm_with_value(spec, S)
+    assert abs(rev - oracle(values)) <= 1e-12
+    # thousandths values lie on the oracle grid too, and their product count
+    # is over the default ceiling
+    values = oracles.draw_thousandths_sample(gen, m, n, k)
+    S = SampleSet(values)
+    assert candidate_count(spec, S) > DEFAULT_CANDIDATE_CEILING
+    _, rev = erm_with_value(spec, S)
+    assert abs(rev - oracle(values)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
