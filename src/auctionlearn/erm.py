@@ -5,7 +5,9 @@ space is attained at a finite candidate set built from sample values (for
 threshold-ranked auctions the top of the value range is added as a no-sale
 sentinel so a bidder can be priced out entirely).  ERM enumerates or
 separably maximizes that set and breaks ties toward the lexicographically
-largest parameter vector.
+largest parameter vector.  A posted price needs no enumeration: its revenue
+is price x sales, so a closed form shortlists the near-maximal prices and
+only those are scored exactly.
 
 ERM and split-sample scoring share this candidate model: per-coordinate
 pools, their lexicographic product and the candidates' revenue rows.
@@ -26,8 +28,8 @@ import math
 import numpy as np
 
 from .errors import CeilingExceeded
-from .mechanisms import (TAG_BEST, TAG_BUNDLE, TAG_ITEM, TAG_PLAYER, TAG_TLEVEL,
-                         ClassSpec, Hypothesis, check_class_dims,
+from .mechanisms import (TAG_BEST, TAG_BUNDLE, TAG_ITEM, TAG_PLAYER, TAG_SINGLE,
+                         TAG_TLEVEL, ClassSpec, Hypothesis, SingleReserve, check_class_dims,
                          hypothesis_from_params, profile_revenues, reserve_revenue,
                          revenue_matrix, top_two)
 from .model import SampleSet
@@ -141,6 +143,17 @@ def _sorted_mean_rows(mat: np.ndarray) -> np.ndarray:
     return np.mean(np.sort(mat, axis=-1), axis=-1)
 
 
+def _posted_means(prices: np.ndarray, zeros: np.ndarray, length: int) -> np.ndarray:
+    """Sorted-mean revenue of posted prices: the mean of a row holding
+    ``zeros`` no-sales first, then the price on each remaining profile.
+
+    That is the row ``np.sort`` makes of a posted price's revenues on a
+    sample with ``zeros`` values under the price, so the result equals
+    ``_sorted_mean_rows`` of the revenue matrix bit for bit.
+    """
+    return np.mean(prices[:, None] * (np.arange(length) >= zeros[:, None]), axis=-1)
+
+
 def _sorted_sum_rows(mat: np.ndarray) -> np.ndarray:
     return np.sum(np.sort(mat, axis=-1), axis=-1)
 
@@ -152,7 +165,7 @@ def empirical_revenue(h: Hypothesis, S: SampleSet) -> float:
 
 
 def _last_argmax(arr: np.ndarray) -> int:
-    return int(np.flatnonzero(arr == arr.max())[-1])
+    return len(arr) - 1 - int(np.argmax(arr[::-1]))
 
 
 def _coordinates(spec: ClassSpec, pools, values: np.ndarray, alpha: float):
@@ -204,6 +217,8 @@ def erm_with_value(spec: ClassSpec, S: SampleSet,
 def _erm_on_values(spec: ClassSpec, values: np.ndarray,
                    value_range: tuple[float, float],
                    ceiling: int = DEFAULT_CANDIDATE_CEILING) -> Hypothesis:
+    if spec.tag == TAG_SINGLE:
+        return SingleReserve(_posted_erm(spec, values[:, 0, 0], ceiling))
     alpha, beta = value_range
     pools = _pools(_columns(spec, values, beta))
     _check_ceiling(spec, pools, ceiling)
@@ -220,3 +235,33 @@ def _erm_on_values(spec: ClassSpec, values: np.ndarray,
                 best_rev, best = revs[local], start + local
         params = _product_rows(factors, best)
     return hypothesis_from_params(spec, params, values.shape[1], values.shape[2])
+
+
+def _posted_erm(spec: ClassSpec, values: np.ndarray, ceiling: int) -> float:
+    """The ERM posted price on the values, in O(m log m).
+
+    A price u sells to the c values at or above it, so its empirical revenue
+    is a = u*c/m in exact arithmetic.  The closed form fl(fl(u*c)/m) is
+    within gamma_2*a of a; the sorted mean (any summation tree over m
+    nonnegative terms, then the division) is within gamma_m*a, where
+    gamma_j = j*2^-53/(1 - j*2^-53) and no value is subnormal.  So a price
+    whose sorted mean can reach the largest one has a closed form within
+    about 2*(gamma_m + gamma_2) = (m+2)*2^-52 of the largest closed form,
+    relative to it.  The prices within (m+2)*4*2^-52 of it (four times
+    that, which also covers rounding the threshold) are scored exactly with
+    ``_posted_means``, and their last argmax is the last argmax over every
+    candidate; a price kept alone is that argmax without scoring.
+    """
+    v = np.sort(values)
+    m = len(v)
+    below = np.searchsorted(v, v)             # equal values share one count
+    first = below == np.arange(m)
+    prices, zeros = v[first], below[first]
+    _check_ceiling(spec, [prices], ceiling)
+    closed = prices * (m - zeros) / m
+    top = closed.max()
+    kept = np.flatnonzero(closed >= top - (m + 2) * 4 * 2.0**-52 * top)
+    best = kept[0]
+    if len(kept) > 1:
+        best = kept[_last_argmax(_posted_means(prices[kept], zeros[kept], m))]
+    return float(prices[best])

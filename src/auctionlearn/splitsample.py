@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .erm import (DEFAULT_CANDIDATE_CEILING, _candidate_rows, _check_ceiling, _columns,
-                  _coordinates, _factors, _pools, _product_rows, _separable)
+                  _coordinates, _factors, _pools, _posted_means, _product_rows, _separable)
 from .errors import AuctionLearnError, CeilingExceeded
 from .mechanisms import (TAG_ASP, TAG_BEST, TAG_BUNDLE, TAG_ITEM, TAG_PLAYER,
                          TAG_SINGLE, TAG_TLEVEL, ClassSpec, Hypothesis, SingleReserve,
@@ -178,7 +178,7 @@ def _separable_winners(spec: ClassSpec, S: SampleSet, pools, occ, size: int,
     return np.unique(np.vstack(winners), axis=0)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=4)      # one array is C(m, size) x size indices: 62 MB at m = 22
 def _combo_indices(m: int, size: int) -> np.ndarray:
     combos = np.fromiter(itertools.chain.from_iterable(
         itertools.combinations(range(m), size)), dtype=np.intp)
@@ -191,21 +191,27 @@ def _single_reserve_exact(S: SampleSet, size: int) -> tuple[Hypothesis, ...]:
     """Vectorized exact enumeration for the posted-price class.
 
     Subsets are taken as index combinations into the ascending-sorted value
-    vector, so each subset row is already sorted; posting the j-th smallest
-    value earns it from the (size - j) values at or above it, which matches
-    the generic kernel's sorted accumulation bit-for-bit.
+    vector, so each subset row is already sorted.  Posting a subset's j-th
+    smallest value earns what posting that pool value at rank j earns: j
+    no-sales, then the price on the (size - j) values from it up (of equal
+    values only the first rank sells to them all, and the later ranks never
+    score more).  One (pool x rank) table of ``_posted_means`` scores every
+    subset by a gather, and the last argmax over ranks, carried with
+    ``>=``, is the largest of the tied prices, as in ``erm``.
     """
     pool = np.sort(S.values[:, 0, 0])
     combos = _combo_indices(S.m, size)
-    V = pool[combos]                                   # (C, size)
-    tri = np.arange(size)[None, :] >= np.arange(size)[:, None]   # [j, t]: t >= j
-    rows = V[:, :, None] * tri[None, :, :]             # (C, j, t)
-    revs = np.mean(rows, axis=2)
-    best = revs.max(axis=1)
-    eq = revs == best[:, None]
-    pick = size - 1 - np.argmax(eq[:, ::-1], axis=1)   # last argmax = largest value
-    reserves = np.unique(V[np.arange(len(V)), pick])
-    return tuple(SingleReserve(float(r)) for r in reserves)
+    ranks = np.arange(size)
+    table = _posted_means(np.repeat(pool, size), np.tile(ranks, S.m), size).reshape(S.m, size)
+    best_rev = np.full(len(combos), -np.inf)
+    winner = np.zeros(len(combos), dtype=np.intp)
+    for j in ranks:
+        col = combos[:, j]
+        rev = table[col, j]
+        better = rev >= best_rev
+        best_rev = np.maximum(rev, best_rev)
+        winner[better] = col[better]
+    return tuple(SingleReserve(float(r)) for r in np.unique(pool[winner]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared test helpers: brute-force oracles and random instance generators.
+"""Shared test helpers: brute-force oracles, random instance generators and
+the CLI run in a child interpreter.
 
 The oracles reimplement revenue maxima directly from the mechanism
 definitions over dense parameter grids, without touching the package's
@@ -6,10 +7,15 @@ candidate-set or ERM code paths.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+import auctionlearn
 from auctionlearn import (AnonymousSecondPriceReserve, BestOf, BundlePrice,
                           ItemPrices, PlayerReserves, SingleReserve, TLevel,
                           ValuationProfile, bidder_utility)
@@ -246,3 +252,16 @@ def misreport_improvement(h, values, grid_points=41):
                 u = bidder_utility(h, i, values, ValuationProfile(reported))
                 worst = max(worst, u - base)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# the CLI in a child interpreter
+
+
+def run_cli_process(argv) -> subprocess.CompletedProcess:
+    """``python -m auctionlearn.cli *argv`` in a child interpreter that imports
+    the same package as the tests, whether or not PYTHONPATH names it."""
+    src = str(Path(auctionlearn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "auctionlearn.cli", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})

@@ -6,8 +6,6 @@ criterion (with elapsed time); any failure also fails the pytest run.
 
 import itertools
 import math
-import subprocess
-import sys
 import time
 import zlib
 
@@ -259,16 +257,13 @@ def test_criterion_8_bound_formula_reproduction():
 
 def test_criterion_9_byte_identical_reruns(tmp_path):
     def body():
-        argv = [sys.executable, "-m", "auctionlearn.cli", "experiment",
-                "--class", "single-reserve", "--dist", "uniform:0,1",
+        argv = ["experiment", "--class", "single-reserve", "--dist", "uniform:0,1",
                 "--m-grid", "8,16,32", "--replicates", "60", "--delta", "0.25",
                 "--seed", "99", "--eval-method", "analytic", "--svg"]
         outputs = []
         for name, threads in (("a", "1"), ("b", "4"), ("c", "1")):
             prefix = tmp_path / name
-            proc = subprocess.run(argv + ["--threads", threads,
-                                          "--out", str(prefix)],
-                                  capture_output=True, text=True)
+            proc = oracles.run_cli_process(argv + ["--threads", threads, "--out", str(prefix)])
             assert proc.returncode == 0, proc.stderr
             outputs.append({ext: (tmp_path / (name + ext)).read_bytes()
                             for ext in (".csv", ".jsonl", ".svg")})

@@ -1,13 +1,12 @@
 """Command-line surface: spec'd outputs, precedence, reproducibility."""
 
 import json
-import subprocess
-import sys
 
 import pytest
 
 from auctionlearn import load_samples
 from auctionlearn.cli import main, parse_marginal, parse_values
+from oracles import run_cli_process
 
 
 def run_cli(capsys, *argv):
@@ -158,8 +157,7 @@ def test_input_errors_are_one_line_messages(argv, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"replicates": "many"}))
     argv = [str(config) if a == "{config}" else a for a in argv]
-    proc = subprocess.run([sys.executable, "-m", "auctionlearn.cli", *argv],
-                          capture_output=True, text=True)
+    proc = run_cli_process(argv)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
@@ -181,10 +179,7 @@ def test_parse_helpers():
 
 
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "auctionlearn.cli", "bound",
-         "--class", "single-reserve", "--m", "200"],
-        capture_output=True, text=True)
+    proc = run_cli_process(["bound", "--class", "single-reserve", "--m", "200"])
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("0.2447")
 
@@ -192,7 +187,6 @@ def test_console_entry_point():
 def test_subcommand_help_lists_flags():
     for sub in ("sample", "erm", "split-sample", "growth", "bound",
                 "rademacher", "experiment", "curve"):
-        proc = subprocess.run([sys.executable, "-m", "auctionlearn.cli", sub, "--help"],
-                              capture_output=True, text=True)
+        proc = run_cli_process([sub, "--help"])
         assert proc.returncode == 0
         assert "--seed" in proc.stdout

@@ -1,9 +1,11 @@
 """Candidate sets, empirical revenue, and ERM optimality/tie-break contracts."""
 
+import importlib
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from auctionlearn import (DEFAULT_CANDIDATE_CEILING, CeilingExceeded, ClassSpec,
@@ -162,6 +164,58 @@ def test_erm_permutation_invariance_and_determinism(spec, n, k):
         for _ in range(3):
             perm = gen.permutation(m)
             assert erm(spec, SampleSet(values[perm])) == h
+
+
+POSTED_SIZES = [*range(1, 10), 64, 400, 2000]
+
+
+def posted_sample(m, kind, low, seed):
+    """m posted-price values on [low, low + 3] (or [0, 1]): uniform, on a
+    tenths grid (so prices tie in exact arithmetic), or all equal."""
+    gen = np.random.default_rng(seed)
+    unit = {"uniform": lambda: gen.random(m),
+            "tenths": lambda: gen.integers(0, 11, m) / 10,
+            "equal": lambda: np.full(m, gen.integers(0, 11) / 10)}[kind]()
+    width = 1.0 if low == 0.0 else 3.0
+    return SampleSet((low + width * unit).reshape(m, 1, 1), (low, low + width))
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.sampled_from(POSTED_SIZES), kind=st.sampled_from(["uniform", "tenths", "equal"]),
+       low=st.sampled_from([0.0, 2.0]), seed=st.integers(0, 2**32 - 1))
+# in these tenths samples the sorted-mean winner's closed form is not the largest
+@example(m=6, kind="tenths", low=0.0, seed=798)
+@example(m=9, kind="tenths", low=0.0, seed=32)
+@example(m=64, kind="tenths", low=0.0, seed=35)
+@example(m=2000, kind="tenths", low=0.0, seed=0)
+@example(m=2000, kind="uniform", low=2.0, seed=0)
+@example(m=400, kind="equal", low=2.0, seed=0)
+def test_posted_price_erm_matches_exhaustive_argmax(m, kind, low, seed):
+    """Single-reserve ERM scores exactly only the prices near the largest
+    closed form u*count/m; it must pick what the exhaustive sorted-mean
+    argmax over every candidate picks."""
+    assert_exhaustive_argmax(SINGLE, posted_sample(m, kind, low, seed))
+
+
+@pytest.mark.parametrize("values", [
+    [0.2, 0.3, 0.6],             # 0.2*3 = 0.3*2 = 0.6*1 in exact arithmetic
+    [0.1] * 5 + [0.6],           # the closed form ranks 0.1 first, the sorted mean ties
+    [0.2] * 4 + [0.6, 0.9],
+    [0.1, 0.1, 0.1, 0.1, 0.3, 0.3],
+])
+def test_posted_price_near_ties_are_scored_exactly(values, monkeypatch):
+    """Prices whose closed forms differ only by rounding are all re-scored by
+    the sorted mean, which alone decides the winner."""
+    module = importlib.import_module("auctionlearn.erm")
+    scored, posted_means = [], module._posted_means
+
+    def spy(prices, zeros, length):
+        scored.append(len(prices))
+        return posted_means(prices, zeros, length)
+
+    monkeypatch.setattr(module, "_posted_means", spy)
+    assert_exhaustive_argmax(SINGLE, sample(values))
+    assert scored and scored[0] > 1
 
 
 def test_erm_ceiling_error():

@@ -43,8 +43,11 @@ def test_single_element_sample():
 
 def test_fast_path_matches_generic_subset_loop():
     gen = np.random.default_rng(12)
-    for m in (2, 5, 8):
-        values = gen.random((m, 1, 1))
+    samples = [gen.random((m, 1, 1)) for m in (2, 5, 8)]
+    # 16 tenths-grid values always repeat one: 12,870 subsets with equal values
+    samples += [gen.integers(0, 11, (16, 1, 1)) / 10 for _ in range(2)]
+    for values in samples:
+        m = len(values)
         S = SampleSet(values)
         space = split_sample_space(SINGLE, S, "exact")
         size = math.ceil(m / 2)
