@@ -338,6 +338,23 @@ def _add_common(sub: argparse.ArgumentParser, *, klass=False, dist=False,
         sub.add_argument("--in", dest="infile", help="sample file path")
 
 
+def _add_experiment(sub: argparse.ArgumentParser) -> None:
+    """The flags that `experiment` and `curve` share."""
+    _add_common(sub, klass=True, dist=True)
+    sub.add_argument("--m-grid", dest="m_grid", help="comma list of sample sizes")
+    sub.add_argument("--replicates", type=int, help="replicates per m (default 1000)")
+    sub.add_argument("--delta", type=float, help="failure probability (default 0.1)")
+    sub.add_argument("--eval-draws", dest="eval_draws", type=int,
+                     help="Monte Carlo draws per revenue evaluation (default 100000)")
+    sub.add_argument("--eval-method", dest="eval_method",
+                     choices=("auto", "analytic", "monte-carlo"),
+                     help="revenue evaluation method (default auto)")
+    sub.add_argument("--threads", type=int,
+                     help="accepted and ignored; replicates run in one thread")
+    sub.add_argument("--ceiling", type=int, help="ceiling on candidate rows scored")
+    sub.add_argument("--out", help="output file prefix")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="auctionlearn",
@@ -396,36 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rademacher)
 
     p = subs.add_parser("experiment", help="generalization gap vs bound over an m grid")
-    _add_common(p, klass=True, dist=True)
-    p.add_argument("--m-grid", dest="m_grid", help="comma list of sample sizes")
-    p.add_argument("--replicates", type=int, help="replicates per m (default 1000)")
-    p.add_argument("--delta", type=float, help="failure probability (default 0.1)")
-    p.add_argument("--eval-draws", dest="eval_draws", type=int,
-                   help="Monte Carlo draws per revenue evaluation (default 100000)")
-    p.add_argument("--eval-method", dest="eval_method",
-                   choices=("auto", "analytic", "monte-carlo"),
-                   help="revenue evaluation method (default auto)")
-    p.add_argument("--threads", type=int,
-                   help="worker threads; never changes results (default 1)")
-    p.add_argument("--ceiling", type=int, help="ceiling on candidate rows scored")
-    p.add_argument("--out", help="output prefix for .csv/.jsonl")
+    _add_experiment(p)
     p.add_argument("--svg", action="store_const", const=True,
                    help="also write a gap-vs-bound SVG chart")
     p.set_defaults(func=cmd_experiment)
 
     p = subs.add_parser("curve", help="bound-based and empirical sample complexity")
-    _add_common(p, klass=True, dist=True)
-    p.add_argument("--m-grid", dest="m_grid", help="comma list of sample sizes")
+    _add_experiment(p)
     p.add_argument("--eps", help="comma list of accuracy targets (default 0.5,0.2,0.1)")
-    p.add_argument("--replicates", type=int, help="replicates per m (default 1000)")
-    p.add_argument("--delta", type=float, help="failure probability (default 0.1)")
-    p.add_argument("--eval-draws", dest="eval_draws", type=int,
-                   help="Monte Carlo draws per revenue evaluation")
-    p.add_argument("--eval-method", dest="eval_method",
-                   choices=("auto", "analytic", "monte-carlo"))
-    p.add_argument("--threads", type=int, help="worker threads")
-    p.add_argument("--ceiling", type=int, help="ceiling on candidate rows scored")
-    p.add_argument("--out", help="output prefix")
     p.set_defaults(func=cmd_curve)
 
     return parser

@@ -9,8 +9,11 @@ largest parameter vector.  A posted price needs no enumeration: its revenue
 is price x sales, so a closed form shortlists the near-maximal prices and
 only those are scored exactly.
 
-ERM and split-sample scoring share this candidate model: per-coordinate
-pools, their lexicographic product and the candidates' revenue rows.
+ERM on a set of subsets of the sample is one operation, ``subset_winners``:
+it builds the candidate model (per-coordinate pools, their lexicographic
+product and the candidates' revenue rows) once on the whole sample and
+scores every subset from it.  ERM is the case of one subset, the whole
+sample; split-sample enumeration passes its half-size subsets.
 
 Determinism rules used throughout:
 
@@ -36,6 +39,7 @@ from .model import SampleSet
 
 DEFAULT_CANDIDATE_CEILING = 10**7
 _CHUNK = 4096
+_BLOCK_CELLS = 2**18   # candidate x subset x profile cells gathered per scoring step
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +109,7 @@ def _factors(spec: ClassSpec, pools) -> list[np.ndarray]:
 
 def _product_rows(factors, indices) -> np.ndarray:
     """The candidate parameter rows at the given positions of the ascending
-    lexicographic candidate order (one row for a scalar position)."""
+    lexicographic candidate order."""
     if len(factors) == 1:
         return factors[0][indices]
     picks = np.unravel_index(indices, [len(f) for f in factors])
@@ -138,24 +142,15 @@ def _candidate_rows(spec: ClassSpec, factors, values: np.ndarray, alpha: float):
 # empirical revenue
 
 
-def _sorted_mean_rows(mat: np.ndarray) -> np.ndarray:
-    """Row means with entries accumulated in ascending order (order-stable)."""
-    return np.mean(np.sort(mat, axis=-1), axis=-1)
-
-
 def _posted_means(prices: np.ndarray, zeros: np.ndarray, length: int) -> np.ndarray:
     """Sorted-mean revenue of posted prices: the mean of a row holding
     ``zeros`` no-sales first, then the price on each remaining profile.
 
     That is the row ``np.sort`` makes of a posted price's revenues on a
-    sample with ``zeros`` values under the price, so the result equals
-    ``_sorted_mean_rows`` of the revenue matrix bit for bit.
+    sample with ``zeros`` values under the price, so the result equals the
+    sorted mean of the revenue matrix bit for bit.
     """
     return np.mean(prices[:, None] * (np.arange(length) >= zeros[:, None]), axis=-1)
-
-
-def _sorted_sum_rows(mat: np.ndarray) -> np.ndarray:
-    return np.sum(np.sort(mat, axis=-1), axis=-1)
 
 
 def empirical_revenue(h: Hypothesis, S: SampleSet) -> float:
@@ -193,6 +188,100 @@ def _coordinates(spec: ClassSpec, pools, values: np.ndarray, alpha: float):
 
 
 # ---------------------------------------------------------------------------
+# ERM over subsets of one sample
+
+
+def subset_winners(spec: ClassSpec, values: np.ndarray, value_range: tuple[float, float],
+                   subsets: np.ndarray, ceiling: int) -> np.ndarray:
+    """The distinct ERM parameter rows over the subsets, ascending.
+
+    ``subsets`` is an (N, size) array of profile indices, one subset a row.
+    Revenue rows are built once on the whole sample, and ``ceiling`` bounds
+    the rows scored: the candidate product of a joint class, the longest
+    coordinate pool of a separable one.
+    """
+    columns = _columns(spec, values, value_range[1])
+    pools = _pools(columns)
+    _check_ceiling(spec, pools, ceiling)
+    score = _separable_winners if _separable(spec) else _joint_winners
+    return score(spec, values, value_range[0], pools, _occurrences(columns, pools), subsets)
+
+
+def _occurrences(columns, pools) -> list[np.ndarray]:
+    """Per coordinate pool: [p, t] is whether pool value p is in profile t's
+    own pool for that coordinate.
+
+    A subset's pools are the unions of its profiles' pools, so a candidate is
+    a candidate on the subset iff each of its values occurs in some subset
+    profile (for t-level, beta is in every profile's pool).
+    """
+    occ = [np.zeros((len(pool), len(c)), dtype=bool) for c, pool in zip(columns, pools)]
+    for o, c, pool in zip(occ, columns, pools):
+        o[np.searchsorted(pool, c), np.arange(len(c))[:, None]] = True
+    return occ
+
+
+def _joint_winners(spec: ClassSpec, values: np.ndarray, alpha: float, pools, occ,
+                   subsets: np.ndarray) -> np.ndarray:
+    """Each candidate chunk's revenue rows are built once; a subset scores
+    them on its own profiles by the sorted mean, with the candidates absent
+    from its pools set to -inf, and keeps the last argmax, carried across
+    chunks with ``>=``."""
+    factors = _factors(spec, pools)
+    lengths = [len(f) for f in factors]
+    members = [np.searchsorted(p, f) for p, f in zip(pools, factors)]  # factor rows as pool indices
+    best_rev = np.full(len(subsets), -np.inf)
+    best = np.zeros(len(subsets), dtype=np.intp)
+    for start, R in _candidate_rows(spec, factors, values, alpha):
+        picks = np.unravel_index(np.arange(start, start + len(R)), lengths)
+        step = max(1, _BLOCK_CELLS // (len(R) * subsets.shape[1]))
+        for at in range(0, len(subsets), step):
+            block = subsets[at:at + step]
+            # per factor row and subset: do all of the row's values occur in it
+            present = [o[:, block].any(axis=-1)[mem].all(axis=1) for o, mem in zip(occ, members)]
+            valid = np.logical_and.reduce([p[i] for p, i in zip(present, picks)])
+            g = R[:, block][valid]            # scored only where the candidate is one
+            g.sort(axis=-1)
+            revs = np.full(valid.shape, -np.inf)
+            revs[valid] = g.mean(axis=-1)
+            local = len(revs) - 1 - np.argmax(revs[::-1], axis=0)
+            top = revs[local, np.arange(len(block))]
+            span = slice(at, at + len(block))
+            better = top >= best_rev[span]
+            best_rev[span][better] = top[better]
+            best[span][better] = start + local[better]
+    return _product_rows(factors, np.unique(best))
+
+
+def _separable_winners(spec: ClassSpec, values: np.ndarray, alpha: float, pools, occ,
+                       subsets: np.ndarray) -> np.ndarray:
+    """Each coordinate is scored on its own: the sorted sum of its reserve
+    rows over the subset's counted profiles, grouped by how many a subset
+    holds (zero-padding would change the summation order), and the last
+    argmax among the pool values present in the subset."""
+    coords = _coordinates(spec, pools, values, alpha)
+    step = max(1, _BLOCK_CELLS // (max(len(p) for p in pools) * subsets.shape[1]))
+    params = np.empty((len(subsets), len(pools)))
+    for at in range(0, len(subsets), step):
+        block = subsets[at:at + step]
+        for f, (pool, o, (rows, counted)) in enumerate(zip(pools, occ, coords)):
+            revs = np.empty((len(pool), len(block)))
+            kept = counted[block]
+            counts = kept.sum(axis=1)
+            for c in np.unique(counts):
+                group = counts == c
+                g = rows[:, block[group][kept[group]].reshape(int(group.sum()), c)]
+                g.sort(axis=-1)
+                revs[:, group] = g.sum(axis=-1)
+            revs[~o[:, block].any(axis=-1)] = -np.inf
+            params[at:at + len(block), f] = pool[len(pool) - 1 - np.argmax(revs[::-1], axis=0)]
+    params = params[np.lexsort(params.T[::-1])]    # np.unique(axis=0) is ~5x slower
+    fresh = np.ones(len(params), dtype=bool)
+    fresh[1:] = (params[1:] != params[:-1]).any(axis=1)
+    return params[fresh]
+
+
+# ---------------------------------------------------------------------------
 # ERM
 
 
@@ -219,21 +308,8 @@ def _erm_on_values(spec: ClassSpec, values: np.ndarray,
                    ceiling: int = DEFAULT_CANDIDATE_CEILING) -> Hypothesis:
     if spec.tag == TAG_SINGLE:
         return SingleReserve(_posted_erm(spec, values[:, 0, 0], ceiling))
-    alpha, beta = value_range
-    pools = _pools(_columns(spec, values, beta))
-    _check_ceiling(spec, pools, ceiling)
-    if _separable(spec):
-        params = [pool[_last_argmax(_sorted_sum_rows(rows[:, counted]))]
-                  for pool, (rows, counted) in zip(pools, _coordinates(spec, pools, values, alpha))]
-    else:                   # the last argmax in candidate order, carried across chunks
-        factors = _factors(spec, pools)
-        best_rev, best = -math.inf, 0
-        for start, R in _candidate_rows(spec, factors, values, alpha):
-            revs = _sorted_mean_rows(R)
-            local = _last_argmax(revs)
-            if revs[local] >= best_rev:
-                best_rev, best = revs[local], start + local
-        params = _product_rows(factors, best)
+    whole = np.arange(len(values))[None]
+    params = subset_winners(spec, values, value_range, whole, ceiling)[0]
     return hypothesis_from_params(spec, params, values.shape[1], values.shape[2])
 
 

@@ -4,7 +4,7 @@ Each configuration runs seeded replicates per sample size, measures how far
 the learned mechanism's expected revenue falls short of the in-class optimum,
 and attaches the closed-form bound plus the fraction of replicates violating
 the Markov high-probability variant.  Re-running with the same master seed
-reproduces every row bit-exactly regardless of the worker-thread count.
+reproduces every row bit-exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import csv
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,7 +210,7 @@ class ExperimentConfig:
     seed: Seed = Seed(0)
     eval_draws: int = 100_000
     eval_method: str = "auto"       # "auto" | "analytic" | "monte-carlo"
-    threads: int = 1
+    threads: int = 1                # accepted and ignored: replicates run in one thread
     candidate_ceiling: int = DEFAULT_CANDIDATE_CEILING
     optimum_grid_step: float = 1e-3
     optimum_draws: int = 10**6
@@ -228,7 +227,7 @@ class ExperimentConfig:
             raise AuctionLearnError(f"unknown eval_method {self.eval_method!r}")
 
     def canonical_dict(self) -> dict:
-        # threads excluded: worker count must never change results
+        # threads excluded: it is ignored, so it cannot change results
         return {
             "class": {"tag": self.class_spec.tag, "levels": self.class_spec.levels,
                       "per_player": self.class_spec.per_player},
@@ -320,15 +319,8 @@ def generalization_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     fp = config_fingerprint(config)
     rows = []
     for m in config.m_grid:
-        indices = range(config.replicates)
-        if config.threads > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                revs = np.fromiter(
-                    pool.map(lambda i: _replicate_revenue(config, m, i), indices),
-                    dtype=float, count=config.replicates)
-        else:
-            revs = np.fromiter((_replicate_revenue(config, m, i) for i in indices),
-                               dtype=float, count=config.replicates)
+        revs = np.fromiter((_replicate_revenue(config, m, i) for i in range(config.replicates)),
+                           dtype=float, count=config.replicates)
         report = main_bound(spec, m, dist.n, dist.k, delta=config.delta,
                             value_range=dist.value_range)
         mean_rev = float(revs.mean())

@@ -309,9 +309,6 @@ class SampleSet:
     def k(self) -> int:
         return self.values.shape[2]
 
-    def profile(self, t: int) -> ValuationProfile:
-        return ValuationProfile(self.values[t], self.value_range)
-
     def concat(self, other: "SampleSet") -> "SampleSet":
         if (self.n, self.k) != (other.n, other.k) or self.value_range != other.value_range:
             raise DimensionMismatch("cannot concatenate samples with different shapes or ranges")

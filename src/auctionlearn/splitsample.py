@@ -17,8 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .erm import (DEFAULT_CANDIDATE_CEILING, _candidate_rows, _check_ceiling, _columns,
-                  _coordinates, _factors, _pools, _posted_means, _product_rows, _separable)
+from .erm import DEFAULT_CANDIDATE_CEILING, _posted_means, subset_winners
 from .errors import AuctionLearnError, CeilingExceeded
 from .mechanisms import (TAG_ASP, TAG_BEST, TAG_BUNDLE, TAG_ITEM, TAG_PLAYER,
                          TAG_SINGLE, TAG_TLEVEL, ClassSpec, Hypothesis, SingleReserve,
@@ -26,7 +25,6 @@ from .mechanisms import (TAG_ASP, TAG_BEST, TAG_BUNDLE, TAG_ITEM, TAG_PLAYER,
 from .model import DistributionSpec, SampleSet, Seed, sample_values
 
 DEFAULT_SUBSET_CEILING = 10**6
-_BLOCK_CELLS = 2**18   # candidate x subset x profile cells gathered per scoring step
 
 
 @dataclass(frozen=True)
@@ -69,113 +67,19 @@ def split_sample_space(spec: ClassSpec, S: SampleSet, mode: str = "exact",
         if spec.tag == TAG_SINGLE:
             hyps = _single_reserve_exact(S, size)
             return SplitSampleSpace(S, size, hyps, "exact", total)
-
-        # blocks(rows): the subsets as index arrays of at most `rows` rows,
-        # streamed afresh on each call
-        def blocks(rows: int):
-            combos = itertools.combinations(range(m), size)
-            while (flat := np.fromiter(itertools.chain.from_iterable(
-                    itertools.islice(combos, rows)), dtype=np.intp)).size:
-                yield flat.reshape(-1, size)
-        examined = total
+        subsets = _combo_indices(m, size)
     elif mode == "monte-carlo":
         if trials is None or trials < 1 or seed is None:
             raise AuctionLearnError("monte-carlo mode needs trials >= 1 and a seed")
         rng = seed.rng()
-        draws = np.array([np.sort(rng.choice(m, size=size, replace=False))
-                          for _ in range(trials)], dtype=np.intp)
-
-        def blocks(rows: int):
-            return (draws[i:i + rows] for i in range(0, trials, rows))
-        examined = trials
+        subsets = np.array([np.sort(rng.choice(m, size=size, replace=False))
+                            for _ in range(trials)], dtype=np.intp)
     else:
         raise AuctionLearnError(f"unknown mode {mode!r}")
 
-    columns = _columns(spec, S.values, S.value_range[1])
-    pools = _pools(columns)
-    _check_ceiling(spec, pools, candidate_ceiling)
-    score = _separable_winners if _separable(spec) else _joint_winners
-    rows = score(spec, S, pools, _occurrences(columns, pools), size, examined, blocks)
+    rows = subset_winners(spec, S.values, S.value_range, subsets, candidate_ceiling)
     hyps = tuple(hypothesis_from_params(spec, row, S.n, S.k) for row in rows)
-    return SplitSampleSpace(S, size, hyps, mode, examined)
-
-
-def _occurrences(columns, pools) -> list[np.ndarray]:
-    """Per coordinate pool: [p, t] is whether pool value p is in profile t's
-    own pool for that coordinate.
-
-    A subset's pools are the unions of its profiles' pools, so a candidate is
-    a candidate on the subset iff each of its values occurs in some subset
-    profile (for t-level, beta is in every profile's pool).
-    """
-    occ = [np.zeros((len(pool), len(c)), dtype=bool) for c, pool in zip(columns, pools)]
-    for o, c, pool in zip(occ, columns, pools):
-        o[np.searchsorted(pool, c), np.arange(len(c))[:, None]] = True
-    return occ
-
-
-def _joint_winners(spec: ClassSpec, S: SampleSet, pools, occ, size: int, examined: int,
-                   blocks) -> np.ndarray:
-    """The distinct ERM parameter rows over all subsets, ascending.
-
-    Each candidate chunk's revenue rows are built once on the full sample;
-    a subset scores them on its own profiles by the sorted mean, with the
-    candidates absent from its pools set to -inf, and keeps the last argmax,
-    carried across chunks with ``>=`` as in ``erm``.
-    """
-    factors = _factors(spec, pools)
-    lengths = [len(f) for f in factors]
-    members = [np.searchsorted(p, f) for p, f in zip(pools, factors)]  # factor rows as pool indices
-    best_rev = np.full(examined, -np.inf)
-    best = np.zeros(examined, dtype=np.intp)
-    for start, R in _candidate_rows(spec, factors, S.values, S.value_range[0]):
-        picks = np.unravel_index(np.arange(start, start + len(R)), lengths)
-        at = 0
-        for block in blocks(max(1, _BLOCK_CELLS // (len(R) * size))):
-            # per factor row and subset: do all of the row's values occur in it
-            present = [o[:, block].any(axis=-1)[mem].all(axis=1) for o, mem in zip(occ, members)]
-            valid = np.logical_and.reduce([p[i] for p, i in zip(present, picks)])
-            g = R[:, block][valid]            # scored only where the candidate is one
-            g.sort(axis=-1)
-            revs = np.full(valid.shape, -np.inf)
-            revs[valid] = g.mean(axis=-1)
-            local = len(revs) - 1 - np.argmax(revs[::-1], axis=0)
-            top = revs[local, np.arange(len(block))]
-            span = slice(at, at + len(block))
-            better = top >= best_rev[span]
-            best_rev[span][better] = top[better]
-            best[span][better] = start + local[better]
-            at += len(block)
-    return _product_rows(factors, np.unique(best))
-
-
-def _separable_winners(spec: ClassSpec, S: SampleSet, pools, occ, size: int,
-                       examined: int, blocks) -> np.ndarray:
-    """The distinct ERM parameter rows over all subsets, ascending.
-
-    Each coordinate is scored on its own: the sorted sum of its reserve rows
-    over the subset's counted profiles, grouped by how many a subset holds
-    (zero-padding would change the summation order), and the last argmax
-    among the pool values present in the subset.
-    """
-    longest = max(len(p) for p in pools)
-    coords = _coordinates(spec, pools, S.values, S.value_range[0])
-    winners = []
-    for block in blocks(max(1, _BLOCK_CELLS // (longest * size))):
-        params = np.empty((len(block), len(pools)))
-        for f, (pool, o, (rows, counted)) in enumerate(zip(pools, occ, coords)):
-            revs = np.empty((len(pool), len(block)))
-            kept = counted[block]
-            counts = kept.sum(axis=1)
-            for c in np.unique(counts):
-                group = counts == c
-                g = rows[:, block[group][kept[group]].reshape(int(group.sum()), c)]
-                g.sort(axis=-1)
-                revs[:, group] = g.sum(axis=-1)
-            revs[~o[:, block].any(axis=-1)] = -np.inf
-            params[:, f] = pool[len(pool) - 1 - np.argmax(revs[::-1], axis=0)]
-        winners.append(np.unique(params, axis=0))
-    return np.unique(np.vstack(winners), axis=0)
+    return SplitSampleSpace(S, size, hyps, mode, len(subsets))
 
 
 @lru_cache(maxsize=4)      # one array is C(m, size) x size indices: 62 MB at m = 22

@@ -145,13 +145,15 @@ def test_split_sample_space_on_degenerate_samples(spec):
         assert len(space) == 1
 
 
-@pytest.mark.parametrize("spec", [ClassSpec("anonymous-second-price"),
+@pytest.mark.parametrize("spec", [SINGLE,
+                                  ClassSpec("anonymous-second-price"),
                                   ClassSpec("player-reserves"),
                                   ClassSpec("t-level", levels=1), ClassSpec("best-of")],
                          ids=lambda s: s.describe().replace(" ", "-"))
 def test_monte_carlo_matches_per_subset_draws(spec):
+    n = 1 if spec == SINGLE else 2
     k = 2 if spec.tag == "best-of" else 1
-    values = np.round(np.random.default_rng(21).random((9, 2, k)) * 10) / 10
+    values = np.round(np.random.default_rng(21).random((9, n, k)) * 10) / 10
     S = SampleSet(values)
     space = split_sample_space(spec, S, "monte-carlo", trials=30, seed=Seed(5))
     rng = Seed(5).rng()   # the same draws, one ERM per drawn subset
