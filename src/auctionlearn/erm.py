@@ -163,6 +163,22 @@ def _last_argmax(arr: np.ndarray) -> int:
     return len(arr) - 1 - int(np.argmax(arr[::-1]))
 
 
+def _near_max(closed: np.ndarray, terms: int) -> np.ndarray:
+    """Indices of the closed forms within (terms+2)*8*2^-52 of their max,
+    relative to it: a superset of the argmaxes of the exact scores.
+
+    A closed form (a prefix sum of at most `terms` nonnegative revenues and
+    two roundings) is within gamma_(terms+2)*R of their total R, the exact score
+    (any summation order, then perhaps a division by a common count) within
+    gamma_(terms+1)*R; gamma_j = j*2^-53/(1 - j*2^-53), no value subnormal.
+    So the exact max's closed form is within about (2*terms+3)*2^-52 of the
+    max, under a quarter of the margin; the rest covers rounding the cutoff.
+    ``experiments._reserve_grid_max`` relies on this margin too.
+    """
+    top = closed.max()
+    return np.flatnonzero(closed >= top - (terms + 2) * 8 * 2.0**-52 * top)
+
+
 def _coordinates(spec: ClassSpec, pools, values: np.ndarray, alpha: float):
     """Per pool of a separable class: (rows, counted), the reserve rule of
     each pool value on every profile and the profiles its objective sums.
@@ -314,29 +330,17 @@ def _erm_on_values(spec: ClassSpec, values: np.ndarray,
 
 
 def _posted_erm(spec: ClassSpec, values: np.ndarray, ceiling: int) -> float:
-    """The ERM posted price on the values, in O(m log m).
-
-    A price u sells to the c values at or above it, so its empirical revenue
-    is a = u*c/m in exact arithmetic.  The closed form fl(fl(u*c)/m) is
-    within gamma_2*a of a; the sorted mean (any summation tree over m
-    nonnegative terms, then the division) is within gamma_m*a, where
-    gamma_j = j*2^-53/(1 - j*2^-53) and no value is subnormal.  So a price
-    whose sorted mean can reach the largest one has a closed form within
-    about 2*(gamma_m + gamma_2) = (m+2)*2^-52 of the largest closed form,
-    relative to it.  The prices within (m+2)*4*2^-52 of it (four times
-    that, which also covers rounding the threshold) are scored exactly with
-    ``_posted_means``, and their last argmax is the last argmax over every
-    candidate; a price kept alone is that argmax without scoring.
-    """
+    """The ERM posted price on the values, in O(m log m): the closed form
+    u*c/m (c values >= u) ranks every price, and the last argmax of
+    ``_posted_means`` over the prices ``_near_max`` keeps wins; a price kept
+    alone wins unscored."""
     v = np.sort(values)
     m = len(v)
     below = np.searchsorted(v, v)             # equal values share one count
     first = below == np.arange(m)
     prices, zeros = v[first], below[first]
     _check_ceiling(spec, [prices], ceiling)
-    closed = prices * (m - zeros) / m
-    top = closed.max()
-    kept = np.flatnonzero(closed >= top - (m + 2) * 4 * 2.0**-52 * top)
+    kept = _near_max(prices * (m - zeros) / m, m)
     best = kept[0]
     if len(kept) > 1:
         best = kept[_last_argmax(_posted_means(prices[kept], zeros[kept], m))]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import main_bound, sample_complexity_estimate
-from .erm import DEFAULT_CANDIDATE_CEILING, erm
+from .erm import DEFAULT_CANDIDATE_CEILING, _near_max, erm
 from .errors import AnalyticUnsupported, AuctionLearnError, CeilingExceeded
 from .mechanisms import (TAG_ASP, TAG_BEST, TAG_BUNDLE, TAG_ITEM, TAG_PLAYER,
                          TAG_SINGLE, TAG_TLEVEL, ClassSpec, Discrete, Uniform,
@@ -80,8 +80,8 @@ def _grid_curve(grid: np.ndarray, revenue_rows, draws: int, row_cells: int) -> n
 
     Rows are scored in chunks of at most _GRID_BUDGET / 80 cells (row_cells
     per row), and each chunk's revenue array is reduced before the next one
-    is built; the reserve rule's temporaries, about twice a chunk, set the
-    peak memory of a grid optimum.
+    is built.  This sets the peak memory of t-level and best-of grids; reserve
+    grids send only their near-max points, all of them only when they tie.
     """
     out = np.empty(len(grid))
     chunk = max(1, _GRID_BUDGET // (80 * max(1, row_cells)))
@@ -92,16 +92,21 @@ def _grid_curve(grid: np.ndarray, revenue_rows, draws: int, row_cells: int) -> n
 
 def _reserve_grid_max(grid: np.ndarray, columns: np.ndarray, alpha: float, lazy: bool):
     """Best grid reserve for one item's (draws, n) values: one anonymous
-    reserve, or each bidder's best lazy reserve on the draws it wins."""
+    reserve, or each bidder's best lazy reserve on the draws it wins.  Every
+    r is ranked by r*#{s < r <= t} + sum{s >= r} s on draws (t, s), and only
+    ``_near_max``'s points are summed exactly, in draw order (bit-exact)."""
     w, top, second = top_two(columns, alpha)
-    draws = len(columns)
 
-    def curve(t, s):
-        return _grid_curve(grid, lambda g: reserve_revenue(g[:, None], t, s), draws, len(t))
+    def best(t, s):
+        ss = np.sort(s)
+        below = np.searchsorted(ss, grid)
+        above = np.append(np.cumsum(ss[::-1])[::-1], 0.0)[below]
+        kept = _near_max(grid * (below - np.searchsorted(np.sort(t), grid)) + above, len(t))
+        return _grid_curve(grid[kept], lambda g: reserve_revenue(g[:, None], t, s),
+                           len(columns), len(t)).max()
 
-    if not lazy:
-        return curve(top, second).max()
-    return sum(curve(top[w == i], second[w == i]).max() for i in range(columns.shape[1]))
+    groups = [w == i for i in range(columns.shape[1])] if lazy else [slice(None)]
+    return sum(best(top[g], second[g]) for g in groups)
 
 
 def _grid_optimum(spec: ClassSpec, dist: DistributionSpec, grid_step: float,

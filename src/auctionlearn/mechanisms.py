@@ -439,6 +439,9 @@ def bidder_utility(h: Hypothesis, i: int, true_values: np.ndarray,
 def top_two(columns: np.ndarray, alpha: float):
     """Per-profile winner (ties to the lowest index), top value and second
     value of an (m, n) value array; the second value is alpha when n = 1."""
+    if columns.shape[1] == 2:
+        a, b = columns[:, 0], columns[:, 1]
+        return (b > a).astype(np.intp), np.maximum(a, b), np.minimum(a, b)
     w = np.argmax(columns, axis=1)
     if columns.shape[1] < 2:
         return w, columns[:, 0], np.full(len(columns), alpha)

@@ -123,6 +123,32 @@ def grid_max_bundle(values: np.ndarray, per_player: bool) -> float:
     return float(second_price_curve(totals, grid).max())
 
 
+def reserve_grid_optimum(spec, dist, grid_step: float, draws: int, seed) -> float:
+    """The grid optimum of a multi-bidder reserve-rule class (anonymous or
+    player reserves, anonymous or per-player bundle and item prices) with
+    every grid reserve scored on every draw: the mean over the draws of the
+    reserve rule, its max over the grid, summed over lazy bidders and items.
+    """
+    alpha, beta = dist.value_range
+    values = auctionlearn.sample_values(dist, draws, seed).values
+    k = dist.k
+    bundle = spec.tag == "bundle-price"
+    lazy = spec.tag == "player-reserves" or spec.per_player
+    lo, hi = (k * alpha, k * beta) if bundle else (alpha, beta)
+    grid = lo + np.arange(int(round((hi - lo) / grid_step)) + 1) * grid_step
+    items = [values.sum(axis=2)] if bundle else [values[:, :, j] for j in range(k)]
+    total = 0.0
+    for cols in items:
+        w = np.argmax(cols, axis=1)
+        top, sec = cols.max(axis=1), second_highest(cols, alpha)
+        groups = [w == i for i in range(cols.shape[1])] if lazy else [np.ones(draws, bool)]
+        curves = [np.where(top[g][None, :] >= grid[:, None],
+                           np.maximum(grid[:, None], sec[g][None, :]), 0.0).sum(axis=1) / draws
+                  for g in groups]
+        total += sum(c.max() for c in curves)
+    return float(total)
+
+
 def draw_grid_sample(gen: np.random.Generator, m: int, n: int, k: int) -> np.ndarray:
     """Values uniform on {0, 0.1, ..., 1.0}; all lie exactly on FINE_GRID."""
     return gen.integers(0, 11, size=(m, n, k)) / 10.0

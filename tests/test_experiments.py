@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from auctionlearn import (AuctionLearnError, ClassSpec, Discrete, DistributionSpec,
                           ExperimentConfig, Seed, Uniform, config_fingerprint,
                           generalization_experiment, in_class_optimum,
@@ -95,6 +97,65 @@ def test_grid_optimum_bits_are_pinned(spec, dist, expected):
     est = in_class_optimum(spec, dist, method="grid", grid_step=0.05, draws=1000)
     assert est.method == "grid-mc"
     assert est.value == expected
+
+
+def test_workload_scale_grid_optimum_is_pinned():
+    """The optimum of bench/'s experiment-mc at seed 1 (player reserves,
+    n = 2, 200,000 draws, step 1e-3), recorded when every grid point was
+    scored on every draw."""
+    est = in_class_optimum(ClassSpec("player-reserves"), U01_PAIR, "grid", 1e-3, 200_000,
+                           Seed(1).child("experiment-mc").child("optimum"))
+    assert est.value == 0.4168109344756925
+
+
+RESERVE_GRID_CLASSES = [
+    (ClassSpec("anonymous-second-price"), 2, 1),
+    (ClassSpec("player-reserves"), 2, 1),
+    (ClassSpec("player-reserves"), 3, 1),
+    (ClassSpec("bundle-price"), 2, 2),
+    (ClassSpec("bundle-price", per_player=True), 2, 2),
+    (ClassSpec("item-prices"), 2, 2),
+    (ClassSpec("item-prices", per_player=True), 2, 2),
+]
+THOUSANDTHS = np.arange(1001) * 1e-3      # the points of the step-1e-3 grid on [0, 1]
+
+
+def reserve_grid_dist(kind: str, n: int, k: int, picks: list[int]) -> DistributionSpec:
+    """U[0,1]; a few points of the grid itself, so draws sit on grid points
+    and the revenue curve ties; the same with a last bidder valued 0, who
+    loses every tie and so wins no draw; or one point mass for everyone, so
+    every grid reserve up to it earns the same."""
+    points = tuple(sorted({float(THOUSANDTHS[i]) for i in picks}))
+    if kind == "uniform":
+        marginal = Uniform(0, 1)
+    elif kind == "point-mass":
+        marginal = Discrete(points[:1], (1.0,))
+    else:
+        marginal = Discrete(points, (1 / len(points),) * len(points))
+    if kind != "idle-bidder":
+        return DistributionSpec.iid(marginal, n, k)
+    idle = Discrete((0.0,), (1.0,))
+    return DistributionSpec(tuple((marginal if i < n - 1 else idle,) * k for i in range(n)))
+
+
+@pytest.mark.parametrize("spec,n,k", RESERVE_GRID_CLASSES,
+                         ids=[f"{s.describe().replace(' ', '-')}-n{n}"
+                              for s, n, _ in RESERVE_GRID_CLASSES])
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["uniform", "thousandths", "idle-bidder", "point-mass"]),
+       picks=st.lists(st.integers(0, 1000), min_size=1, max_size=6),
+       draws=st.integers(1, 1500), seed=st.integers(0, 2**32 - 1))
+# near ties: 0.255*7 = 0.595*3 and 0.267*7 = 0.623*3 in exact arithmetic, but the
+# closed form and the exact sum round them in opposite directions (the winning
+# draws are anonymous reserves and player reserves in the first, items in the second)
+@example(kind="idle-bidder", picks=[255, 595], draws=7, seed=2)
+@example(kind="idle-bidder", picks=[267, 623], draws=7, seed=0)
+def test_reserve_grid_optimum_equals_exhaustive_curve(spec, n, k, kind, picks, draws, seed):
+    """Ranking grid reserves in closed form and summing only the near-max
+    ones exactly gives the max over every grid point bit for bit."""
+    dist = reserve_grid_dist(kind, n, k, picks)
+    est = in_class_optimum(spec, dist, "grid", 1e-3, draws, Seed(seed))
+    assert est.value == oracles.reserve_grid_optimum(spec, dist, 1e-3, draws, Seed(seed))
 
 
 def small_config(**kw):

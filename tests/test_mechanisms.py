@@ -16,7 +16,7 @@ from auctionlearn import (AnonymousSecondPriceReserve, BestOf, BundlePrice,
                           hypothesis_from_record, hypothesis_to_record,
                           profile_revenues, revenue, revenue_matrix, run_mechanism,
                           true_revenue)
-from auctionlearn.mechanisms import hypothesis_from_params
+from auctionlearn.mechanisms import hypothesis_from_params, top_two
 
 rng = np.random.default_rng(20240817)
 
@@ -238,6 +238,22 @@ def test_revenue_matrix_rows_match_scalar_bitwise(spec, data):
     scalar = np.array([[revenue(h, ValuationProfile(values[t])) for t in range(m)]
                        for h in hyps])
     assert np.array_equal(revenue_matrix(spec, params, values, 0.0), scalar)
+
+
+def test_top_two_of_a_pair_matches_the_partition_path():
+    """Two bidders take max/min, not np.partition; the winner, top and
+    second value are the same, ties (to index 0) and equal columns included."""
+    gen = np.random.default_rng(20240818)
+    tied = gen.integers(0, 3, (500, 2)) / 2.0
+    equal = np.repeat(gen.random((50, 1)), 2, axis=1)
+    for columns in (gen.random((500, 2)), tied, equal):
+        w, top, second = top_two(columns, 0.0)
+        part = np.partition(columns, -2, axis=1)
+        assert w.dtype == np.intp
+        assert np.array_equal(w, np.argmax(columns, axis=1))
+        assert np.array_equal(top, part[:, -1]) and np.array_equal(second, part[:, -2])
+    w, top, second = top_two(equal, 0.0)
+    assert (top == second).all() and (w == 0).all()
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
