@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .erm import ClassSpec, erm
-from .errors import AnalyticUnsupported, AuctionLearnError
-from .mechanisms import (TAG_ASP, TAG_PLAYER, TAG_SINGLE, _check_dims,
-                         analytic_true_revenue, monte_carlo_true_revenue,
-                         revenue_matrix)
+from .errors import AuctionLearnError
+from .mechanisms import (TAG_ASP, TAG_PLAYER, TAG_SINGLE, _check_dims, revenue_matrix,
+                         true_revenue)
 from .model import DEFAULT_RANGE, DistributionSpec, SampleSet, Seed, sample_values
 from .splitsample import split_sample_space, theoretical_growth_bound
 
@@ -244,11 +243,7 @@ def generalization_chain_check(spec: ClassSpec, dist: DistributionSpec, m: int,
         S = sample_values(dist, m, seed.child("chain-S", j))
         S_twin = sample_values(dist, m, seed.child("chain-S-twin", j))
         h = erm(spec, S)
-        try:
-            rd = analytic_true_revenue(h, dist)
-        except AnalyticUnsupported:
-            rd = monte_carlo_true_revenue(h, dist, eval_draws,
-                                          seed.child("chain-eval", j)).value
+        rd = true_revenue(h, dist, "auto", eval_draws, seed.child("chain-eval", j)).value
         gaps[j] = optimum - rd
         pooled = S.concat(S_twin)
         space = split_sample_space(spec, pooled, "exact", subset_ceiling=subset_ceiling)

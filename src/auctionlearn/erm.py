@@ -39,6 +39,7 @@ from .model import SampleSet
 
 DEFAULT_CANDIDATE_CEILING = 10**7
 _CHUNK = 4096
+CELLS = 2_500_000      # revenue cells (rows x profiles x bidders) built per chunk
 _BLOCK_CELLS = 2**18   # candidate x subset x profile cells gathered per scoring step
 
 
@@ -117,22 +118,25 @@ def _product_rows(factors, indices) -> np.ndarray:
 
 
 def _candidate_rows(spec: ClassSpec, factors, values: np.ndarray, alpha: float):
-    """(start, R) over the candidate product in chunks of about ``_CHUNK``
-    rows: R[c] is the revenue row of the candidate at position start + c.
+    """(start, R) over the candidate product in chunks of at most ``_CHUNK``
+    rows and about ``CELLS`` cells (m x n per row): R[c] is the revenue row
+    of the candidate at position start + c.
 
     Best-of rows are the max of the two branch matrices, each built once;
     a chunk pairs whole bundle rows with every item row.
     """
+    m, n, _ = values.shape
+    chunk = min(_CHUNK, max(1, CELLS // (m * n)))
     if spec.tag != TAG_BEST:
         count = math.prod(len(f) for f in factors)
-        for start in range(0, count, _CHUNK):
-            rows = _product_rows(factors, np.arange(start, min(start + _CHUNK, count)))
+        for start in range(0, count, chunk):
+            rows = _product_rows(factors, np.arange(start, min(start + chunk, count)))
             yield start, revenue_matrix(spec, rows, values, alpha)
         return
     split = values.shape[1] if spec.per_player else 1     # the bundle factors come first
     rev_b, rev_i = (np.vstack([R for _, R in _candidate_rows(branch, f, values, alpha)])
                     for branch, f in zip(spec.branches(), (factors[:split], factors[split:])))
-    step = max(1, _CHUNK // len(rev_i))
+    step = max(1, chunk // len(rev_i))
     for b in range(0, len(rev_b), step):
         pairs = np.maximum(rev_b[b:b + step, None], rev_i[None])   # (bundle, item, profile)
         yield b * len(rev_i), pairs.reshape(-1, len(values))

@@ -18,16 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import main_bound, sample_complexity_estimate
-from .erm import DEFAULT_CANDIDATE_CEILING, _near_max, erm
+from .erm import (CELLS, DEFAULT_CANDIDATE_CEILING, _candidate_rows, _count, _factors,
+                  _near_max, erm)
 from .errors import AnalyticUnsupported, AuctionLearnError, CeilingExceeded
-from .mechanisms import (TAG_ASP, TAG_BEST, TAG_BUNDLE, TAG_ITEM, TAG_PLAYER,
-                         TAG_SINGLE, TAG_TLEVEL, ClassSpec, Discrete, Uniform,
-                         _bundle_total_distribution, analytic_true_revenue,
-                         monte_carlo_true_revenue, reserve_revenue, revenue_matrix,
-                         top_two)
+from .mechanisms import (TAG_BEST, TAG_BUNDLE, TAG_PLAYER, TAG_TLEVEL, ClassSpec, Discrete,
+                         Uniform, _posted_marginals, check_class_dims, reserve_revenue,
+                         top_two, true_revenue)
 from .model import DistributionSpec, Seed, sample_values
 
-_GRID_BUDGET = 2 * 10**8  # grid points x draws ceiling for joint grid optima
+_GRID_BUDGET = 2 * 10**8  # candidate rows x draws ceiling for joint grid optima
 
 
 # ---------------------------------------------------------------------------
@@ -57,17 +56,8 @@ def _posted_optimum(marginal) -> float:
 def _analytic_optimum(spec: ClassSpec, dist: DistributionSpec) -> float:
     if dist.n != 1:
         raise AnalyticUnsupported("closed-form optima cover single-bidder specs only")
-    tag = spec.tag
-    if tag in (TAG_SINGLE, TAG_ASP, TAG_PLAYER, TAG_TLEVEL):
-        if dist.k != 1:
-            raise AnalyticUnsupported("single-item class on a multi-item spec")
-        return _posted_optimum(dist.marginals[0][0])
-    if tag == TAG_ITEM:
-        return float(sum(_posted_optimum(m) for m in dist.marginals[0]))
-    if tag == TAG_BUNDLE:
-        totals = _bundle_total_distribution(dist)  # discrete marginals only
-        return _posted_optimum(totals)
-    raise AnalyticUnsupported(f"no closed-form optimum for {tag}")
+    marginals = _posted_marginals(spec.tag, dist, "no closed-form optimum for {}")
+    return sum(map(_posted_optimum, marginals))
 
 
 def _price_grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -78,13 +68,13 @@ def _price_grid(lo: float, hi: float, step: float) -> np.ndarray:
 def _grid_curve(grid: np.ndarray, revenue_rows, draws: int, row_cells: int) -> np.ndarray:
     """Mean over the draws of each grid row's revenue.
 
-    Rows are scored in chunks of at most _GRID_BUDGET / 80 cells (row_cells
-    per row), and each chunk's revenue array is reduced before the next one
-    is built.  This sets the peak memory of t-level and best-of grids; reserve
-    grids send only their near-max points, all of them only when they tie.
+    Rows are scored in chunks of at most ``CELLS`` cells (row_cells per
+    row), and each chunk's revenue array is reduced before the next one is
+    built; reserve grids send only their near-max points, all of them only
+    when they tie.
     """
     out = np.empty(len(grid))
-    chunk = max(1, _GRID_BUDGET // (80 * max(1, row_cells)))
+    chunk = max(1, CELLS // max(1, row_cells))
     for start in range(0, len(grid), chunk):
         out[start:start + chunk] = revenue_rows(grid[start:start + chunk]).sum(axis=1)
     return out / draws
@@ -113,72 +103,36 @@ def _grid_optimum(spec: ClassSpec, dist: DistributionSpec, grid_step: float,
                   draws: int, seed: Seed) -> OptimumEstimate:
     """Max over a parameter grid of mean revenue on one shared draw set.
 
-    Common random numbers across the grid keep the comparison low-variance;
-    the reported value inherits the usual upward selection bias of a max of
-    correlated means.
+    Reserve-rule classes (and t-level at n = 1, a posted price on its lowest
+    threshold) take each item's best grid reserve separately.  Multi-bidder
+    t-level and best-of score the grid product as ERM scores its candidate
+    product, with the grid as every coordinate's pool.  Common random numbers
+    across the grid keep the comparison low-variance; the reported value
+    inherits the usual upward selection bias of a max of correlated means.
     """
+    n, k, tag = dist.n, dist.k, spec.tag
+    check_class_dims(spec, n, k)
     alpha, beta = dist.value_range
-    sample = sample_values(dist, draws, seed)
-    values = sample.values
-    n, k = dist.n, dist.k
-    tag = spec.tag
     grid = _price_grid(alpha, beta, grid_step)
-
-    def finish(value) -> OptimumEstimate:
-        return OptimumEstimate(float(value), None, "grid-mc")
-
-    if tag == TAG_SINGLE or (tag in (TAG_ASP, TAG_PLAYER) and n == 1) \
-            or (tag == TAG_TLEVEL and n == 1):
-        v = np.sort(values[:, 0, 0])
-        counts = len(v) - np.searchsorted(v, grid, side="left")
-        return finish((grid * counts / len(v)).max())
-
+    bundle_grid = _price_grid(k * alpha, k * beta, grid_step)
+    if tag == TAG_BEST and (k != 1 or spec.per_player):
+        raise AnalyticUnsupported("joint grid optimum for best-of is limited to anonymous "
+                                  "k = 1; the branch classes cover multi-item grids separably")
+    joint = tag == TAG_BEST or (tag == TAG_TLEVEL and n > 1)
+    pools = [grid] * n if tag == TAG_TLEVEL else [bundle_grid, grid]
+    if joint and _count(spec, pools) * draws > _GRID_BUDGET:
+        raise CeilingExceeded(f"{spec.describe()} grid optimum over budget; "
+                              "increase grid_step or lower draws")
+    values = sample_values(dist, draws, seed).values
     lazy = tag == TAG_PLAYER or spec.per_player
-    if tag == TAG_BUNDLE:
-        grid = _price_grid(k * alpha, k * beta, grid_step)
-        return finish(_reserve_grid_max(grid, np.sum(values, axis=2), alpha, lazy))
-
-    if tag in (TAG_ASP, TAG_PLAYER, TAG_ITEM):
-        total = 0.0
-        for j in range(k):
-            total += _reserve_grid_max(grid, values[:, :, j], alpha, lazy)
-        return finish(total)
-
-    if tag == TAG_TLEVEL:
-        if spec.levels != 1:
-            raise AnalyticUnsupported(
-                "grid optimum for multi-bidder t-level supports a single level; "
-                "use coarser candidate-based estimates for s > 1"
-            )
-        if len(grid)**n * draws > _GRID_BUDGET:
-            raise CeilingExceeded(
-                "t-level grid optimum over budget; increase grid_step or lower draws"
-            )
-        thr = np.stack(np.meshgrid(*([grid] * n), indexing="ij"), axis=-1).reshape(-1, n)
-        curve = _grid_curve(thr, lambda t: revenue_matrix(spec, t, values, alpha),
-                            draws, draws * n)
-        return finish(curve.max())
-
-    if tag == TAG_BEST:
-        if k != 1 or spec.per_player:
-            raise AnalyticUnsupported(
-                "joint grid optimum for best-of is limited to anonymous k = 1; "
-                "the branch classes cover multi-item grids separably"
-            )
-        if len(grid)**2 * draws > _GRID_BUDGET:
-            raise CeilingExceeded(
-                "best-of grid optimum over budget; increase grid_step or lower draws"
-            )
-        # k = 1: both branches are anonymous reserves on the same column, so
-        # one branch matrix serves both
-        rows = revenue_matrix(ClassSpec(TAG_BUNDLE), grid[:, None], values, alpha)
-        best = -math.inf
-        for b in range(len(grid)):
-            mixed = np.maximum(rows[b][None, :], rows)
-            best = max(best, float(mixed.mean(axis=1).max()))
-        return finish(best)
-
-    raise AnalyticUnsupported(f"no grid optimum for {tag}")
+    if joint:
+        rows = _candidate_rows(spec, _factors(spec, pools), values, alpha)
+        value = max(R.sum(axis=1).max() for _, R in rows) / draws
+    elif tag == TAG_BUNDLE:
+        value = _reserve_grid_max(bundle_grid, np.sum(values, axis=2), alpha, lazy)
+    else:
+        value = sum(_reserve_grid_max(grid, values[:, :, j], alpha, lazy) for j in range(k))
+    return OptimumEstimate(float(value), None, "grid-mc")
 
 
 def in_class_optimum(spec: ClassSpec, dist: DistributionSpec, method: str = "auto",
@@ -192,6 +146,8 @@ def in_class_optimum(spec: ClassSpec, dist: DistributionSpec, method: str = "aut
     """
     if method not in ("auto", "analytic", "grid"):
         raise ValueError(f"unknown method {method!r}")
+    if method != "analytic" and not (math.isfinite(grid_step) and grid_step > 0):
+        raise AuctionLearnError(f"grid_step must be a finite number > 0, got {grid_step!r}")
     if method in ("auto", "analytic"):
         try:
             return OptimumEstimate(_analytic_optimum(spec, dist), None, "analytic")
@@ -230,6 +186,10 @@ class ExperimentConfig:
             raise AuctionLearnError("m_grid needs at least one sample size, each >= 1")
         if self.eval_method not in ("auto", "analytic", "monte-carlo"):
             raise AuctionLearnError(f"unknown eval_method {self.eval_method!r}")
+        if not (math.isfinite(self.optimum_grid_step) and self.optimum_grid_step > 0):
+            raise AuctionLearnError("optimum_grid_step must be a finite number > 0")
+        if self.optimum_draws < 1:
+            raise AuctionLearnError("optimum_draws must be >= 1")
 
     def canonical_dict(self) -> dict:
         # threads excluded: it is ignored, so it cannot change results
@@ -302,14 +262,10 @@ class ExperimentRow:
 def _replicate_revenue(config: ExperimentConfig, m: int, index: int) -> float:
     S = sample_values(config.dist, m, config.seed.child(f"exp-sample-m{m}", index))
     h = erm(config.class_spec, S, config.candidate_ceiling)
-    if config.eval_method in ("auto", "analytic"):
-        try:
-            return analytic_true_revenue(h, config.dist)
-        except AnalyticUnsupported:
-            if config.eval_method == "analytic":
-                raise
-    return monte_carlo_true_revenue(h, config.dist, config.eval_draws,
-                                    config.seed.child(f"exp-eval-m{m}", index)).value
+    # a closed form draws nothing, so an analytic run derives no evaluation seeds
+    seed = config.seed if config.eval_method == "analytic" else \
+        config.seed.child(f"exp-eval-m{m}", index)
+    return true_revenue(h, config.dist, config.eval_method, config.eval_draws, seed).value
 
 
 def generalization_experiment(config: ExperimentConfig) -> list[ExperimentRow]:

@@ -642,34 +642,33 @@ def _bundle_total_distribution(spec: DistributionSpec) -> Discrete:
     return Discrete(tuple(points), tuple(probs / total))
 
 
+def _posted_marginals(tag: str, spec: DistributionSpec, unsupported: str) -> tuple:
+    """The marginals a one-bidder class posts one price each to: its value (a
+    reserve or a t-level's lowest threshold is then a posted price), each item,
+    or the bundle total.  Other tags raise ``unsupported.format(tag)``."""
+    if tag in (TAG_SINGLE, TAG_ASP, TAG_PLAYER, TAG_TLEVEL):
+        if spec.k != 1:
+            raise AnalyticUnsupported("single-item class on a multi-item spec")
+        return spec.marginals[0]
+    if tag == TAG_ITEM:
+        return spec.marginals[0]
+    if tag == TAG_BUNDLE:
+        return (_bundle_total_distribution(spec),)
+    raise AnalyticUnsupported(unsupported.format(tag))
+
+
 def analytic_true_revenue(h: Hypothesis, spec: DistributionSpec) -> float:
     """Closed-form expected revenue; single-bidder posted-price shapes only."""
     if spec.n != 1:
         raise AnalyticUnsupported("closed forms cover single-bidder classes only")
-    if isinstance(h, (SingleReserve, AnonymousSecondPriceReserve)):
-        if spec.k != 1:
-            raise AnalyticUnsupported("single-item class on a multi-item spec")
-        return _posted_price_revenue(spec.marginals[0][0], h.price)
-    if isinstance(h, PlayerReserves):
-        if spec.k != 1:
-            raise AnalyticUnsupported("single-item class on a multi-item spec")
-        return _posted_price_revenue(spec.marginals[0][0], h.prices[0])
-    if isinstance(h, TLevel):
-        if spec.k != 1:
-            raise AnalyticUnsupported("single-item class on a multi-item spec")
-        # one bidder: only the lowest threshold binds
-        return _posted_price_revenue(spec.marginals[0][0], h.thresholds[0][0])
-    if isinstance(h, ItemPrices):
-        prices = h.price_matrix[0] if h.per_player else h.prices
-        if len(prices) != spec.k:
-            raise DimensionMismatch("item prices do not match the spec's item count")
-        return float(sum(_posted_price_revenue(spec.marginals[0][j], prices[j])
-                         for j in range(spec.k)))
-    if isinstance(h, BundlePrice):
-        price = h.prices[0] if h.per_player else h.price
-        totals = _bundle_total_distribution(spec)
-        return float(price) * totals.survival(float(price))
-    raise AnalyticUnsupported(f"no closed form for {h.tag} under this spec")
+    tag = h.tag
+    marginals = _posted_marginals(tag, spec, "no closed form for {} under this spec")
+    if tag != TAG_ITEM:     # one price: bidder 0's reserve or lowest threshold
+        return _posted_price_revenue(marginals[0], h.param_vector()[0])
+    prices = h.price_matrix[0] if h.per_player else h.prices
+    if len(prices) != len(marginals):
+        raise DimensionMismatch("item prices do not match the spec's item count")
+    return sum(map(_posted_price_revenue, marginals, prices))
 
 
 def monte_carlo_true_revenue(h: Hypothesis, spec: DistributionSpec, draws: int,
@@ -689,10 +688,15 @@ def true_revenue(h: Hypothesis, spec: DistributionSpec, method: str = "analytic"
     ``method='analytic'`` uses the closed form (single-bidder posted-price
     classes under uniform or discrete marginals) and raises
     AnalyticUnsupported otherwise; ``method='monte-carlo'`` estimates from
-    fresh draws and reports a standard error.
+    fresh draws and reports a standard error; ``method='auto'`` takes the
+    closed form where there is one and Monte Carlo otherwise.
     """
-    if method == "analytic":
-        return RevenueEstimate(analytic_true_revenue(h, spec), None)
-    if method == "monte-carlo":
-        return monte_carlo_true_revenue(h, spec, draws, seed)
-    raise ValueError(f"unknown method {method!r}")
+    if method not in ("auto", "analytic", "monte-carlo"):
+        raise ValueError(f"unknown method {method!r}")
+    if method != "monte-carlo":
+        try:
+            return RevenueEstimate(analytic_true_revenue(h, spec), None)
+        except AnalyticUnsupported:
+            if method == "analytic":
+                raise
+    return monte_carlo_true_revenue(h, spec, draws, seed)

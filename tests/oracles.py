@@ -18,7 +18,7 @@ import numpy as np
 import auctionlearn
 from auctionlearn import (AnonymousSecondPriceReserve, BestOf, BundlePrice,
                           ItemPrices, PlayerReserves, SingleReserve, TLevel,
-                          ValuationProfile, bidder_utility)
+                          ValuationProfile, bidder_utility, profile_revenues)
 from auctionlearn.mechanisms import hypothesis_from_params
 
 FINE_GRID = np.arange(1001) / 1000.0          # step 1e-3 on [0, 1]
@@ -124,10 +124,11 @@ def grid_max_bundle(values: np.ndarray, per_player: bool) -> float:
 
 
 def reserve_grid_optimum(spec, dist, grid_step: float, draws: int, seed) -> float:
-    """The grid optimum of a multi-bidder reserve-rule class (anonymous or
-    player reserves, anonymous or per-player bundle and item prices) with
-    every grid reserve scored on every draw: the mean over the draws of the
-    reserve rule, its max over the grid, summed over lazy bidders and items.
+    """The grid optimum of a reserve-rule class (single reserve, anonymous or
+    player reserves, anonymous or per-player bundle and item prices, and
+    t-level at n = 1, a posted price on its lowest threshold) with every grid
+    reserve scored on every draw: the mean over the draws of the reserve
+    rule, its max over the grid, summed over lazy bidders and items.
     """
     alpha, beta = dist.value_range
     values = auctionlearn.sample_values(dist, draws, seed).values
@@ -147,6 +148,26 @@ def reserve_grid_optimum(spec, dist, grid_step: float, draws: int, seed) -> floa
                   for g in groups]
         total += sum(c.max() for c in curves)
     return float(total)
+
+
+def joint_grid_optimum(spec, dist, grid_step: float, draws: int, seed) -> float:
+    """The grid optimum of t-level or anonymous single-item best-of with every
+    hypothesis on the grid enumerated (nondecreasing threshold tuples per
+    bidder; bundle price on [k*alpha, k*beta] and item price) and scored by
+    its mean revenue over the draws."""
+    alpha, beta = dist.value_range
+    values = auctionlearn.sample_values(dist, draws, seed).values
+
+    def grid(lo, hi):
+        return (lo + np.arange(int(round((hi - lo) / grid_step)) + 1) * grid_step).tolist()
+
+    if spec.tag == "t-level":
+        per_bidder = itertools.combinations_with_replacement(grid(alpha, beta), spec.levels)
+        hyps = (TLevel(t) for t in itertools.product(list(per_bidder), repeat=dist.n))
+    else:
+        hyps = (BestOf(BundlePrice(price=b), ItemPrices(prices=(i,)))
+                for b in grid(dist.k * alpha, dist.k * beta) for i in grid(alpha, beta))
+    return max(profile_revenues(h, values, alpha).sum() / draws for h in hyps)
 
 
 def draw_grid_sample(gen: np.random.Generator, m: int, n: int, k: int) -> np.ndarray:

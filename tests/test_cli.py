@@ -151,12 +151,19 @@ def test_invalid_input_exits_nonzero(capsys):
     ["curve", "--class", "single-reserve", "--dist", "uniform:0,1", "--eps", "0.5,x"],
     ["experiment", "--class", "single-reserve", "--dist", "uniform:0,1",
      "--config", "{config}"],
+    ["experiment", "--class", "player-reserves", "--n", "2", "--dist", "uniform:0,1",
+     "--m-grid", "5", "--replicates", "5", "--config", "{grid-config}"],
 ], ids=["values", "range", "delta", "m", "config", "trials", "draws", "m-grid", "eps",
-        "config-value"])
+        "config-value", "config-grid-step"])
 def test_input_errors_are_one_line_messages(argv, tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"replicates": "many"}))
-    argv = [str(config) if a == "{config}" else a for a in argv]
+    configs = {"{config}": {"replicates": "many"}, "{grid-config}": {"optimum_grid_step": 0}}
+
+    def config(placeholder):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(configs[placeholder]))
+        return str(path)
+
+    argv = [config(a) if a in configs else a for a in argv]
     proc = run_cli_process(argv)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr

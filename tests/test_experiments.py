@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from auctionlearn import (AuctionLearnError, ClassSpec, Discrete, DistributionSpec,
-                          ExperimentConfig, Seed, Uniform, config_fingerprint,
+from auctionlearn import (AuctionLearnError, CeilingExceeded, ClassSpec, Discrete,
+                          DistributionSpec, ExperimentConfig, Seed, Uniform, config_fingerprint,
                           generalization_experiment, in_class_optimum,
                           sample_complexity_curve, write_gap_svg,
                           write_rows_csv, write_rows_jsonl)
@@ -109,6 +109,11 @@ def test_workload_scale_grid_optimum_is_pinned():
 
 
 RESERVE_GRID_CLASSES = [
+    (ClassSpec("single-reserve"), 1, 1),
+    (ClassSpec("anonymous-second-price"), 1, 1),
+    (ClassSpec("player-reserves"), 1, 1),
+    (ClassSpec("t-level", levels=1), 1, 1),
+    (ClassSpec("t-level", levels=2), 1, 1),
     (ClassSpec("anonymous-second-price"), 2, 1),
     (ClassSpec("player-reserves"), 2, 1),
     (ClassSpec("player-reserves"), 3, 1),
@@ -158,6 +163,44 @@ def test_reserve_grid_optimum_equals_exhaustive_curve(spec, n, k, kind, picks, d
     assert est.value == oracles.reserve_grid_optimum(spec, dist, 1e-3, draws, Seed(seed))
 
 
+T1, T2 = ClassSpec("t-level", levels=1), ClassSpec("t-level", levels=2)
+BEST = ClassSpec("best-of")
+# (spec, n, grid step): binary steps hit 0.25, 0.5, ... exactly, and at 1/64
+# the 65 x 65 grid products are scored in two chunks
+JOINT_GRID_CASES = [
+    (T1, 2, 1 / 64), (T1, 3, 1 / 8), (T2, 2, 1 / 4), (BEST, 1, 1 / 16), (BEST, 2, 1 / 64),
+]
+
+
+@pytest.mark.parametrize("kind", ["uniform", "on-grid"])
+@pytest.mark.parametrize("spec,n,step", JOINT_GRID_CASES,
+                         ids=[f"{s.describe().replace(' ', '-')}-n{n}"
+                              for s, n, _ in JOINT_GRID_CASES])
+def test_joint_grid_optimum_equals_exhaustive_grid(spec, n, step, kind):
+    """Multi-bidder t-level and best-of grids scored as ERM's candidate
+    product give the max over every enumerated grid hypothesis bit for bit;
+    draws on grid points (binary-exact steps) make grid hypotheses tie."""
+    marginal = Uniform(0, 1) if kind == "uniform" else \
+        Discrete((0.25, 0.5, 0.75, 1.0), (0.1, 0.1, 0.1, 0.7))   # best prices in the last chunk
+    dist = DistributionSpec.iid(marginal, n, 1)
+    est = in_class_optimum(spec, dist, "grid", step, 300, Seed(5))
+    assert est.value == oracles.joint_grid_optimum(spec, dist, step, 300, Seed(5))
+
+
+def test_multi_level_tlevel_grid_is_refused_only_by_its_budget():
+    with pytest.raises(CeilingExceeded, match="grid_step"):
+        in_class_optimum(T2, U01_PAIR, "grid")
+    est = in_class_optimum(T2, U01_PAIR, "grid", 0.25, 2000, Seed(3))
+    assert est.method == "grid-mc" and 0 < est.value <= 1
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
+@pytest.mark.parametrize("method", ["grid", "auto"])
+def test_optimum_rejects_a_grid_step_that_is_not_positive_and_finite(step, method):
+    with pytest.raises(AuctionLearnError, match="grid_step"):
+        in_class_optimum(ClassSpec("player-reserves"), U01_PAIR, method, step, 100)
+
+
 def small_config(**kw):
     defaults = dict(class_spec=SINGLE, dist=U01, m_grid=(25, 50),
                     replicates=200, delta=0.25, seed=Seed(33),
@@ -169,8 +212,11 @@ def small_config(**kw):
 @pytest.mark.parametrize("bad", [
     dict(replicates=0), dict(replicates=1), dict(delta=0.0), dict(delta=1.0),
     dict(m_grid=()), dict(m_grid=(25, 0)), dict(eval_method="analytc"),
+    dict(optimum_grid_step=0.0), dict(optimum_grid_step=-0.1),
+    dict(optimum_grid_step=math.nan), dict(optimum_grid_step=math.inf), dict(optimum_draws=0),
 ], ids=["replicates0", "replicates1", "delta0", "delta1", "empty-grid",
-        "m0", "eval-method"])
+        "m0", "eval-method", "grid-step0", "grid-step-negative", "grid-step-nan",
+        "grid-step-inf", "optimum-draws0"])
 def test_config_rejects_values_that_make_bad_rows(bad):
     with pytest.raises(AuctionLearnError):
         small_config(**bad)

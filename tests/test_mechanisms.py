@@ -9,11 +9,12 @@ from oracles import (ALL_TAGS, TRUTHFUL_TAGS, draw_eighth_sample, draw_grid_samp
                      misreport_improvement, random_hypothesis, random_instance)
 import pytest
 
-from auctionlearn import (AnonymousSecondPriceReserve, BestOf, BundlePrice,
-                          ClassSpec, DimensionMismatch, Discrete, DistributionSpec,
-                          ItemPrices, PlayerReserves, Seed, SingleReserve,
-                          TLevel, Uniform, ValuationProfile, bidder_utility,
-                          hypothesis_from_record, hypothesis_to_record,
+from auctionlearn import (AnalyticUnsupported, AnonymousSecondPriceReserve, BestOf,
+                          BundlePrice, ClassSpec, DimensionMismatch, Discrete,
+                          DistributionSpec, ItemPrices, PlayerReserves, Seed, SingleReserve,
+                          TLevel, TruncatedExponential, Uniform, ValuationProfile,
+                          analytic_true_revenue, bidder_utility, hypothesis_from_record,
+                          hypothesis_to_record, in_class_optimum, monte_carlo_true_revenue,
                           profile_revenues, revenue, revenue_matrix, run_mechanism,
                           true_revenue)
 from auctionlearn.mechanisms import hypothesis_from_params, top_two
@@ -307,3 +308,93 @@ def test_monte_carlo_agrees_with_analytic_on_every_supported_pair(h, spec):
     analytic = true_revenue(h, spec).value
     mc = true_revenue(h, spec, "monte-carlo", draws=120_000, seed=Seed(31))
     assert abs(mc.value - analytic) <= max(3 * mc.std_error, 1e-9)
+
+
+@pytest.mark.parametrize("h,spec", SUPPORTED_PAIRS,
+                         ids=[f"pair{i}" for i in range(len(SUPPORTED_PAIRS))])
+def test_auto_evaluation_is_the_closed_form_where_one_exists(h, spec):
+    auto = true_revenue(h, spec, "auto", draws=1000, seed=Seed(8))
+    assert auto == true_revenue(h, spec, "analytic") and auto.std_error is None
+
+
+@pytest.mark.parametrize("h,spec", [
+    (AnonymousSecondPriceReserve(0.4), DistributionSpec.iid(UNI, 2, 1)),
+    (BestOf(BundlePrice(price=0.7), ItemPrices(prices=(0.4, 0.5))),
+     DistributionSpec.iid(DISC, 1, 2)),
+    (SingleReserve(0.5), DistributionSpec.iid(TruncatedExponential(2.0, 1.0))),
+    (BundlePrice(price=1.1), DistributionSpec.iid(UNI, 1, 2)),
+], ids=["n2", "best-of", "trunc-exp", "bundle-uniform"])
+def test_auto_evaluation_falls_back_to_monte_carlo(h, spec):
+    auto = true_revenue(h, spec, "auto", draws=1000, seed=Seed(8))
+    assert auto == monte_carlo_true_revenue(h, spec, 1000, Seed(8))
+
+
+U29 = Uniform(0.2, 0.9)
+# Closed-form revenue and optimum of every single-bidder class, recorded
+# before both closed forms were folded onto one posted-price reduction:
+# (class, k, hypothesis, revenue under UNI, U29, DISC, optimum under UNI, U29, DISC)
+SINGLE_BIDDER_CLOSED_FORMS = [
+    (ClassSpec("single-reserve"), 1, SingleReserve(0.45),
+     (0.24750000000000003, 0.2892857142857143, 0.315), (0.25, 0.2892857142857143, 0.35)),
+    (ClassSpec("anonymous-second-price"), 1, AnonymousSecondPriceReserve(0.3),
+     (0.21, 0.2571428571428572, 0.21), (0.25, 0.2892857142857143, 0.35)),
+    (ClassSpec("player-reserves"), 1, PlayerReserves((0.6,)),
+     (0.24, 0.2571428571428572, 0.18), (0.25, 0.2892857142857143, 0.35)),
+    (ClassSpec("t-level", levels=1), 1, TLevel(((0.55,),)),
+     (0.2475, 0.275, 0.165), (0.25, 0.2892857142857143, 0.35)),
+    (ClassSpec("t-level", levels=2), 1, TLevel(((0.25, 0.7),)),
+     (0.1875, 0.23214285714285718, 0.175), (0.25, 0.2892857142857143, 0.35)),
+    (ClassSpec("item-prices"), 2, ItemPrices(prices=(0.5, 0.2)),
+     (0.41000000000000003, 0.48571428571428577, 0.55), (0.5, 0.5785714285714286, 0.7)),
+    (ClassSpec("item-prices", per_player=True), 2, ItemPrices(price_matrix=((0.4, 0.9),)),
+     (0.32999999999999996, 0.28571428571428575, 0.55), (0.5, 0.5785714285714286, 0.7)),
+    (ClassSpec("bundle-price"), 2, BundlePrice(price=0.8), (None, None, 0.536), (None, None, 0.67)),
+    (ClassSpec("bundle-price", per_player=True), 2, BundlePrice(prices=(1.1,)),
+     (None, None, 0.561), (None, None, 0.67)),
+]
+
+
+@pytest.mark.parametrize("spec,k,h,revenues,optima", SINGLE_BIDDER_CLOSED_FORMS,
+                         ids=[s.describe().replace(" ", "-")
+                              for s, *_ in SINGLE_BIDDER_CLOSED_FORMS])
+def test_single_bidder_closed_forms_are_pinned(spec, k, h, revenues, optima):
+    for marginal, rev, opt in zip((UNI, U29, DISC), revenues, optima):
+        if rev is None:      # bundle totals have a closed form under discrete marginals only
+            continue
+        dist = DistributionSpec.iid(marginal, 1, k)
+        assert analytic_true_revenue(h, dist) == rev
+        assert in_class_optimum(spec, dist, "analytic").value == opt
+
+
+@pytest.mark.parametrize("h,spec,dist,revenue_error,optimum_error", [
+    (AnonymousSecondPriceReserve(0.5), ClassSpec("anonymous-second-price"),
+     DistributionSpec.iid(UNI, 2, 1),
+     "closed forms cover single-bidder classes only",
+     "closed-form optima cover single-bidder specs only"),
+    (BestOf(BundlePrice(price=0.5), ItemPrices(prices=(0.5,))), ClassSpec("best-of"),
+     DistributionSpec.iid(DISC), "no closed form for best-of under this spec",
+     "no closed-form optimum for best-of"),
+    (TLevel(((0.5,),)), ClassSpec("t-level", levels=1), DistributionSpec.iid(UNI, 1, 2),
+     "single-item class on a multi-item spec", "single-item class on a multi-item spec"),
+    (BundlePrice(price=0.5), ClassSpec("bundle-price"), DistributionSpec.iid(UNI, 1, 2),
+     "bundle totals are closed-form only for one bidder with discrete marginals",
+     "bundle totals are closed-form only for one bidder with discrete marginals"),
+    (ItemPrices(prices=(0.5, 0.5)), ClassSpec("item-prices"),
+     DistributionSpec.iid(TruncatedExponential(1.0, 1.0), 1, 2),
+     "no closed form for posted prices under TruncatedExponential",
+     "no closed-form posted-price optimum under TruncatedExponential"),
+], ids=["n2", "best-of", "single-item-on-k2", "bundle-uniform", "trunc-exp"])
+def test_single_bidder_closed_forms_refuse_other_shapes(h, spec, dist, revenue_error,
+                                                        optimum_error):
+    with pytest.raises(AnalyticUnsupported, match=f"^{revenue_error}$"):
+        analytic_true_revenue(h, dist)
+    with pytest.raises(AnalyticUnsupported, match=f"^{optimum_error}$"):
+        in_class_optimum(spec, dist, "analytic")
+
+
+@pytest.mark.parametrize("h", [ItemPrices(prices=(0.5,)),
+                               ItemPrices(price_matrix=((0.5,), (0.4,)))])
+def test_item_prices_of_the_wrong_length_have_no_closed_form(h):
+    dist = DistributionSpec.iid(UNI, 1, 2)
+    with pytest.raises(DimensionMismatch, match="item prices do not match"):
+        analytic_true_revenue(h, dist)
