@@ -11,7 +11,7 @@ from .bounds import (BoundReport, ChainReport, RademacherEstimate, TLevelTuning,
                      main_bound, massart_bound, rademacher_estimate,
                      sample_complexity_estimate, tlevel_epsilon)
 from .erm import (DEFAULT_CANDIDATE_CEILING, ClassSpec, candidate_count,
-                  empirical_revenue, erm, erm_with_value)
+                  empirical_revenue, erm)
 from .errors import (AnalyticUnsupported, AuctionLearnError, CeilingExceeded,
                      DimensionMismatch, InvalidDistribution, SampleFileError)
 from .experiments import (CurveRow, ExperimentConfig, ExperimentRow,

@@ -316,13 +316,6 @@ def erm(spec: ClassSpec, S: SampleSet,
     return _erm_on_values(spec, S.values, S.value_range, ceiling)
 
 
-def erm_with_value(spec: ClassSpec, S: SampleSet,
-                   ceiling: int = DEFAULT_CANDIDATE_CEILING) -> tuple[Hypothesis, float]:
-    check_class_dims(spec, S.n, S.k)
-    h = _erm_on_values(spec, S.values, S.value_range, ceiling)
-    return h, empirical_revenue(h, S)
-
-
 def _erm_on_values(spec: ClassSpec, values: np.ndarray,
                    value_range: tuple[float, float],
                    ceiling: int = DEFAULT_CANDIDATE_CEILING) -> Hypothesis:

@@ -20,7 +20,7 @@ single-item primitive ``reserve_revenue``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,6 +65,11 @@ class ClassSpec:
         if self.per_player:
             parts.append("per-player")
         return " ".join(parts)
+
+    @property
+    def per_bidder(self) -> bool:
+        """Each bidder has their own parameters, not one set shared by all."""
+        return self.per_player or self.tag in (TAG_PLAYER, TAG_TLEVEL)
 
     def branches(self) -> tuple["ClassSpec", "ClassSpec"]:
         """best-of only: the bundle and item classes it combines."""
@@ -558,53 +563,39 @@ def hypothesis_from_params(spec: ClassSpec, params, n: int, k: int) -> Hypothesi
                   hypothesis_from_params(items, row[split:], n, k))
 
 
+_TYPES = {cls.tag: cls for cls in Hypothesis.__args__}
+
+
 def hypothesis_to_record(h: Hypothesis) -> dict:
-    if isinstance(h, SingleReserve):
-        return {"class": TAG_SINGLE, "price": h.price}
-    if isinstance(h, AnonymousSecondPriceReserve):
-        return {"class": TAG_ASP, "price": h.price}
-    if isinstance(h, PlayerReserves):
-        return {"class": TAG_PLAYER, "prices": list(h.prices)}
-    if isinstance(h, TLevel):
-        return {"class": TAG_TLEVEL, "thresholds": [list(r) for r in h.thresholds]}
-    if isinstance(h, BundlePrice):
-        if h.per_player:
-            return {"class": TAG_BUNDLE, "prices": list(h.prices)}
-        return {"class": TAG_BUNDLE, "price": h.price}
-    if isinstance(h, ItemPrices):
-        if h.per_player:
-            return {"class": TAG_ITEM, "price_matrix": [list(r) for r in h.price_matrix]}
-        return {"class": TAG_ITEM, "prices": list(h.prices)}
-    if isinstance(h, BestOf):
-        return {"class": TAG_BEST,
-                "bundle": hypothesis_to_record(h.bundle),
-                "items": hypothesis_to_record(h.items)}
-    raise TypeError(f"unknown hypothesis type {type(h)!r}")
+    """``{"class": tag}``, then each field that is set, in field order;
+    tuples become nested lists and best-of branches become records."""
+    if type(h) not in _TYPES.values():
+        raise TypeError(f"unknown hypothesis type {type(h)!r}")
+    values = ((f.name, getattr(h, f.name)) for f in fields(h))
+    return {"class": h.tag, **{name: _record_value(x) for name, x in values if x is not None}}
+
+
+def _record_value(x):
+    if isinstance(x, tuple):
+        return [_record_value(y) for y in x]
+    return hypothesis_to_record(x) if hasattr(x, "tag") else x
 
 
 def hypothesis_from_record(rec: dict) -> Hypothesis:
+    """Inverse of ``hypothesis_to_record``; lists become tuples, numbers floats."""
     tag = rec.get("class")
-    if tag == TAG_SINGLE:
-        return SingleReserve(float(rec["price"]))
-    if tag == TAG_ASP:
-        return AnonymousSecondPriceReserve(float(rec["price"]))
-    if tag == TAG_PLAYER:
-        return PlayerReserves(tuple(rec["prices"]))
-    if tag == TAG_TLEVEL:
-        return TLevel(tuple(tuple(r) for r in rec["thresholds"]))
-    if tag == TAG_BUNDLE:
-        if "prices" in rec:
-            return BundlePrice(prices=tuple(rec["prices"]))
-        return BundlePrice(price=float(rec["price"]))
-    if tag == TAG_ITEM:
-        if "price_matrix" in rec:
-            return ItemPrices(price_matrix=tuple(tuple(r) for r in rec["price_matrix"]))
-        return ItemPrices(prices=tuple(rec["prices"]))
-    if tag == TAG_BEST:
-        bundle = hypothesis_from_record(rec["bundle"])
-        items = hypothesis_from_record(rec["items"])
-        return BestOf(bundle, items)
-    raise ValueError(f"unknown hypothesis record class {tag!r}")
+    cls = _TYPES.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise ValueError(f"unknown hypothesis record class {tag!r}")
+    return cls(**{f.name: _field_value(rec[f.name]) for f in fields(cls) if f.name in rec})
+
+
+def _field_value(x):
+    if isinstance(x, dict):
+        return hypothesis_from_record(x)
+    if isinstance(x, list):
+        return tuple(_field_value(y) for y in x)
+    return float(x)
 
 
 # ---------------------------------------------------------------------------

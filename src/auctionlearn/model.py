@@ -79,7 +79,7 @@ class Uniform:
 
     def survival(self, price: float) -> float:
         """P(value >= price); piecewise linear."""
-        return float(np.clip((self.high - price) / (self.high - self.low), 0.0, 1.0))
+        return min(max((self.high - price) / (self.high - self.low), 0.0), 1.0)
 
     def to_dict(self) -> dict:
         return {"type": "uniform", "low": self.low, "high": self.high}

@@ -19,8 +19,7 @@ import numpy as np
 
 from .erm import DEFAULT_CANDIDATE_CEILING, _posted_means, subset_winners
 from .errors import AuctionLearnError, CeilingExceeded
-from .mechanisms import (TAG_ASP, TAG_BEST, TAG_BUNDLE, TAG_ITEM, TAG_PLAYER,
-                         TAG_SINGLE, TAG_TLEVEL, ClassSpec, Hypothesis, SingleReserve,
+from .mechanisms import (TAG_SINGLE, ClassSpec, Hypothesis, SingleReserve, _param_width,
                          check_class_dims, hypothesis_from_params)
 from .model import DistributionSpec, SampleSet, Seed, sample_values
 
@@ -131,32 +130,15 @@ class GrowthBound:
 
 
 def theoretical_growth_bound(spec: ClassSpec, m: int, n: int = 1, k: int = 1) -> GrowthBound:
-    """Per-class bound on the split-sample space cardinality at sample size m."""
+    """Bound on the split-sample space cardinality at sample size m: ERM
+    picks each parameter from the sample's values, a per-bidder one from that
+    bidder's m and a shared one from all n*m, so points ** (parameter count)."""
     if m < 1 or n < 1 or k < 1:
         raise AuctionLearnError("m, n, k must be positive")
-    tag = spec.tag
-    if tag == TAG_SINGLE:
-        return GrowthBound(m, math.log(m))
-    if tag == TAG_ASP:
-        return GrowthBound(n * m, math.log(n * m))
-    if tag == TAG_PLAYER:
-        return GrowthBound(m**n, n * math.log(m))
-    if tag == TAG_TLEVEL:
-        s = spec.levels
-        return GrowthBound(m**(n * s), n * s * math.log(m))
-    if tag == TAG_BUNDLE:
-        if spec.per_player:
-            return GrowthBound(m**n, n * math.log(m))
-        return GrowthBound(m * n, math.log(m * n))
-    if tag == TAG_ITEM:
-        if spec.per_player:
-            return GrowthBound(m**(n * k), n * k * math.log(m))
-        return GrowthBound((n * m)**k, k * math.log(n * m))
-    if tag == TAG_BEST:
-        if spec.per_player:
-            return GrowthBound(m**(n * (k + 1)), n * (k + 1) * math.log(m))
-        return GrowthBound((m * n)**(k + 1), (k + 1) * math.log(m * n))
-    raise ValueError(f"unknown class tag {tag!r}")
+    check_class_dims(spec, n, k)
+    width = _param_width(spec, n, k)
+    points = m if spec.per_bidder else n * m
+    return GrowthBound(points**width, width * math.log(points))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from auctionlearn import (ClassSpec, DistributionSpec, ExperimentConfig,
                           main_bound, rademacher_estimate,
                           sample_complexity_estimate, split_sample_space,
                           theoretical_growth_bound, tlevel_epsilon)
-from auctionlearn.erm import erm_with_value
+from auctionlearn.erm import empirical_revenue, erm
 
 SINGLE = ClassSpec("single-reserve")
 U01 = DistributionSpec.iid(Uniform(0, 1))
@@ -64,7 +64,8 @@ def _exhaustive_single_reserve_check():
             itertools.combinations_with_replacement(range(11), m))) / 10.0
         erm_revs = np.empty(len(combos))
         for i, row in enumerate(combos):
-            _, erm_revs[i] = erm_with_value(SINGLE, SampleSet(row.reshape(m, 1, 1)))
+            S = SampleSet(row.reshape(m, 1, 1))
+            erm_revs[i] = empirical_revenue(erm(SINGLE, S), S)
         grid_max = np.empty(len(combos))
         chunk = 2000
         for start in range(0, len(combos), chunk):
@@ -102,7 +103,8 @@ def test_criterion_2_erm_oracle_equivalence():
             for _ in range(72):   # 7 configs x 72 = 504 product-class draws
                 m = int(gen.integers(1, 9))
                 values = draw(gen, m, n, k)
-                _, rev = erm_with_value(spec, SampleSet(values))
+                S = SampleSet(values)
+                rev = empirical_revenue(erm(spec, S), S)
                 gap = abs(rev - oracle(values))
                 assert gap <= 1e-12, f"{spec.describe()} m={m}: off by {gap}"
 

@@ -140,6 +140,7 @@ def test_invalid_input_exits_nonzero(capsys):
     ["erm", "--class", "single-reserve", "--values", "0.5", "--range", "x"],
     ["bound", "--class", "single-reserve", "--delta", "2"],
     ["bound", "--class", "single-reserve", "--m", "0"],
+    ["bound", "--class", "single-reserve", "--n", "2"],
     ["erm", "--class", "single-reserve", "--values", "0.5",
      "--config", "/nonexistent.json"],
     ["split-sample", "--class", "single-reserve", "--values", "0.5",
@@ -153,8 +154,8 @@ def test_invalid_input_exits_nonzero(capsys):
      "--config", "{config}"],
     ["experiment", "--class", "player-reserves", "--n", "2", "--dist", "uniform:0,1",
      "--m-grid", "5", "--replicates", "5", "--config", "{grid-config}"],
-], ids=["values", "range", "delta", "m", "config", "trials", "draws", "m-grid", "eps",
-        "config-value", "config-grid-step"])
+], ids=["values", "range", "delta", "m", "bound-shape", "config", "trials", "draws", "m-grid",
+        "eps", "config-value", "config-grid-step"])
 def test_input_errors_are_one_line_messages(argv, tmp_path):
     configs = {"{config}": {"replicates": "many"}, "{grid-config}": {"optimum_grid_step": 0}}
 

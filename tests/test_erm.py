@@ -10,8 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from auctionlearn import (DEFAULT_CANDIDATE_CEILING, CeilingExceeded, ClassSpec,
                           PlayerReserves, SampleSet, SingleReserve,
-                          candidate_count, empirical_revenue, erm,
-                          erm_with_value)
+                          candidate_count, empirical_revenue, erm)
 from oracles import candidate_set
 
 
@@ -246,14 +245,14 @@ def test_separable_erm_runs_past_the_product_count(spec, n, k, m, oracle):
     gen = np.random.default_rng(zlib.crc32((spec.describe() + "-ceiling").encode()))
     values = oracles.draw_grid_sample(gen, m, n, k)
     S = SampleSet(values)
-    _, rev = erm_with_value(spec, S)
+    rev = empirical_revenue(erm(spec, S), S)
     assert abs(rev - oracle(values)) <= 1e-12
     # thousandths values lie on the oracle grid too, and their product count
     # is over the default ceiling
     values = oracles.draw_thousandths_sample(gen, m, n, k)
     S = SampleSet(values)
     assert candidate_count(spec, S) > DEFAULT_CANDIDATE_CEILING
-    _, rev = erm_with_value(spec, S)
+    rev = empirical_revenue(erm(spec, S), S)
     assert abs(rev - oracle(values)) <= 1e-12
 
 
@@ -267,7 +266,8 @@ def test_single_reserve_matches_fine_grid():
     for _ in range(25):
         m = int(gen.integers(1, 9))
         values = oracles.draw_grid_sample(gen, m, 1, 1)
-        _, rev = erm_with_value(SINGLE, SampleSet(values))
+        S = SampleSet(values)
+        rev = empirical_revenue(erm(SINGLE, S), S)
         grid_max = oracles.posted_curve(values[:, 0, 0], oracles.FINE_GRID).max()
         assert abs(rev - grid_max) <= 1e-12
 
@@ -276,7 +276,8 @@ def test_tlevel_needs_the_sentinel_to_match_the_grid():
     # excluding bidder 0 via a threshold above its value is strictly optimal
     values = np.array([[[0.9], [1.0]]])
     spec = ClassSpec("t-level", levels=1)
-    _, rev = erm_with_value(spec, SampleSet(values))
+    S = SampleSet(values)
+    rev = empirical_revenue(erm(spec, S), S)
     grid_max = oracles.grid_max_tlevel_two_bidders_one_level(values[:, :, 0])
     assert rev == pytest.approx(1.0, abs=1e-15)
     assert abs(rev - grid_max) <= 1e-12
@@ -303,5 +304,6 @@ def test_product_class_matches_fine_grid(spec, n, k, draw, oracle):
     for _ in range(6):
         m = int(gen.integers(1, 9))
         values = draw(gen, m, n, k)
-        _, rev = erm_with_value(spec, SampleSet(values))
+        S = SampleSet(values)
+        rev = empirical_revenue(erm(spec, S), S)
         assert abs(rev - oracle(values)) <= 1e-12

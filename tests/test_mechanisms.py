@@ -267,6 +267,49 @@ def test_serialization_round_trip_exact(tag):
         assert hypothesis_from_record(json.loads(json.dumps(rec))) == h
 
 
+RECORD_PINS = [
+    (SingleReserve(0.5), '{"class": "single-reserve", "price": 0.5}'),
+    (AnonymousSecondPriceReserve(0.1 + 0.2),
+     '{"class": "anonymous-second-price", "price": 0.30000000000000004}'),
+    (PlayerReserves((0.25, 1.0)), '{"class": "player-reserves", "prices": [0.25, 1.0]}'),
+    (TLevel(((0.3,), (0.7,))), '{"class": "t-level", "thresholds": [[0.3], [0.7]]}'),
+    (TLevel(((0.25, 0.5), (0.125, 0.75))),
+     '{"class": "t-level", "thresholds": [[0.25, 0.5], [0.125, 0.75]]}'),
+    (BundlePrice(price=1.5), '{"class": "bundle-price", "price": 1.5}'),
+    (BundlePrice(prices=(0.5, 2.0)), '{"class": "bundle-price", "prices": [0.5, 2.0]}'),
+    (ItemPrices(prices=(0.2, 0.4, 0.8)), '{"class": "item-prices", "prices": [0.2, 0.4, 0.8]}'),
+    (ItemPrices(price_matrix=((0.1, 0.2, 0.3), (0.4, 0.5, 0.6))),
+     '{"class": "item-prices", "price_matrix": [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]}'),
+    (BestOf(BundlePrice(price=1.25), ItemPrices(prices=(0.5, 0.75))),
+     '{"class": "best-of", "bundle": {"class": "bundle-price", "price": 1.25}, '
+     '"items": {"class": "item-prices", "prices": [0.5, 0.75]}}'),
+    (BestOf(BundlePrice(prices=(1.0, 0.5)),
+            ItemPrices(price_matrix=((0.5, 0.25), (0.75, 1.0)))),
+     '{"class": "best-of", "bundle": {"class": "bundle-price", "prices": [1.0, 0.5]}, '
+     '"items": {"class": "item-prices", "price_matrix": [[0.5, 0.25], [0.75, 1.0]]}}'),
+]
+
+
+@pytest.mark.parametrize("h, text", RECORD_PINS, ids=[t.split('"')[3] for _, t in RECORD_PINS])
+def test_record_format_is_pinned(h, text):
+    """The record bytes of one hypothesis per class and mode, key order
+    included; the round trip alone would accept any self-consistent format."""
+    import json
+    assert json.dumps(hypothesis_to_record(h)) == text
+    assert hypothesis_from_record(json.loads(text)) == h
+
+
+def test_record_errors():
+    with pytest.raises(ValueError, match="unknown hypothesis record class"):
+        hypothesis_from_record({"class": "posted"})
+    with pytest.raises(TypeError):          # a record missing its field
+        hypothesis_from_record({"class": "single-reserve"})
+    with pytest.raises(ValueError):         # neither price nor prices
+        hypothesis_from_record({"class": "bundle-price"})
+    with pytest.raises(TypeError):
+        hypothesis_to_record(ClassSpec("single-reserve"))
+
+
 def test_true_revenue_item_prices_single_bidder():
     spec = DistributionSpec.iid(Uniform(0, 1), n=1, k=2)
     h = ItemPrices(prices=(0.5, 0.2))

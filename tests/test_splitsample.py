@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from auctionlearn import (CeilingExceeded, ClassSpec, Discrete,
+from auctionlearn import (CeilingExceeded, ClassSpec, DimensionMismatch, Discrete,
                           DistributionSpec, SampleSet, Seed, SingleReserve,
                           Uniform, erm, growth_rate_estimate,
                           split_sample_space, theoretical_growth_bound)
@@ -180,19 +180,32 @@ def test_candidate_ceiling_bounds_full_sample_rows():
 
 
 def test_theoretical_growth_bound_values():
-    assert theoretical_growth_bound(SINGLE, 10).count == 10
-    assert theoretical_growth_bound(ClassSpec("anonymous-second-price"), 10, 2).count == 20
-    assert theoretical_growth_bound(ClassSpec("player-reserves"), 5, 2).count == 25
-    assert theoretical_growth_bound(ClassSpec("item-prices"), 4, 2, 3).count == 512
-    assert theoretical_growth_bound(ClassSpec("item-prices", per_player=True),
-                                    4, 2, 3).count == 4**6
-    assert theoretical_growth_bound(ClassSpec("t-level", levels=2), 3, 2).count == 81
-    assert theoretical_growth_bound(ClassSpec("bundle-price"), 7, 3).count == 21
-    assert theoretical_growth_bound(ClassSpec("bundle-price", per_player=True),
-                                    7, 3).count == 343
-    assert theoretical_growth_bound(ClassSpec("best-of"), 3, 2, 2).count == 216
-    assert theoretical_growth_bound(ClassSpec("best-of", per_player=True),
-                                    3, 2, 2).count == 3**6
+    """Counts and their logs, the logs bit for bit as the per-class formulas
+    gave them: ``main_bound`` feeds the log into every experiment row."""
+    cases = [
+        (SINGLE, 10, 1, 1, 10, 2.302585092994046),
+        (ClassSpec("anonymous-second-price"), 10, 2, 1, 20, 2.995732273553991),
+        (ClassSpec("player-reserves"), 5, 2, 1, 25, 3.2188758248682006),
+        (ClassSpec("item-prices"), 4, 2, 3, 512, 6.238324625039507),
+        (ClassSpec("item-prices", per_player=True), 4, 2, 3, 4**6, 8.317766166719343),
+        (ClassSpec("t-level", levels=2), 3, 2, 1, 81, 4.394449154672439),
+        (ClassSpec("bundle-price"), 7, 3, 1, 21, 3.044522437723423),
+        (ClassSpec("bundle-price", per_player=True), 7, 3, 1, 343, 5.8377304471659395),
+        (ClassSpec("best-of"), 3, 2, 2, 216, 5.375278407684165),
+        (ClassSpec("best-of", per_player=True), 3, 2, 2, 3**6, 6.591673732008658),
+    ]
+    for spec, m, n, k, count, log in cases:
+        b = theoretical_growth_bound(spec, m, n, k)
+        assert (b.count, b.log) == (count, log), spec.describe()
+
+
+def test_theoretical_growth_bound_rejects_shapes_the_class_cannot_run_on():
+    for spec, n, k in [(SINGLE, 2, 1), (SINGLE, 1, 2),
+                       (ClassSpec("anonymous-second-price"), 1, 2),
+                       (ClassSpec("player-reserves"), 2, 2),
+                       (ClassSpec("t-level", levels=1), 1, 2)]:
+        with pytest.raises(DimensionMismatch):
+            theoretical_growth_bound(spec, 10, n, k)
 
 
 def test_growth_bound_log_consistency():
