@@ -17,8 +17,9 @@ from .erm import ClassSpec, erm
 from .errors import AuctionLearnError
 from .mechanisms import (TAG_ASP, TAG_PLAYER, TAG_SINGLE, _check_dims, revenue_matrix,
                          true_revenue)
-from .model import DEFAULT_RANGE, DistributionSpec, SampleSet, Seed, sample_values
-from .splitsample import split_sample_space, theoretical_growth_bound
+from .model import (DEFAULT_RANGE, DistributionSpec, SampleSet, Seed, check_value_range,
+                    sample_values)
+from .splitsample import DEFAULT_SUBSET_CEILING, split_sample_space, theoretical_growth_bound
 
 
 def massart_bound(cardinality: int, m: int,
@@ -26,7 +27,7 @@ def massart_bound(cardinality: int, m: int,
     """Finite-class Rademacher bound: (beta-alpha) * sqrt(2 ln(card) / m)."""
     if cardinality < 1 or m < 1:
         raise AuctionLearnError("cardinality and m must be >= 1")
-    alpha, beta = value_range
+    alpha, beta = check_value_range(value_range)
     return (beta - alpha) * math.sqrt(2.0 * math.log(cardinality) / m)
 
 
@@ -59,7 +60,7 @@ def main_bound(spec: ClassSpec, m: int, n: int = 1, k: int = 1,
     """Expected-gap bound from the class's split-sample count bound at 2m."""
     if m < 1:
         raise AuctionLearnError("m must be >= 1")
-    alpha, beta = value_range
+    alpha, beta = check_value_range(value_range)
     log_tau = theoretical_growth_bound(spec, 2 * m, n, k).log
     bound = (beta - alpha) * math.sqrt(2.0 * log_tau / m)
     hp = None
@@ -214,7 +215,7 @@ def generalization_chain_check(spec: ClassSpec, dist: DistributionSpec, m: int,
                                replicates: int, sigma_draws: int, seed: Seed,
                                optimum: float | None = None,
                                eval_draws: int = 100_000,
-                               subset_ceiling: int = 10**6) -> ChainReport:
+                               subset_ceiling: int = DEFAULT_SUBSET_CEILING) -> ChainReport:
     """Estimate the two sides of the generalization chain by simulation.
 
     Per replicate: draw S and an independent twin S' of size m, measure the

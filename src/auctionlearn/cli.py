@@ -260,7 +260,6 @@ def _experiment_config(opt: Options) -> exp_mod.ExperimentConfig:
         seed=opt.seed(),
         eval_draws=opt.number(int, "eval_draws", 100_000),
         eval_method=opt.get("eval_method", "auto"),
-        threads=opt.number(int, "threads", 1),
         candidate_ceiling=opt.number(int, "ceiling", DEFAULT_CANDIDATE_CEILING),
         optimum_grid_step=opt.number(float, "optimum_grid_step", 1e-3),
         optimum_draws=opt.number(int, "optimum_draws", 10**6),

@@ -62,7 +62,7 @@ def _columns(spec: ClassSpec, values: np.ndarray, beta: float) -> list[np.ndarra
             return [values[:, i, j:j + 1] for i in range(n) for j in range(k)]
         return [values[:, :, j] for j in range(k)]
     columns = np.sum(values, axis=2) if tag == TAG_BUNDLE else values[:, :, 0]
-    if tag == TAG_PLAYER or spec.per_player:
+    if spec.per_bidder:
         return [columns[:, i:i + 1] for i in range(n)]
     return [columns]        # single reserve, anonymous reserve or bundle price
 
@@ -197,7 +197,7 @@ def _coordinates(spec: ClassSpec, pools, values: np.ndarray, alpha: float):
     else:
         items = [values[:, :, 0] if spec.tag == TAG_PLAYER else np.sum(values, axis=2)]
     rules = [top_two(columns, alpha) for columns in items]
-    lazy = spec.tag == TAG_PLAYER or spec.per_player
+    lazy = spec.per_bidder
     coords = []
     for f, pool in enumerate(pools):   # pool f is bidder f // items of item f % items
         bidder, item = divmod(f, len(items)) if lazy else (None, f)
@@ -313,17 +313,10 @@ def erm(spec: ClassSpec, S: SampleSet,
     the result is a pure function of (spec, S as a multiset).
     """
     check_class_dims(spec, S.n, S.k)
-    return _erm_on_values(spec, S.values, S.value_range, ceiling)
-
-
-def _erm_on_values(spec: ClassSpec, values: np.ndarray,
-                   value_range: tuple[float, float],
-                   ceiling: int = DEFAULT_CANDIDATE_CEILING) -> Hypothesis:
     if spec.tag == TAG_SINGLE:
-        return SingleReserve(_posted_erm(spec, values[:, 0, 0], ceiling))
-    whole = np.arange(len(values))[None]
-    params = subset_winners(spec, values, value_range, whole, ceiling)[0]
-    return hypothesis_from_params(spec, params, values.shape[1], values.shape[2])
+        return SingleReserve(_posted_erm(spec, S.values[:, 0, 0], ceiling))
+    params = subset_winners(spec, S.values, S.value_range, np.arange(S.m)[None], ceiling)[0]
+    return hypothesis_from_params(spec, params, S.n, S.k)
 
 
 def _posted_erm(spec: ClassSpec, values: np.ndarray, ceiling: int) -> float:

@@ -13,7 +13,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -124,7 +124,7 @@ def _grid_optimum(spec: ClassSpec, dist: DistributionSpec, grid_step: float,
         raise CeilingExceeded(f"{spec.describe()} grid optimum over budget; "
                               "increase grid_step or lower draws")
     values = sample_values(dist, draws, seed).values
-    lazy = tag == TAG_PLAYER or spec.per_player
+    lazy = spec.per_bidder
     if joint:
         rows = _candidate_rows(spec, _factors(spec, pools), values, alpha)
         value = max(R.sum(axis=1).max() for _, R in rows) / draws
@@ -171,7 +171,6 @@ class ExperimentConfig:
     seed: Seed = Seed(0)
     eval_draws: int = 100_000
     eval_method: str = "auto"       # "auto" | "analytic" | "monte-carlo"
-    threads: int = 1                # accepted and ignored: replicates run in one thread
     candidate_ceiling: int = DEFAULT_CANDIDATE_CEILING
     optimum_grid_step: float = 1e-3
     optimum_draws: int = 10**6
@@ -192,22 +191,10 @@ class ExperimentConfig:
             raise AuctionLearnError("optimum_draws must be >= 1")
 
     def canonical_dict(self) -> dict:
-        # threads excluded: it is ignored, so it cannot change results
-        return {
-            "class": {"tag": self.class_spec.tag, "levels": self.class_spec.levels,
-                      "per_player": self.class_spec.per_player},
-            "dist": self.dist.to_dict(),
-            "m_grid": list(self.m_grid),
-            "replicates": self.replicates,
-            "delta": self.delta,
-            "seed": self.seed.master,
-            "eval_draws": self.eval_draws,
-            "eval_method": self.eval_method,
-            "candidate_ceiling": self.candidate_ceiling,
-            "optimum_grid_step": self.optimum_grid_step,
-            "optimum_draws": self.optimum_draws,
-            "optimum_override": self.optimum_override,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["class"] = asdict(d.pop("class_spec"))
+        d.update(dist=self.dist.to_dict(), m_grid=list(self.m_grid), seed=self.seed.master)
+        return d
 
 
 def config_fingerprint(config: ExperimentConfig) -> str:
@@ -247,16 +234,16 @@ class ExperimentRow:
     benchmark_note: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "class": self.class_tag, "m": self.m, "n": self.n, "k": self.k,
-            "s": self.s, "replicates": self.replicates,
-            "mean_revenue": self.mean_revenue, "std_error": self.std_error,
-            "optimum": self.optimum, "gap": self.gap, "bound": self.bound,
-            "delta": self.delta,
-            "hp_violation_fraction": self.hp_violation_fraction,
-            "fingerprint": self.fingerprint,
-            "benchmark_note": self.benchmark_note,
-        }
+        return _row_dict(self)
+
+
+def _column(name: str) -> str:
+    return "class" if name == "class_tag" else name
+
+
+def _row_dict(row) -> dict:
+    """A result row's fields in field order, ``class_tag`` written as ``class``."""
+    return {_column(f.name): getattr(row, f.name) for f in fields(row)}
 
 
 def _replicate_revenue(config: ExperimentConfig, m: int, index: int) -> float:
@@ -286,8 +273,7 @@ def generalization_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
                             value_range=dist.value_range)
         mean_rev = float(revs.mean())
         se = float(revs.std(ddof=1) / math.sqrt(config.replicates))
-        threshold = report.expected_gap_bound / config.delta
-        viol = float(np.mean((opt.value - revs) > threshold))
+        viol = float(np.mean((opt.value - revs) > report.high_prob_bound))
         rows.append(ExperimentRow(
             spec.tag, m, dist.n, dist.k, spec.levels, config.replicates,
             mean_rev, se, opt.value, opt.value - mean_rev,
@@ -303,8 +289,7 @@ class CurveRow:
     m_empirical: int | None
 
     def as_dict(self) -> dict:
-        return {"epsilon": self.epsilon, "m_bound": self.m_bound,
-                "m_empirical": self.m_empirical}
+        return _row_dict(self)
 
 
 def sample_complexity_curve(config: ExperimentConfig,
@@ -326,9 +311,7 @@ def sample_complexity_curve(config: ExperimentConfig,
 # output writers (full-precision floats; deterministic bytes)
 
 
-_CSV_FIELDS = ["class", "m", "n", "k", "s", "replicates", "mean_revenue",
-               "std_error", "optimum", "gap", "bound", "delta",
-               "hp_violation_fraction", "fingerprint", "benchmark_note"]
+_CSV_FIELDS = [_column(f.name) for f in fields(ExperimentRow)]
 
 
 def _cell(v) -> str:

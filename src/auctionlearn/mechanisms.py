@@ -494,7 +494,7 @@ def revenue_matrix(spec: ClassSpec, params, values, alpha: float = 0.0) -> np.nd
             f"{spec.describe()} needs parameter rows of width {_param_width(spec, n, k)} "
             f"at n = {n}, k = {k}, got an array of shape {params.shape}")
     tag = spec.tag
-    lazy = tag == TAG_PLAYER or spec.per_player
+    lazy = spec.per_bidder
 
     if tag == TAG_SINGLE:
         # a posted price has no competing bid, so it charges the price itself

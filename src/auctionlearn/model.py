@@ -24,6 +24,15 @@ DEFAULT_RANGE = (0.0, 1.0)
 _PROB_TOL = 1e-12
 
 
+def check_value_range(value_range, error=AuctionLearnError) -> tuple[float, float]:
+    """(alpha, beta) of a finite range with 0 <= alpha < beta (payments are
+    nonnegative); anything else raises ``error``."""
+    alpha, beta = value_range
+    if not (math.isfinite(alpha) and math.isfinite(beta) and 0 <= alpha < beta):
+        raise error(f"value range must be finite with 0 <= alpha < beta, got [{alpha}, {beta}]")
+    return alpha, beta
+
+
 # ---------------------------------------------------------------------------
 # seeds
 
@@ -192,11 +201,7 @@ class DistributionSpec:
     value_range: tuple[float, float] = DEFAULT_RANGE
 
     def __post_init__(self):
-        alpha, beta = self.value_range
-        if not (math.isfinite(alpha) and math.isfinite(beta) and alpha < beta):
-            raise InvalidDistribution("value range must be finite with alpha < beta")
-        if alpha < 0:
-            raise InvalidDistribution("alpha must be >= 0: payments are nonnegative")
+        alpha, beta = check_value_range(self.value_range, InvalidDistribution)
         if len(self.marginals) == 0 or any(len(row) == 0 for row in self.marginals):
             raise InvalidDistribution("need at least one bidder and one item")
         k = len(self.marginals[0])
@@ -252,9 +257,7 @@ class ValuationProfile:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DimensionMismatch("profile values must be an n x k matrix")
-        alpha, beta = self.value_range
-        if alpha < 0 or beta <= alpha:
-            raise AuctionLearnError("value range needs 0 <= alpha < beta")
+        alpha, beta = check_value_range(self.value_range)
         if not np.all(np.isfinite(arr)):
             raise AuctionLearnError("profile contains non-finite values")
         if arr.min() < alpha or arr.max() > beta:
@@ -286,9 +289,7 @@ class SampleSet:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 3 or arr.shape[0] < 1:
             raise DimensionMismatch("sample values must have shape (m, n, k) with m >= 1")
-        alpha, beta = self.value_range
-        if alpha < 0 or beta <= alpha:
-            raise AuctionLearnError("value range needs 0 <= alpha < beta")
+        alpha, beta = check_value_range(self.value_range)
         if not np.all(np.isfinite(arr)):
             raise AuctionLearnError("sample contains non-finite values")
         if arr.min() < alpha or arr.max() > beta:

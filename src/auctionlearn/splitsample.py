@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .erm import DEFAULT_CANDIDATE_CEILING, _posted_means, subset_winners
+from .erm import DEFAULT_CANDIDATE_CEILING, _check_ceiling, _posted_means, subset_winners
 from .errors import AuctionLearnError, CeilingExceeded
 from .mechanisms import (TAG_SINGLE, ClassSpec, Hypothesis, SingleReserve, _param_width,
                          check_class_dims, hypothesis_from_params)
@@ -64,6 +64,7 @@ def split_sample_space(spec: ClassSpec, S: SampleSet, mode: str = "exact",
                 f"exact mode needs {total} subsets, over the ceiling {subset_ceiling}"
             )
         if spec.tag == TAG_SINGLE:
+            _check_ceiling(spec, [np.unique(S.values)], candidate_ceiling)   # as erm counts
             hyps = _single_reserve_exact(S, size)
             return SplitSampleSpace(S, size, hyps, "exact", total)
         subsets = _combo_indices(m, size)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from auctionlearn import (ClassSpec, Discrete, DistributionSpec, SampleSet,
+from auctionlearn import (AuctionLearnError, ClassSpec, Discrete, DistributionSpec, SampleSet,
                           Seed, SingleReserve, Uniform, bound_formula,
                           generalization_chain_check, high_prob_bound,
                           main_bound, massart_bound, rademacher_estimate,
@@ -26,6 +26,15 @@ def test_massart_values():
     assert massart_bound(400, 200, (0.0, 2.0)) == pytest.approx(
         2 * math.sqrt(2 * math.log(400) / 200))
     assert massart_bound(400, 200, (0.0, 2.0)) == pytest.approx(0.4896, abs=1e-4)
+
+
+@pytest.mark.parametrize("bad", [(1.0, 0.0), (0.5, 0.5), (-0.1, 1.0), (0.0, math.nan),
+                                 (math.nan, 1.0), (0.0, math.inf)])
+def test_bounds_reject_bad_value_ranges(bad):
+    with pytest.raises(AuctionLearnError):
+        massart_bound(3, 4, bad)
+    with pytest.raises(AuctionLearnError):
+        main_bound(SINGLE, 5, value_range=bad)
 
 
 def test_massart_monotonicity():

@@ -154,8 +154,11 @@ def test_invalid_input_exits_nonzero(capsys):
      "--config", "{config}"],
     ["experiment", "--class", "player-reserves", "--n", "2", "--dist", "uniform:0,1",
      "--m-grid", "5", "--replicates", "5", "--config", "{grid-config}"],
+    ["bound", "--class", "single-reserve", "--m", "5", "--range", "1,0"],
+    ["erm", "--class", "single-reserve", "--values", "0.5", "--range", "0,nan"],
+    ["split-sample", "--class", "single-reserve", "--values", "0.5,0.2", "--ceiling", "0"],
 ], ids=["values", "range", "delta", "m", "bound-shape", "config", "trials", "draws", "m-grid",
-        "eps", "config-value", "config-grid-step"])
+        "eps", "config-value", "config-grid-step", "bound-range", "range-nan", "split-ceiling"])
 def test_input_errors_are_one_line_messages(argv, tmp_path):
     configs = {"{config}": {"replicates": "many"}, "{grid-config}": {"optimum_grid_step": 0}}
 

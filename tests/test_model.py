@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from auctionlearn import (AnalyticUnsupported, DimensionMismatch, Discrete,
+from auctionlearn import (AnalyticUnsupported, AuctionLearnError, DimensionMismatch, Discrete,
                           DistributionSpec, InvalidDistribution, SampleFileError,
                           SampleSet, Seed, SingleReserve, TruncatedExponential,
                           Uniform, ValuationProfile, load_samples, sample_values,
@@ -83,6 +83,17 @@ def test_profile_and_sample_validation():
     s = SampleSet(np.full((2, 1, 1), 0.5))
     with pytest.raises(ValueError):
         s.values[0, 0, 0] = 0.1                   # frozen storage
+
+
+@pytest.mark.parametrize("bad", [(1.0, 0.0), (0.5, 0.5), (-0.1, 1.0), (0.0, math.nan),
+                                 (math.nan, 1.0), (0.0, math.inf)])
+def test_value_range_must_be_finite_and_ordered(bad):
+    with pytest.raises(AuctionLearnError):
+        SampleSet(np.full((2, 1, 1), 0.5), bad)
+    with pytest.raises(AuctionLearnError):
+        ValuationProfile(np.array([[0.5]]), bad)
+    with pytest.raises(InvalidDistribution):
+        DistributionSpec.iid(Discrete((0.5,), (1.0,)), value_range=bad)
 
 
 def test_sample_file_round_trip(tmp_path):

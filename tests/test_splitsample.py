@@ -177,6 +177,10 @@ def test_candidate_ceiling_bounds_full_sample_rows():
     with pytest.raises(CeilingExceeded):
         split_sample_space(player, S, "monte-carlo", trials=3, seed=Seed(1),
                            candidate_ceiling=5)
+    pair = SampleSet(np.array([0.5, 0.2, 0.2]).reshape(3, 1, 1))   # 2 distinct prices
+    assert len(split_sample_space(SINGLE, pair, "exact", candidate_ceiling=2)) == 2
+    with pytest.raises(CeilingExceeded):
+        split_sample_space(SINGLE, pair, "exact", candidate_ceiling=1)
 
 
 def test_theoretical_growth_bound_values():
