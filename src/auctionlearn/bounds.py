@@ -121,7 +121,7 @@ def sample_complexity_estimate(spec: ClassSpec, epsilon: float, n: int = 1, k: i
     is decreasing from m = 2 on.  epsilon at or above the m = 1 bound
     trivially returns 1.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise AuctionLearnError("epsilon must be positive")
 
     def bound(m: int) -> float:

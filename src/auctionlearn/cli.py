@@ -140,8 +140,9 @@ class Options:
         if values is not None:
             return parse_values(values, self.value_range())
         path = self.get("infile")
-        if path is not None:
-            return load_samples(path)
+        if path is not None:   # a declared range must match the file's header
+            declared = None if self.get("range") is None else self.value_range()
+            return load_samples(path, value_range=declared)
         raise AuctionLearnError("provide a sample via --values or --in")
 
 

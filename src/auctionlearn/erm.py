@@ -163,8 +163,9 @@ def empirical_revenue(h: Hypothesis, S: SampleSet) -> float:
     return float(np.mean(np.sort(revs)))
 
 
-def _last_argmax(arr: np.ndarray) -> int:
-    return len(arr) - 1 - int(np.argmax(arr[::-1]))
+def _last_argmax(arr: np.ndarray) -> np.ndarray:
+    """The last argmax along axis 0: ties go to the largest parameter."""
+    return len(arr) - 1 - np.argmax(arr[::-1], axis=0)
 
 
 def _near_max(closed: np.ndarray, terms: int) -> np.ndarray:
@@ -264,7 +265,7 @@ def _joint_winners(spec: ClassSpec, values: np.ndarray, alpha: float, pools, occ
             g.sort(axis=-1)
             revs = np.full(valid.shape, -np.inf)
             revs[valid] = g.mean(axis=-1)
-            local = len(revs) - 1 - np.argmax(revs[::-1], axis=0)
+            local = _last_argmax(revs)
             top = revs[local, np.arange(len(block))]
             span = slice(at, at + len(block))
             better = top >= best_rev[span]
@@ -294,7 +295,7 @@ def _separable_winners(spec: ClassSpec, values: np.ndarray, alpha: float, pools,
                 g.sort(axis=-1)
                 revs[:, group] = g.sum(axis=-1)
             revs[~o[:, block].any(axis=-1)] = -np.inf
-            params[at:at + len(block), f] = pool[len(pool) - 1 - np.argmax(revs[::-1], axis=0)]
+            params[at:at + len(block), f] = pool[_last_argmax(revs)]
     params = params[np.lexsort(params.T[::-1])]    # np.unique(axis=0) is ~5x slower
     fresh = np.ones(len(params), dtype=bool)
     fresh[1:] = (params[1:] != params[:-1]).any(axis=1)

@@ -388,13 +388,11 @@ def check_class_dims(spec: ClassSpec, n: int, k: int) -> None:
 
 def _param_shape(spec: ClassSpec, n: int, k: int) -> tuple[int, ...]:
     """Bidder-major shape of one parameter vector; best-of has one per branch."""
-    if spec.tag == TAG_PLAYER or (spec.tag == TAG_BUNDLE and spec.per_player):
-        return (n,)
     if spec.tag == TAG_TLEVEL:
         return (n, spec.levels)
     if spec.tag == TAG_ITEM:
         return (n, k) if spec.per_player else (k,)
-    return (1,)
+    return (n,) if spec.per_bidder else (1,)
 
 
 def _param_width(spec: ClassSpec, n: int, k: int) -> int:

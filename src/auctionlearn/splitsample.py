@@ -17,10 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .erm import DEFAULT_CANDIDATE_CEILING, _check_ceiling, _posted_means, subset_winners
+from .erm import DEFAULT_CANDIDATE_CEILING, subset_winners
 from .errors import AuctionLearnError, CeilingExceeded
-from .mechanisms import (TAG_SINGLE, ClassSpec, Hypothesis, SingleReserve, _param_width,
-                         check_class_dims, hypothesis_from_params)
+from .mechanisms import (TAG_SINGLE, ClassSpec, Hypothesis, _param_width, check_class_dims,
+                         hypothesis_from_params)
 from .model import DistributionSpec, SampleSet, Seed, sample_values
 
 DEFAULT_SUBSET_CEILING = 10**6
@@ -34,7 +34,7 @@ class SplitSampleSpace:
     subset_size: int
     hypotheses: tuple[Hypothesis, ...]   # deduplicated, canonically sorted
     mode: str                            # "exact" | "monte-carlo"
-    subsets_examined: int
+    subsets_examined: int                # subsets whose ERM outputs the space covers
 
     def __len__(self) -> int:
         return len(self.hypotheses)
@@ -46,12 +46,13 @@ def split_sample_space(spec: ClassSpec, S: SampleSet, mode: str = "exact",
                        candidate_ceiling: int = DEFAULT_CANDIDATE_CEILING) -> SplitSampleSpace:
     """Enumerate ERM outputs over subsets of size ceil(m/2).
 
-    Exact mode walks all C(m, ceil(m/2)) subsets in lexicographic index
-    order; monte-carlo mode samples `trials` subsets uniformly (its distinct
-    set is always a subset of the exact one).  Every subset's ERM output
-    is scored in bulk from revenue rows built once on the full sample, and
-    `candidate_ceiling` bounds the rows scored, as in ``erm``: the candidate
-    product of a joint class, the longest coordinate pool of a separable one.
+    Exact mode covers all C(m, ceil(m/2)) subsets, which `subsets_examined`
+    reports: it scores them all in lexicographic index order, but a posted
+    price only its ``_posted_subsets``.  Monte-carlo mode samples `trials`
+    subsets uniformly (its distinct set is always a subset of the exact one).
+    ``erm.subset_winners`` scores the subsets in bulk, and `candidate_ceiling`
+    bounds the rows scored, as in ``erm``: the candidate product of a joint
+    class, the longest coordinate pool of a separable one.
     """
     check_class_dims(spec, S.n, S.k)
     m = S.m
@@ -64,10 +65,9 @@ def split_sample_space(spec: ClassSpec, S: SampleSet, mode: str = "exact",
                 f"exact mode needs {total} subsets, over the ceiling {subset_ceiling}"
             )
         if spec.tag == TAG_SINGLE:
-            _check_ceiling(spec, [np.unique(S.values)], candidate_ceiling)   # as erm counts
-            hyps = _single_reserve_exact(S, size)
-            return SplitSampleSpace(S, size, hyps, "exact", total)
-        subsets = _combo_indices(m, size)
+            subsets = np.argsort(S.values[:, 0, 0], kind="stable")[_posted_subsets(m, size)]
+        else:
+            subsets = _combo_indices(m, size)
     elif mode == "monte-carlo":
         if trials is None or trials < 1 or seed is None:
             raise AuctionLearnError("monte-carlo mode needs trials >= 1 and a seed")
@@ -79,7 +79,7 @@ def split_sample_space(spec: ClassSpec, S: SampleSet, mode: str = "exact",
 
     rows = subset_winners(spec, S.values, S.value_range, subsets, candidate_ceiling)
     hyps = tuple(hypothesis_from_params(spec, row, S.n, S.k) for row in rows)
-    return SplitSampleSpace(S, size, hyps, mode, len(subsets))
+    return SplitSampleSpace(S, size, hyps, mode, total if mode == "exact" else trials)
 
 
 @lru_cache(maxsize=4)      # one array is C(m, size) x size indices: 62 MB at m = 22
@@ -91,31 +91,27 @@ def _combo_indices(m: int, size: int) -> np.ndarray:
     return combos
 
 
-def _single_reserve_exact(S: SampleSet, size: int) -> tuple[Hypothesis, ...]:
-    """Vectorized exact enumeration for the posted-price class.
+@lru_cache(maxsize=4)
+def _posted_subsets(m: int, size: int) -> np.ndarray:
+    """Subsets, as positions in ascending value order, whose posted-price
+    ERM outputs are those of all C(m, size): the b smallest values, then the
+    size - b from position i on, for every 0 <= b <= min(i, size - 1).
 
-    Subsets are taken as index combinations into the ascending-sorted value
-    vector, so each subset row is already sorted.  Posting a subset's j-th
-    smallest value earns what posting that pool value at rank j earns: j
-    no-sales, then the price on the (size - j) values from it up (of equal
-    values only the first rank sells to them all, and the later ranks never
-    score more).  One (pool x rank) table of ``_posted_means`` scores every
-    subset by a gather, and the last argmax over ranks, carried with
-    ``>=``, is the largest of the tied prices, as in ``erm``.
+    If price u wins a subset A holding b values below u, it wins the subset
+    D of (i = u's first position, b): u has b no-sales in both, and each
+    rival in D is matched in A by one at least as large with no more
+    no-sales: the one with f values below it in D's prefix by A's (f+1)-th
+    value below u, the j-th above u in D's window (c copies of u, A has c_A)
+    by A's (j + c - c_A)-th above u.  ``_posted_means`` is nondecreasing in
+    the price and nonincreasing in no-sales (rounding is monotone), and ties
+    go to the larger price, so u beats them all.  Each D is a half-size
+    subset, so its winner, scored by the same sorted mean, is in the space.
     """
-    pool = np.sort(S.values[:, 0, 0])
-    combos = _combo_indices(S.m, size)
-    ranks = np.arange(size)
-    table = _posted_means(np.repeat(pool, size), np.tile(ranks, S.m), size).reshape(S.m, size)
-    best_rev = np.full(len(combos), -np.inf)
-    winner = np.zeros(len(combos), dtype=np.intp)
-    for j in ranks:
-        col = combos[:, j]
-        rev = table[col, j]
-        better = rev >= best_rev
-        best_rev = np.maximum(rev, best_rev)
-        winner[better] = col[better]
-    return tuple(SingleReserve(float(r)) for r in np.unique(pool[winner]))
+    subsets = np.array([[*range(b), *range(i, i + size - b)]
+                        for i in range(m) for b in range(min(i, size - 1) + 1)
+                        if i + size - b <= m], dtype=np.intp)
+    subsets.setflags(write=False)
+    return subsets
 
 
 # ---------------------------------------------------------------------------

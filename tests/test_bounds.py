@@ -131,6 +131,8 @@ def test_sample_complexity_scaling_factor():
 def test_sample_complexity_validation():
     with pytest.raises(ValueError):
         sample_complexity_estimate(SINGLE, 0.0)
+    with pytest.raises(ValueError):
+        sample_complexity_estimate(SINGLE, float("nan"))
 
 
 def uniform_sample(m, seed, n=1):

@@ -135,6 +135,9 @@ def test_invalid_input_exits_nonzero(capsys):
     assert "error:" in err
 
 
+UNIT_SAMPLE_FILE = '{"n": 1, "k": 1, "alpha": 0.0, "beta": 1.0}\n[[0.5]]\n[[0.2]]\n'
+
+
 @pytest.mark.parametrize("argv", [
     ["erm", "--class", "single-reserve", "--values", "abc"],
     ["erm", "--class", "single-reserve", "--values", "0.5", "--range", "x"],
@@ -157,22 +160,40 @@ def test_invalid_input_exits_nonzero(capsys):
     ["bound", "--class", "single-reserve", "--m", "5", "--range", "1,0"],
     ["erm", "--class", "single-reserve", "--values", "0.5", "--range", "0,nan"],
     ["split-sample", "--class", "single-reserve", "--values", "0.5,0.2", "--ceiling", "0"],
+    ["erm", "--class", "single-reserve", "--in", "{samples}", "--range", "5,9"],
+    ["curve", "--class", "single-reserve", "--dist", "uniform:0,1", "--m-grid", "5",
+     "--replicates", "3", "--eps", "nan"],
 ], ids=["values", "range", "delta", "m", "bound-shape", "config", "trials", "draws", "m-grid",
-        "eps", "config-value", "config-grid-step", "bound-range", "range-nan", "split-ceiling"])
+        "eps", "config-value", "config-grid-step", "bound-range", "range-nan", "split-ceiling",
+        "range-file", "eps-nan"])
 def test_input_errors_are_one_line_messages(argv, tmp_path):
-    configs = {"{config}": {"replicates": "many"}, "{grid-config}": {"optimum_grid_step": 0}}
+    files = {"{config}": json.dumps({"replicates": "many"}),
+             "{grid-config}": json.dumps({"optimum_grid_step": 0}),
+             "{samples}": UNIT_SAMPLE_FILE}
 
-    def config(placeholder):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(configs[placeholder]))
+    def write(placeholder):
+        path = tmp_path / "input"
+        path.write_text(files[placeholder])
         return str(path)
 
-    argv = [config(a) if a in configs else a for a in argv]
+    argv = [write(a) if a in files else a for a in argv]
     proc = run_cli_process(argv)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_sample_file_range_is_checked_only_when_declared(capsys, tmp_path):
+    path = tmp_path / "sample.jsonl"
+    path.write_text(UNIT_SAMPLE_FILE)
+    for declared in ([], ["--range", "0,1"]):
+        code, out, _ = run_cli(capsys, "erm", "--class", "single-reserve",
+                               "--in", str(path), *declared)
+        assert code == 0 and "0.5" in out
+    code, _, err = run_cli(capsys, "rademacher", "--class", "single-reserve",
+                           "--in", str(path), "--range", "0,2")
+    assert code == 1 and "declared range" in err
 
 
 def test_missing_sample_exits_nonzero(capsys):

@@ -97,7 +97,7 @@ def split_dims(spec):
     """(max n, max k, max m): the bulk scorer scores every candidate of the
     full sample, so best-of and two-level t-level stay small to stay fast."""
     if spec.tag == "single-reserve":
-        return 1, 1, 8
+        return 1, 1, 12
     k = 1 if spec.tag in ("anonymous-second-price", "player-reserves", "t-level") else 2
     if spec.tag == "best-of":
         return 2, k, 6
