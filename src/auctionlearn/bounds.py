@@ -14,12 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .erm import ClassSpec, erm
-from .errors import AuctionLearnError
+from .errors import AuctionLearnError, DimensionMismatch
 from .mechanisms import (TAG_ASP, TAG_PLAYER, TAG_SINGLE, _check_dims, revenue_matrix,
                          true_revenue)
 from .model import (DEFAULT_RANGE, DistributionSpec, SampleSet, Seed, check_value_range,
                     sample_values)
-from .splitsample import DEFAULT_SUBSET_CEILING, split_sample_space, theoretical_growth_bound
+from .splitsample import (DEFAULT_SUBSET_CEILING, SplitSampleSpace, split_sample_space,
+                          theoretical_growth_bound)
 
 
 def massart_bound(cardinality: int, m: int,
@@ -160,29 +161,31 @@ class RademacherEstimate:
 
 def rademacher_estimate(S: SampleSet, hypotheses, draws: int,
                         seed: Seed) -> RademacherEstimate:
-    """Monte Carlo estimate of E_sigma[ sup_h (2/m) sum_t sigma_t r(h, z_t) ].
-
-    Duplicate hypotheses cannot change the supremum, so the estimate is
-    invariant to repeating entries of the list.
+    """Monte Carlo estimate of E_sigma[ sup_h (2/m) sum_t sigma_t r(h, z_t) ]
+    over a split-sample space, whose parameter rows are scored directly, or
+    over hypotheses of one class; repeating a hypothesis cannot change it.
     """
-    hyps = list(hypotheses)
-    if not hyps:
-        raise AuctionLearnError("need at least one hypothesis")
+    if isinstance(hypotheses, SplitSampleSpace):
+        dims = (hypotheses.base.n, hypotheses.base.k)
+        if dims != (S.n, S.k):
+            raise DimensionMismatch(f"a space on (n, k) = {dims} does not fit a sample "
+                                    f"on {(S.n, S.k)}")
+        specs, rows = {hypotheses.spec}, hypotheses.rows
+    else:
+        hyps = list(hypotheses)
+        specs = {_check_dims(h, S.n, S.k) for h in hyps}
+        rows = [h.param_vector() for h in hyps]
+    if len(specs) != 1:
+        raise AuctionLearnError(f"need hypotheses of one class, got {len(specs)} classes")
     if draws < 2:
         raise AuctionLearnError("need at least 2 sign draws")
-    by_class: dict[ClassSpec, list[int]] = {}
-    for i, h in enumerate(hyps):
-        by_class.setdefault(_check_dims(h, S.n, S.k), []).append(i)
-    R = np.empty((len(hyps), S.m))
-    for spec, rows in by_class.items():   # one kernel call per class in the list
-        R[rows] = revenue_matrix(spec, [hyps[i].param_vector() for i in rows],
-                                 S.values, S.value_range[0])
+    R = revenue_matrix(specs.pop(), rows, S.values, S.value_range[0])
     rng = seed.rng()
     signs = rng.integers(0, 2, size=(draws, S.m)).astype(float) * 2.0 - 1.0
     sups = (R @ signs.T).max(axis=0) * (2.0 / S.m)
     return RademacherEstimate(float(sups.mean()),
                               float(sups.std(ddof=1) / math.sqrt(draws)),
-                              draws, len(hyps))
+                              draws, len(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +251,7 @@ def generalization_chain_check(spec: ClassSpec, dist: DistributionSpec, m: int,
         gaps[j] = optimum - rd
         pooled = S.concat(S_twin)
         space = split_sample_space(spec, pooled, "exact", subset_ceiling=subset_ceiling)
-        est = rademacher_estimate(S, space.hypotheses, sigma_draws,
-                                  seed.child("chain-sigma", j))
+        est = rademacher_estimate(S, space, sigma_draws, seed.child("chain-sigma", j))
         rads[j] = est.estimate
         massarts[j] = massart_bound(len(space), m, dist.value_range)
 

@@ -82,6 +82,9 @@ class Options:
                     self.config = json.load(fh)
             except (OSError, ValueError) as exc:
                 raise AuctionLearnError(f"cannot read config {path!r}: {exc}") from exc
+            if not isinstance(self.config, dict):
+                raise AuctionLearnError(f"config {path!r} must hold a JSON object, "
+                                        f"got {type(self.config).__name__}")
 
     def get(self, name: str, default=None):
         flag = getattr(self.args, name, None)
@@ -242,8 +245,7 @@ def cmd_rademacher(args) -> int:
     space = split_mod.split_sample_space(
         spec, S, "exact",
         subset_ceiling=opt.number(int, "subset_ceiling", split_mod.DEFAULT_SUBSET_CEILING))
-    est = bounds_mod.rademacher_estimate(S, space.hypotheses,
-                                         opt.number(int, "draws", 10000), opt.seed())
+    est = bounds_mod.rademacher_estimate(S, space, opt.number(int, "draws", 10000), opt.seed())
     print(f"rademacher estimate: {_fmt(est.estimate)} +/- {_fmt(est.std_error)} "
           f"({est.set_size} hypotheses, {est.draws} sign draws)")
     massart = bounds_mod.massart_bound(est.set_size, S.m, S.value_range)

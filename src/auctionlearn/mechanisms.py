@@ -386,19 +386,20 @@ def check_class_dims(spec: ClassSpec, n: int, k: int) -> None:
         raise DimensionMismatch(f"{spec.tag} requires k = 1")
 
 
-def _param_shape(spec: ClassSpec, n: int, k: int) -> tuple[int, ...]:
-    """Bidder-major shape of one parameter vector; best-of has one per branch."""
+def _layout(spec: ClassSpec, n: int, k: int) -> tuple[str, tuple[int, ...]]:
+    """The hypothesis field that holds the class's parameters, and its
+    bidder-major shape; best-of has one layout per branch."""
     if spec.tag == TAG_TLEVEL:
-        return (n, spec.levels)
+        return "thresholds", (n, spec.levels)
     if spec.tag == TAG_ITEM:
-        return (n, k) if spec.per_player else (k,)
-    return (n,) if spec.per_bidder else (1,)
+        return ("price_matrix", (n, k)) if spec.per_player else ("prices", (k,))
+    return ("prices", (n,)) if spec.per_bidder else ("price", ())
 
 
 def _param_width(spec: ClassSpec, n: int, k: int) -> int:
     if spec.tag == TAG_BEST:
         return sum(_param_width(b, n, k) for b in spec.branches())
-    return math.prod(_param_shape(spec, n, k))
+    return math.prod(_layout(spec, n, k)[1])
 
 
 def _check_dims(h: Hypothesis, n: int, k: int) -> ClassSpec:
@@ -410,15 +411,11 @@ def _check_dims(h: Hypothesis, n: int, k: int) -> ClassSpec:
         _check_dims(h.items, n, k)
         return spec
     check_class_dims(spec, n, k)
-    if isinstance(h, TLevel):
-        shape = (len(h.thresholds), h.levels)
-    elif isinstance(h, ItemPrices) and h.per_player:
-        shape = (len(h.price_matrix), len(h.price_matrix[0]))
-    else:
-        shape = (len(h.param_vector()),)
-    if shape != _param_shape(spec, n, k):
+    field, shape = _layout(spec, n, k)
+    got = np.shape(getattr(h, field))    # the types keep their nested tuples rectangular
+    if got != shape:
         raise DimensionMismatch(
-            f"{spec.describe()} parameters of shape {shape} do not fit n = {n}, k = {k}")
+            f"{spec.describe()} parameters of shape {got} do not fit n = {n}, k = {k}")
     return spec
 
 
@@ -538,27 +535,14 @@ def profile_revenues(h: Hypothesis, values: np.ndarray, alpha: float = 0.0) -> n
 def hypothesis_from_params(spec: ClassSpec, params, n: int, k: int) -> Hypothesis:
     """The hypothesis of the class on n bidders and k items whose
     ``param_vector()`` is ``params``."""
-    row = tuple(float(x) for x in params)
-    tag = spec.tag
-    if tag == TAG_SINGLE:
-        return SingleReserve(row[0])
-    if tag == TAG_ASP:
-        return AnonymousSecondPriceReserve(row[0])
-    if tag == TAG_PLAYER:
-        return PlayerReserves(row)
-    if tag == TAG_TLEVEL:
-        s = spec.levels
-        return TLevel(tuple(row[i * s:(i + 1) * s] for i in range(n)))
-    if tag == TAG_BUNDLE:
-        return BundlePrice(prices=row) if spec.per_player else BundlePrice(price=row[0])
-    if tag == TAG_ITEM:
-        if spec.per_player:
-            return ItemPrices(price_matrix=tuple(row[i * k:(i + 1) * k] for i in range(n)))
-        return ItemPrices(prices=row)
-    bundle, items = spec.branches()
-    split = _param_width(bundle, n, k)
-    return BestOf(hypothesis_from_params(bundle, row[:split], n, k),
-                  hypothesis_from_params(items, row[split:], n, k))
+    row = np.asarray(params, dtype=float)
+    if spec.tag == TAG_BEST:
+        bundle, items = spec.branches()
+        split = _param_width(bundle, n, k)
+        return BestOf(hypothesis_from_params(bundle, row[:split], n, k),
+                      hypothesis_from_params(items, row[split:], n, k))
+    field, shape = _layout(spec, n, k)
+    return _TYPES[spec.tag](**{field: row.reshape(shape).tolist()})
 
 
 _TYPES = {cls.tag: cls for cls in Hypothesis.__args__}

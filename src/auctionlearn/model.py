@@ -8,6 +8,7 @@ draw independent streams in any order.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -178,14 +179,29 @@ class Discrete:
 Marginal = Uniform | TruncatedExponential | Discrete
 
 
+@contextlib.contextmanager
+def _malformed(what: str):
+    """Raise a missing key, a wrong type or a non-number in a distribution
+    record as InvalidDistribution."""
+    try:
+        yield
+    except AuctionLearnError:
+        raise
+    except KeyError as exc:
+        raise InvalidDistribution(f"{what} needs the key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InvalidDistribution(f"malformed {what}: {exc}") from exc
+
+
 def marginal_from_dict(d: dict) -> Marginal:
-    kind = d.get("type")
-    if kind == "uniform":
-        return Uniform(float(d["low"]), float(d["high"]))
-    if kind == "trunc-exp":
-        return TruncatedExponential(float(d["rate"]), float(d["cap"]))
-    if kind == "discrete":
-        return Discrete(tuple(d["points"]), tuple(d["probs"]))
+    with _malformed("marginal"):
+        kind = d.get("type")
+        if kind == "uniform":
+            return Uniform(float(d["low"]), float(d["high"]))
+        if kind == "trunc-exp":
+            return TruncatedExponential(float(d["rate"]), float(d["cap"]))
+        if kind == "discrete":
+            return Discrete(tuple(d["points"]), tuple(d["probs"]))
     raise InvalidDistribution(f"unknown marginal type {kind!r}")
 
 
@@ -237,8 +253,9 @@ class DistributionSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DistributionSpec":
-        rng = (float(d.get("alpha", 0.0)), float(d.get("beta", 1.0)))
-        rows = tuple(tuple(marginal_from_dict(m) for m in row) for row in d["marginals"])
+        with _malformed("distribution"):
+            rng = (float(d.get("alpha", 0.0)), float(d.get("beta", 1.0)))
+            rows = tuple(tuple(marginal_from_dict(m) for m in row) for row in d["marginals"])
         return cls(rows, rng)
 
 
@@ -358,7 +375,7 @@ def load_samples(path: str, n: int | None = None, k: int | None = None,
         header = json.loads(lines[0])
         file_n, file_k = int(header["n"]), int(header["k"])
         rng = (float(header["alpha"]), float(header["beta"]))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SampleFileError(f"malformed header in {path}: {exc}") from exc
     if n is not None and n != file_n:
         raise DimensionMismatch(f"declared n={n} but file header has n={file_n}")
@@ -371,10 +388,9 @@ def load_samples(path: str, n: int | None = None, k: int | None = None,
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+            arr = np.asarray(json.loads(line), dtype=float)
+        except (TypeError, ValueError) as exc:
             raise SampleFileError(f"malformed record at {path}:{lineno}: {exc}") from exc
-        arr = np.asarray(rec, dtype=float)
         if arr.shape != (file_n, file_k):
             raise DimensionMismatch(
                 f"record at {path}:{lineno} has shape {arr.shape}, expected {(file_n, file_k)}"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -28,16 +28,23 @@ DEFAULT_SUBSET_CEILING = 10**6
 
 @dataclass(frozen=True)
 class SplitSampleSpace:
-    """Distinct ERM outputs over examined half-size subsets of one sample."""
+    """Distinct ERM outputs over examined half-size subsets of one sample, as
+    the class's parameter rows; ``hypotheses`` builds them on first access."""
 
     base: SampleSet
+    spec: ClassSpec
     subset_size: int
-    hypotheses: tuple[Hypothesis, ...]   # deduplicated, canonically sorted
-    mode: str                            # "exact" | "monte-carlo"
-    subsets_examined: int                # subsets whose ERM outputs the space covers
+    rows: np.ndarray         # (C, P) distinct ERM parameter rows, ascending, read-only
+    mode: str                # "exact" | "monte-carlo"
+    subsets_examined: int    # subsets whose ERM outputs the space covers
 
     def __len__(self) -> int:
-        return len(self.hypotheses)
+        return len(self.rows)
+
+    @cached_property
+    def hypotheses(self) -> tuple[Hypothesis, ...]:
+        return tuple(hypothesis_from_params(self.spec, row, self.base.n, self.base.k)
+                     for row in self.rows)
 
 
 def split_sample_space(spec: ClassSpec, S: SampleSet, mode: str = "exact",
@@ -78,8 +85,8 @@ def split_sample_space(spec: ClassSpec, S: SampleSet, mode: str = "exact",
         raise AuctionLearnError(f"unknown mode {mode!r}")
 
     rows = subset_winners(spec, S.values, S.value_range, subsets, candidate_ceiling)
-    hyps = tuple(hypothesis_from_params(spec, row, S.n, S.k) for row in rows)
-    return SplitSampleSpace(S, size, hyps, mode, total if mode == "exact" else trials)
+    rows.setflags(write=False)
+    return SplitSampleSpace(S, spec, size, rows, mode, total if mode == "exact" else trials)
 
 
 @lru_cache(maxsize=4)      # one array is C(m, size) x size indices: 62 MB at m = 22
@@ -95,7 +102,8 @@ def _combo_indices(m: int, size: int) -> np.ndarray:
 def _posted_subsets(m: int, size: int) -> np.ndarray:
     """Subsets, as positions in ascending value order, whose posted-price
     ERM outputs are those of all C(m, size): the b smallest values, then the
-    size - b from position i on, for every 0 <= b <= min(i, size - 1).
+    size - b from position i on, for every 0 <= b <= min(i, size - 1) (b = i
+    repeats the first subset, so only i = 0 keeps it).
 
     If price u wins a subset A holding b values below u, it wins the subset
     D of (i = u's first position, b): u has b no-sales in both, and each
@@ -109,7 +117,7 @@ def _posted_subsets(m: int, size: int) -> np.ndarray:
     """
     subsets = np.array([[*range(b), *range(i, i + size - b)]
                         for i in range(m) for b in range(min(i, size - 1) + 1)
-                        if i + size - b <= m], dtype=np.intp)
+                        if i + size - b <= m and (b < i or i == 0)], dtype=np.intp)
     subsets.setflags(write=False)
     return subsets
 

@@ -163,13 +163,32 @@ UNIT_SAMPLE_FILE = '{"n": 1, "k": 1, "alpha": 0.0, "beta": 1.0}\n[[0.5]]\n[[0.2]
     ["erm", "--class", "single-reserve", "--in", "{samples}", "--range", "5,9"],
     ["curve", "--class", "single-reserve", "--dist", "uniform:0,1", "--m-grid", "5",
      "--replicates", "3", "--eps", "nan"],
+    ["growth", "--class", "single-reserve", "--m", "4", "--draws", "2",
+     "--config", "{dist-no-marginals}"],
+    ["growth", "--class", "single-reserve", "--m", "4", "--draws", "2",
+     "--config", "{dist-no-high}"],
+    ["growth", "--class", "single-reserve", "--m", "4", "--draws", "2",
+     "--config", "{dist-low-text}"],
+    ["growth", "--class", "single-reserve", "--dist", "uniform:0,1", "--m", "4",
+     "--draws", "2", "--config", "{config-list}"],
+    ["erm", "--class", "single-reserve", "--in", "{header-n-text}"],
+    ["erm", "--class", "single-reserve", "--in", "{record-text}"],
 ], ids=["values", "range", "delta", "m", "bound-shape", "config", "trials", "draws", "m-grid",
         "eps", "config-value", "config-grid-step", "bound-range", "range-nan", "split-ceiling",
-        "range-file", "eps-nan"])
+        "range-file", "eps-nan", "dist-no-marginals", "dist-no-high", "dist-low-text",
+        "config-list", "header-n-text", "record-text"])
 def test_input_errors_are_one_line_messages(argv, tmp_path):
+    uniform = {"type": "uniform", "low": 0}
     files = {"{config}": json.dumps({"replicates": "many"}),
              "{grid-config}": json.dumps({"optimum_grid_step": 0}),
-             "{samples}": UNIT_SAMPLE_FILE}
+             "{samples}": UNIT_SAMPLE_FILE,
+             "{dist-no-marginals}": json.dumps({"dist": {"alpha": 0}}),
+             "{dist-no-high}": json.dumps({"dist": {"marginals": [[uniform]]}}),
+             "{dist-low-text}": json.dumps(
+                 {"dist": {"marginals": [[{**uniform, "low": "x", "high": 1}]]}}),
+             "{config-list}": json.dumps([1, 2]),
+             "{header-n-text}": UNIT_SAMPLE_FILE.replace('"n": 1', '"n": "x"'),
+             "{record-text}": UNIT_SAMPLE_FILE.replace("[[0.2]]", '[["a"]]')}
 
     def write(placeholder):
         path = tmp_path / "input"

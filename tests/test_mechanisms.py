@@ -124,6 +124,13 @@ def test_dimension_mismatches():
         run_mechanism(PlayerReserves((0.5,)), profile([[0.5], [0.6]]))
     with pytest.raises(DimensionMismatch):
         run_mechanism(ItemPrices(prices=(0.5,)), profile([[0.5, 0.6]]))
+    # the right number of parameters in the wrong shape
+    square = profile([[0.5, 0.6], [0.7, 0.8]])
+    with pytest.raises(DimensionMismatch):
+        run_mechanism(ItemPrices(price_matrix=((0.1, 0.2, 0.3, 0.4),)), square)
+    with pytest.raises(DimensionMismatch):
+        run_mechanism(BestOf(BundlePrice(prices=(0.1, 0.2, 0.3, 0.4)),
+                             ItemPrices(price_matrix=((0.1,), (0.2,)))), square)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from auctionlearn import (CeilingExceeded, ClassSpec, DimensionMismatch, Discrete,
-                          DistributionSpec, SampleSet, Seed, SingleReserve,
-                          Uniform, erm, growth_rate_estimate,
-                          split_sample_space, theoretical_growth_bound)
+from auctionlearn import (AnonymousSecondPriceReserve, AuctionLearnError, CeilingExceeded,
+                          ClassSpec, DimensionMismatch, Discrete, DistributionSpec,
+                          PlayerReserves, SampleSet, Seed, SingleReserve, Uniform, erm,
+                          growth_rate_estimate, rademacher_estimate, split_sample_space,
+                          theoretical_growth_bound)
+from auctionlearn.splitsample import _posted_subsets
 
 SINGLE = ClassSpec("single-reserve")
 
@@ -134,6 +136,41 @@ def test_split_sample_space_matches_per_subset_erm(spec, data):
     assert space.subsets_examined == math.comb(m, math.ceil(m / 2))
     assert set(space.hypotheses) == per_subset_space(spec, values, value_range)
     assert list(space.hypotheses) == sorted(space.hypotheses, key=lambda h: h.param_vector())
+
+
+def test_posted_subsets_are_distinct():
+    for m in range(1, 21):
+        subsets = _posted_subsets(m, math.ceil(m / 2))
+        assert len(np.unique(subsets, axis=0)) == len(subsets)
+
+
+@pytest.mark.parametrize("spec", SPLIT_SPECS, ids=SPLIT_IDS)
+def test_rademacher_scores_space_rows_as_its_hypotheses(spec):
+    n, k, max_m = split_dims(spec)
+    gen = np.random.default_rng(31)
+    half = max_m // 2
+    S, twin = (SampleSet(gen.integers(0, 11, (half, n, k)) / 10) for _ in range(2))
+    space = split_sample_space(spec, S.concat(twin), "exact")
+    by_rows = rademacher_estimate(S, space, draws=500, seed=Seed(9))
+    by_hyps = rademacher_estimate(S, space.hypotheses, draws=500, seed=Seed(9))
+    assert by_rows.estimate == by_hyps.estimate and by_rows.std_error == by_hyps.std_error
+    assert by_rows.set_size == by_hyps.set_size == len(space)
+
+
+def test_rademacher_refuses_mixed_classes_and_foreign_spaces():
+    S = SampleSet(np.random.default_rng(32).random((6, 2, 1)))
+    with pytest.raises(AuctionLearnError):
+        rademacher_estimate(S, [AnonymousSecondPriceReserve(0.5), PlayerReserves((0.4, 0.6))],
+                            draws=100, seed=Seed(1))
+    # same row widths, other (n, k): only the space's base can tell them apart
+    one_bidder = SampleSet(np.random.default_rng(33).random((6, 1, 1)))
+    asp = split_sample_space(ClassSpec("anonymous-second-price"), S, "exact")
+    with pytest.raises(DimensionMismatch):
+        rademacher_estimate(one_bidder, asp, draws=100, seed=Seed(1))
+    items = split_sample_space(ClassSpec("item-prices", per_player=True), S, "exact")
+    two_items = SampleSet(np.random.default_rng(34).random((6, 1, 2)))
+    with pytest.raises(DimensionMismatch):
+        rademacher_estimate(two_items, items, draws=100, seed=Seed(1))
 
 
 @pytest.mark.parametrize("spec", SPLIT_SPECS, ids=SPLIT_IDS)
