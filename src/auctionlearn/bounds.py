@@ -1,5 +1,7 @@
-"""Generalization-bound algebra and Monte Carlo Rademacher estimation.
+"""Generalization-bound algebra and Rademacher averages of split-sample spaces.
 
+A Rademacher average is exact, over every sign vector, when 2^m <= draws,
+and a Monte Carlo estimate over `draws` random sign vectors otherwise.
 Expected-gap bounds take the form (beta - alpha) * sqrt(2 * log(tau(2m)) / m)
 with tau the per-class split-sample count bound and log the natural
 logarithm; dividing by delta gives the Markov high-probability variant.
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,22 +151,27 @@ def sample_complexity_estimate(spec: ClassSpec, epsilon: float, n: int = 1, k: i
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo Rademacher complexity
+# Rademacher complexity, exact or Monte Carlo
 
 
 @dataclass(frozen=True)
 class RademacherEstimate:
     estimate: float
-    std_error: float
-    draws: int
+    std_error: float         # 0.0 when exact
+    draws: int               # sign vectors averaged: 2^m when exact
     set_size: int
+    method: str              # "exact" | "monte-carlo"
 
 
 def rademacher_estimate(S: SampleSet, hypotheses, draws: int,
                         seed: Seed) -> RademacherEstimate:
-    """Monte Carlo estimate of E_sigma[ sup_h (2/m) sum_t sigma_t r(h, z_t) ]
-    over a split-sample space, whose parameter rows are scored directly, or
-    over hypotheses of one class; repeating a hypothesis cannot change it.
+    """E_sigma[ sup_h (2/m) sum_t sigma_t r(h, z_t) ] over a split-sample
+    space, whose parameter rows are scored directly, or over hypotheses of
+    one class; repeating a hypothesis cannot change it.
+
+    When 2^m <= draws the average over all 2^m sign vectors is exact, with
+    no standard error, and `seed` is unused; otherwise it is estimated from
+    `draws` random sign vectors.
     """
     if isinstance(hypotheses, SplitSampleSpace):
         dims = (hypotheses.base.n, hypotheses.base.k)
@@ -180,12 +188,28 @@ def rademacher_estimate(S: SampleSet, hypotheses, draws: int,
     if draws < 2:
         raise AuctionLearnError("need at least 2 sign draws")
     R = revenue_matrix(specs.pop(), rows, S.values, S.value_range[0])
+    if 2**S.m <= draws:
+        # sup over sigma plus sup over -sigma is (2/m)(max - min) of R @ sigma
+        X = R @ _half_signs(S.m).T
+        return RademacherEstimate(float(np.mean((X.max(axis=0) - X.min(axis=0)) / S.m)),
+                                  0.0, 2**S.m, len(rows), "exact")
     rng = seed.rng()
     signs = rng.integers(0, 2, size=(draws, S.m)).astype(float) * 2.0 - 1.0
     sups = (R @ signs.T).max(axis=0) * (2.0 / S.m)
     return RademacherEstimate(float(sups.mean()),
                               float(sups.std(ddof=1) / math.sqrt(draws)),
-                              draws, len(rows))
+                              draws, len(rows), "monte-carlo")
+
+
+@lru_cache(maxsize=4)      # 2^(m-1) x m floats: 1 MB at m = 14
+def _half_signs(m: int) -> np.ndarray:
+    """The 2^(m-1) sign vectors with sigma_1 = +1, one per row; negating
+    them gives the other half."""
+    bits = (np.arange(2 ** (m - 1))[:, None] >> np.arange(m - 1)) & 1
+    signs = np.ones((len(bits), m))
+    signs[:, 1:] = 1.0 - 2.0 * bits
+    signs.setflags(write=False)
+    return signs
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +246,11 @@ def generalization_chain_check(spec: ClassSpec, dist: DistributionSpec, m: int,
     """Estimate the two sides of the generalization chain by simulation.
 
     Per replicate: draw S and an independent twin S' of size m, measure the
-    gap optimum - R_D(h_S), and estimate the Rademacher complexity of S
-    against the split-sample space enumerated on the pooled 2m sample.  The
-    report compares gap <= rademacher <= closed-form bound, each link slack
-    by three combined standard errors.
+    gap optimum - R_D(h_S), and take the Rademacher complexity of S against
+    the split-sample space enumerated on the pooled 2m sample (exact when
+    2^m <= sigma_draws, else a Monte Carlo estimate from sigma_draws sign
+    vectors).  The report compares gap <= rademacher <= closed-form bound,
+    each link slack by three combined standard errors across replicates.
 
     When no optimum is supplied it is resolved analytically where possible,
     otherwise through the dense-grid common-draws estimator (whose Monte

@@ -246,8 +246,10 @@ def cmd_rademacher(args) -> int:
         spec, S, "exact",
         subset_ceiling=opt.number(int, "subset_ceiling", split_mod.DEFAULT_SUBSET_CEILING))
     est = bounds_mod.rademacher_estimate(S, space, opt.number(int, "draws", 10000), opt.seed())
+    path = (f"exact over {est.draws} sign vectors" if est.method == "exact"
+            else f"monte-carlo over {est.draws} sign draws")
     print(f"rademacher estimate: {_fmt(est.estimate)} +/- {_fmt(est.std_error)} "
-          f"({est.set_size} hypotheses, {est.draws} sign draws)")
+          f"({path}, {est.set_size} hypotheses)")
     massart = bounds_mod.massart_bound(est.set_size, S.m, S.value_range)
     print(f"finite-class bound: {_fmt(massart)}")
     return 0
@@ -406,10 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = subs.add_parser("rademacher",
-                        help="Monte Carlo Rademacher estimate on the sample's "
-                             "split-sample space")
+                        help="Rademacher average on the sample's split-sample space: "
+                             "exact when 2^m <= draws, else Monte Carlo")
     _add_common(p, klass=True, sample=True)
-    p.add_argument("--draws", type=int, help="sign draws (default 10000)")
+    p.add_argument("--draws", type=int, help="sign draws (default 10000): exact when "
+                                             "2^m <= draws, else Monte Carlo")
     p.add_argument("--subset-ceiling", dest="subset_ceiling", type=int,
                    help="exact-mode subset ceiling")
     p.set_defaults(func=cmd_rademacher)

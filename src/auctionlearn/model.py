@@ -9,6 +9,7 @@ draw independent streams in any order.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -263,6 +264,16 @@ class DistributionSpec:
 # profiles and sample sets
 
 
+def _fields_equal(a, b) -> bool:
+    """Field-wise == for dataclasses with array fields, compared by
+    np.array_equal, where the generated == would raise."""
+    if type(a) is not type(b):
+        return NotImplemented
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+               for x, y in pairs)
+
+
 @dataclass(frozen=True)
 class ValuationProfile:
     """One joint bid vector: values[bidder, item] within the declared range."""
@@ -284,6 +295,8 @@ class ValuationProfile:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+
+    __eq__ = _fields_equal
 
     @property
     def n(self) -> int:
@@ -315,6 +328,8 @@ class SampleSet:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
+    __eq__ = _fields_equal
+
     @property
     def m(self) -> int:
         return self.values.shape[0]
@@ -345,7 +360,7 @@ def sample_values(spec: DistributionSpec, m: int, seed: Seed) -> SampleSet:
         for j in range(spec.k):
             out[:, i, j] = spec.marginals[i][j].ppf(u[:, i, j])
     alpha, beta = spec.value_range
-    np.clip(out, alpha, beta, out=out)  # guard against ppf rounding at the edges
+    out.clip(alpha, beta, out=out)  # guard against ppf rounding at the edges
     return SampleSet(out, spec.value_range, provenance=f"sampled(seed={seed.master}, m={m})")
 
 
@@ -373,7 +388,9 @@ def load_samples(path: str, n: int | None = None, k: int | None = None,
         raise SampleFileError(f"empty sample file: {path}")
     try:
         header = json.loads(lines[0])
-        file_n, file_k = int(header["n"]), int(header["k"])
+        file_n, file_k = header["n"], header["k"]
+        if any(type(d) is not int or d < 1 for d in (file_n, file_k)):
+            raise ValueError(f"n and k must be integers >= 1, got {file_n!r} and {file_k!r}")
         rng = (float(header["alpha"]), float(header["beta"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SampleFileError(f"malformed header in {path}: {exc}") from exc

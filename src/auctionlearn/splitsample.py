@@ -21,7 +21,7 @@ from .erm import DEFAULT_CANDIDATE_CEILING, subset_winners
 from .errors import AuctionLearnError, CeilingExceeded
 from .mechanisms import (TAG_SINGLE, ClassSpec, Hypothesis, _param_width, check_class_dims,
                          hypothesis_from_params)
-from .model import DistributionSpec, SampleSet, Seed, sample_values
+from .model import DistributionSpec, SampleSet, Seed, _fields_equal, sample_values
 
 DEFAULT_SUBSET_CEILING = 10**6
 
@@ -37,6 +37,8 @@ class SplitSampleSpace:
     rows: np.ndarray         # (C, P) distinct ERM parameter rows, ascending, read-only
     mode: str                # "exact" | "monte-carlo"
     subsets_examined: int    # subsets whose ERM outputs the space covers
+
+    __eq__ = _fields_equal
 
     def __len__(self) -> int:
         return len(self.rows)

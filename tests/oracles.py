@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 import auctionlearn
-from auctionlearn import (AnonymousSecondPriceReserve, BestOf, BundlePrice,
+from auctionlearn import (AnonymousSecondPriceReserve, BestOf, BundlePrice, ClassSpec,
                           ItemPrices, PlayerReserves, SingleReserve, TLevel,
                           ValuationProfile, bidder_utility, profile_revenues)
 from auctionlearn.mechanisms import hypothesis_from_params
@@ -185,6 +185,32 @@ def draw_eighth_sample(gen: np.random.Generator, m: int, n: int, k: int) -> np.n
     totals also land exactly on the thousandths grid (tenths do not: e.g.
     0.1 + 0.7 != 0.8 in floats, which would shift a grid sale)."""
     return gen.integers(0, 9, size=(m, n, k)) / 8.0
+
+
+# ---------------------------------------------------------------------------
+# split-sample spaces: every class, at the dimensions its tests can afford
+
+
+SPLIT_SPECS = [ClassSpec("single-reserve"), ClassSpec("anonymous-second-price"),
+               ClassSpec("player-reserves"), ClassSpec("t-level", levels=1),
+               ClassSpec("t-level", levels=2),
+               ClassSpec("bundle-price"), ClassSpec("bundle-price", per_player=True),
+               ClassSpec("item-prices"), ClassSpec("item-prices", per_player=True),
+               ClassSpec("best-of"), ClassSpec("best-of", per_player=True)]
+SPLIT_IDS = [s.describe().replace(" ", "-") for s in SPLIT_SPECS]
+
+
+def split_dims(spec):
+    """(max n, max k, max m): the bulk scorer scores every candidate of the
+    full sample, so best-of and two-level t-level stay small to stay fast."""
+    if spec.tag == "single-reserve":
+        return 1, 1, 12
+    k = 1 if spec.tag in ("anonymous-second-price", "player-reserves", "t-level") else 2
+    if spec.tag == "best-of":
+        return 2, k, 6
+    if spec.tag == "t-level" and spec.levels == 2:
+        return 2, k, 8
+    return 3, k, 8
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Bound algebra, Rademacher estimation, and the generalization chain."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from auctionlearn import (AuctionLearnError, ClassSpec, Discrete, DistributionSpec, SampleSet,
-                          Seed, SingleReserve, Uniform, bound_formula,
+                          Seed, SingleReserve, Uniform, ValuationProfile, bound_formula,
                           generalization_chain_check, high_prob_bound,
-                          main_bound, massart_bound, rademacher_estimate,
+                          main_bound, massart_bound, rademacher_estimate, revenue,
                           sample_complexity_estimate, split_sample_space,
                           tlevel_epsilon)
+from oracles import SPLIT_IDS, SPLIT_SPECS, draw_eighth_sample, split_dims
 
 SINGLE = ClassSpec("single-reserve")
 ASP = ClassSpec("anonymous-second-price")
@@ -169,6 +172,102 @@ def test_rademacher_below_enumerated_massart():
         space = split_sample_space(SINGLE, S, "exact")
         est = rademacher_estimate(S, space.hypotheses, draws=4000, seed=Seed(seed))
         assert est.estimate <= massart_bound(len(space), S.m) + 3 * est.std_error
+
+
+def brute_force_rademacher(S, hypotheses):
+    """E_sigma sup_h (2/m) sum_t sigma_t r(h, z_t) over all 2^m sign vectors,
+    with revenues from the scalar mechanism."""
+    revs = [[revenue(h, ValuationProfile(v, S.value_range)) for v in S.values]
+            for h in hypotheses]
+    sups = [max((2.0 / S.m) * sum(s * r for s, r in zip(sigma, row)) for row in revs)
+            for sigma in itertools.product([-1, 1], repeat=S.m)]
+    return sum(sups) / 2**S.m
+
+
+def pooled_space(spec, n, m, gen, eighths=False):
+    """A sample S of size m, of U[0, 1] values or eighths, and the
+    split-sample space of S plus a twin."""
+    S, twin = (SampleSet(draw_eighth_sample(gen, m, n, 1) if eighths else gen.random((m, n, 1)))
+               for _ in range(2))
+    return S, split_sample_space(spec, S.concat(twin), "exact")
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+@pytest.mark.parametrize("spec, n", [(SINGLE, 1), (ASP, 2), (PLAYER, 2)])
+def test_exact_rademacher_equals_brute_force_on_dyadic_values(spec, n, m):
+    # eighths and the 2/m of m in {2, 4, 8} are binary-exact, so every sum is exact
+    S, space = pooled_space(spec, n, m, np.random.default_rng(40 + m), eighths=True)
+    est = rademacher_estimate(S, space, draws=2**m, seed=Seed(1))
+    assert est.method == "exact" and est.std_error == 0.0 and est.draws == 2**m
+    assert est.estimate == brute_force_rademacher(S, space.hypotheses)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 7, 10])
+@pytest.mark.parametrize("spec, n", [(SINGLE, 1), (ASP, 2)])
+def test_exact_rademacher_matches_brute_force_on_uniform_values(spec, n, m):
+    S, space = pooled_space(spec, n, m, np.random.default_rng(50 + m))
+    est = rademacher_estimate(S, space, draws=10_000, seed=Seed(1))
+    assert est.method == "exact"
+    assert math.isclose(est.estimate, brute_force_rademacher(S, space.hypotheses),
+                        rel_tol=1e-12)
+
+
+def test_monte_carlo_rademacher_is_within_4_se_of_exact():
+    for j, (spec, n) in enumerate([(SINGLE, 1), (ASP, 2), (PLAYER, 2)]):
+        S, space = pooled_space(spec, n, 10, np.random.default_rng(60 + j))
+        exact = rademacher_estimate(S, space, draws=2**10, seed=Seed(j))
+        mc = rademacher_estimate(S, space, draws=1000, seed=Seed(j))
+        assert (exact.method, mc.method) == ("exact", "monte-carlo")
+        assert abs(mc.estimate - exact.estimate) <= 4 * mc.std_error
+
+
+def test_rademacher_path_switches_at_two_to_the_m_draws():
+    S = uniform_sample(6, 3)
+    space = split_sample_space(SINGLE, S, "exact")
+    exact = rademacher_estimate(S, space, draws=64, seed=Seed(1))
+    mc = rademacher_estimate(S, space, draws=63, seed=Seed(1))
+    assert (exact.method, exact.draws, exact.std_error) == ("exact", 64, 0.0)
+    assert (mc.method, mc.draws) == ("monte-carlo", 63) and mc.std_error > 0
+
+
+def test_exact_rademacher_of_one_hypothesis_is_zero():
+    S = uniform_sample(8, 4)
+    est = rademacher_estimate(S, [SingleReserve(0.5)], draws=2**8, seed=Seed(1))
+    assert est.method == "exact"
+    assert est.estimate == 0.0 == massart_bound(1, S.m)
+
+
+@pytest.mark.parametrize("spec", SPLIT_SPECS, ids=SPLIT_IDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_exact_rademacher_is_within_massart(spec, data):
+    # Massart's lemma on revenues centred at 1/2: a theorem, so no slack
+    max_n, max_k, max_m = split_dims(spec)
+    n = data.draw(st.integers(1, max_n), label="n")
+    k = data.draw(st.integers(1, max_k), label="k")
+    pool = data.draw(st.integers(1, max_m), label="pool")
+    m = data.draw(st.integers(1, min(pool, 10)), label="m")
+    if data.draw(st.booleans(), label="tenths"):
+        unit = np.array(data.draw(st.lists(st.integers(0, 10), min_size=pool * n * k,
+                                           max_size=pool * n * k), label="tenths")) / 10
+    else:
+        unit = np.array(data.draw(st.lists(st.floats(0, 1), min_size=pool * n * k,
+                                           max_size=pool * n * k), label="unit"))
+    values = unit.reshape(pool, n, k)
+    space = split_sample_space(spec, SampleSet(values), "exact")
+    est = rademacher_estimate(SampleSet(values[:m]), space, draws=2**m, seed=Seed(1))
+    assert est.method == "exact"
+    assert est.estimate <= massart_bound(len(space), m)
+
+
+def test_monte_carlo_rademacher_bits_are_pinned():
+    # the sampled-sign path at m = 16 (2^16 > 1000 draws) keeps its bits
+    S = SampleSet(np.random.default_rng(16).random((16, 1, 1)))
+    space = split_sample_space(SINGLE, S, "exact")
+    est = rademacher_estimate(S, space.hypotheses, draws=1000, seed=Seed(16))
+    assert (est.method, est.draws, est.set_size) == ("monte-carlo", 1000, 10)
+    assert est.estimate == 0.1553840628532796
+    assert est.std_error == 0.005567868529590052
 
 
 def test_chain_check_uniform_small():

@@ -90,6 +90,16 @@ def test_rademacher_smoke(capsys):
     assert "rademacher estimate:" in out and "finite-class bound:" in out
 
 
+def test_rademacher_reports_which_path_ran(capsys):
+    sample = ("--values", "0.2,0.4,0.6,0.8", "--seed", "1")
+    code, out, _ = run_cli(capsys, "rademacher", "--class", "single-reserve", *sample,
+                           "--draws", "16")
+    assert code == 0 and "+/- 0 (exact over 16 sign vectors, 3 hypotheses)" in out
+    code, out, _ = run_cli(capsys, "rademacher", "--class", "single-reserve", *sample,
+                           "--draws", "15")
+    assert code == 0 and "(monte-carlo over 15 sign draws, 3 hypotheses)" in out
+
+
 def test_experiment_writes_deterministic_files(capsys, tmp_path):
     argv = ["experiment", "--class", "single-reserve", "--dist", "uniform:0,1",
             "--m-grid", "8,16", "--replicates", "30", "--delta", "0.25",
@@ -173,10 +183,12 @@ UNIT_SAMPLE_FILE = '{"n": 1, "k": 1, "alpha": 0.0, "beta": 1.0}\n[[0.5]]\n[[0.2]
      "--draws", "2", "--config", "{config-list}"],
     ["erm", "--class", "single-reserve", "--in", "{header-n-text}"],
     ["erm", "--class", "single-reserve", "--in", "{record-text}"],
+    ["erm", "--class", "single-reserve", "--in", "{header-n-float}"],
+    ["erm", "--class", "single-reserve", "--in", "{header-k-bool}"],
 ], ids=["values", "range", "delta", "m", "bound-shape", "config", "trials", "draws", "m-grid",
         "eps", "config-value", "config-grid-step", "bound-range", "range-nan", "split-ceiling",
         "range-file", "eps-nan", "dist-no-marginals", "dist-no-high", "dist-low-text",
-        "config-list", "header-n-text", "record-text"])
+        "config-list", "header-n-text", "record-text", "header-n-float", "header-k-bool"])
 def test_input_errors_are_one_line_messages(argv, tmp_path):
     uniform = {"type": "uniform", "low": 0}
     files = {"{config}": json.dumps({"replicates": "many"}),
@@ -188,7 +200,9 @@ def test_input_errors_are_one_line_messages(argv, tmp_path):
                  {"dist": {"marginals": [[{**uniform, "low": "x", "high": 1}]]}}),
              "{config-list}": json.dumps([1, 2]),
              "{header-n-text}": UNIT_SAMPLE_FILE.replace('"n": 1', '"n": "x"'),
-             "{record-text}": UNIT_SAMPLE_FILE.replace("[[0.2]]", '[["a"]]')}
+             "{record-text}": UNIT_SAMPLE_FILE.replace("[[0.2]]", '[["a"]]'),
+             "{header-n-float}": UNIT_SAMPLE_FILE.replace('"n": 1', '"n": 1.7'),
+             "{header-k-bool}": UNIT_SAMPLE_FILE.replace('"k": 1', '"k": true')}
 
     def write(placeholder):
         path = tmp_path / "input"

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from auctionlearn import (AnonymousSecondPriceReserve, AuctionLearnError, CeilingExceeded,
                           ClassSpec, DimensionMismatch, Discrete, DistributionSpec,
-                          PlayerReserves, SampleSet, Seed, SingleReserve, Uniform, erm,
-                          growth_rate_estimate, rademacher_estimate, split_sample_space,
-                          theoretical_growth_bound)
+                          PlayerReserves, SampleSet, Seed, SingleReserve, Uniform,
+                          ValuationProfile, erm, growth_rate_estimate, rademacher_estimate,
+                          split_sample_space, theoretical_growth_bound)
 from auctionlearn.splitsample import _posted_subsets
+from oracles import SPLIT_IDS, SPLIT_SPECS, split_dims
 
 SINGLE = ClassSpec("single-reserve")
 
@@ -87,27 +88,6 @@ def test_subset_ceiling():
         split_sample_space(SINGLE, S, "exact", subset_ceiling=100)
 
 
-SPLIT_SPECS = [SINGLE, ClassSpec("anonymous-second-price"), ClassSpec("player-reserves"),
-               ClassSpec("t-level", levels=1), ClassSpec("t-level", levels=2),
-               ClassSpec("bundle-price"), ClassSpec("bundle-price", per_player=True),
-               ClassSpec("item-prices"), ClassSpec("item-prices", per_player=True),
-               ClassSpec("best-of"), ClassSpec("best-of", per_player=True)]
-SPLIT_IDS = [s.describe().replace(" ", "-") for s in SPLIT_SPECS]
-
-
-def split_dims(spec):
-    """(max n, max k, max m): the bulk scorer scores every candidate of the
-    full sample, so best-of and two-level t-level stay small to stay fast."""
-    if spec.tag == "single-reserve":
-        return 1, 1, 12
-    k = 1 if spec.tag in ("anonymous-second-price", "player-reserves", "t-level") else 2
-    if spec.tag == "best-of":
-        return 2, k, 6
-    if spec.tag == "t-level" and spec.levels == 2:
-        return 2, k, 8
-    return 3, k, 8
-
-
 def per_subset_space(spec, values, value_range):
     """Brute force: one ERM per half-size subset of the sample."""
     size = math.ceil(len(values) / 2)
@@ -155,6 +135,20 @@ def test_rademacher_scores_space_rows_as_its_hypotheses(spec):
     by_hyps = rademacher_estimate(S, space.hypotheses, draws=500, seed=Seed(9))
     assert by_rows.estimate == by_hyps.estimate and by_rows.std_error == by_hyps.std_error
     assert by_rows.set_size == by_hyps.set_size == len(space)
+
+
+def test_samples_and_spaces_compare_field_wise():
+    values = np.random.default_rng(35).random((6, 2, 1))
+    S, same, other = SampleSet(values), SampleSet(values.copy()), SampleSet(values[::-1])
+    assert S == same and S != other
+    assert ValuationProfile(values[0]) == ValuationProfile(values[0].copy())
+    assert ValuationProfile(values[0]) != ValuationProfile(values[1])
+    asp = ClassSpec("anonymous-second-price")
+    space = split_sample_space(asp, S, "exact")
+    assert space == split_sample_space(asp, same, "exact")
+    assert space != split_sample_space(asp, other, "exact")
+    assert space != split_sample_space(ClassSpec("player-reserves"), S, "exact")
+    assert space != split_sample_space(asp, S, "monte-carlo", trials=20, seed=Seed(1))
 
 
 def test_rademacher_refuses_mixed_classes_and_foreign_spaces():
