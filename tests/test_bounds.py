@@ -241,7 +241,9 @@ def test_exact_rademacher_of_one_hypothesis_is_zero():
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_exact_rademacher_is_within_massart(spec, data):
-    # Massart's lemma on revenues centred at 1/2: a theorem, so no slack
+    # Massart's lemma, a theorem, so no slack.  Values lie in [0, 1] and each
+    # of the k items is sold at most once for at most its buyer's value, so
+    # revenues lie in [0, k]: the bound scales by that range, not the value range
     max_n, max_k, max_m = split_dims(spec)
     n = data.draw(st.integers(1, max_n), label="n")
     k = data.draw(st.integers(1, max_k), label="k")
@@ -257,7 +259,7 @@ def test_exact_rademacher_is_within_massart(spec, data):
     space = split_sample_space(spec, SampleSet(values), "exact")
     est = rademacher_estimate(SampleSet(values[:m]), space, draws=2**m, seed=Seed(1))
     assert est.method == "exact"
-    assert est.estimate <= massart_bound(len(space), m)
+    assert est.estimate <= massart_bound(len(space), m, (0.0, float(k)))
 
 
 def test_monte_carlo_rademacher_bits_are_pinned():
