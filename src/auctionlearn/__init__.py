@@ -8,17 +8,15 @@ bounds by Monte Carlo simulation against analytic optima.
 
 from .bounds import (BoundReport, ChainReport, RademacherEstimate, TLevelTuning,
                      bound_formula, generalization_chain_check, high_prob_bound,
-                     main_bound, massart_bound, rademacher_estimate,
+                     main_bound, massart_bound, rademacher_estimate, revenue_range,
                      sample_complexity_estimate, tlevel_epsilon)
-from .erm import (DEFAULT_CANDIDATE_CEILING, ClassSpec, candidate_count,
-                  empirical_revenue, erm)
+from .erm import (DEFAULT_CANDIDATE_CEILING, ClassSpec, OptimumEstimate, candidate_count,
+                  empirical_revenue, erm, in_class_optimum)
 from .errors import (AnalyticUnsupported, AuctionLearnError, CeilingExceeded,
                      DimensionMismatch, InvalidDistribution, SampleFileError)
-from .experiments import (CurveRow, ExperimentConfig, ExperimentRow,
-                          OptimumEstimate, config_fingerprint,
-                          generalization_experiment, in_class_optimum,
-                          sample_complexity_curve, write_gap_svg, write_rows_csv,
-                          write_rows_jsonl)
+from .experiments import (CurveRow, ExperimentConfig, ExperimentRow, config_fingerprint,
+                          generalization_experiment, sample_complexity_curve,
+                          write_gap_svg, write_rows_csv, write_rows_jsonl)
 from .mechanisms import (CLASS_TAGS, AnonymousSecondPriceReserve, BestOf,
                          BundlePrice, Hypothesis, ItemPrices, Outcome,
                          PlayerReserves, RevenueEstimate, SingleReserve, TLevel,

@@ -2,10 +2,11 @@
 
 A Rademacher average is exact, over every sign vector, when 2^m <= draws,
 and a Monte Carlo estimate over `draws` random sign vectors otherwise.
-Expected-gap bounds take the form (beta - alpha) * sqrt(2 * log(tau(2m)) / m)
-with tau the per-class split-sample count bound and log the natural
-logarithm; dividing by delta gives the Markov high-probability variant.
-Values above the value range are reported as-is but flagged vacuous.
+Bounds scale by the width H = k * beta of the revenue range [0, k * beta]
+(a no-sale earns 0, and k items sell for at most beta each), as
+H * sqrt(2 * log(tau(2m)) / m) with tau the per-class split-sample count
+bound and log the natural logarithm; dividing by delta gives the Markov
+high-probability variant.  Values above H are reported but flagged vacuous.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .erm import ClassSpec, erm
+from .erm import ClassSpec, erm, in_class_optimum
 from .errors import AuctionLearnError, DimensionMismatch
 from .mechanisms import (TAG_ASP, TAG_PLAYER, TAG_SINGLE, _check_dims, revenue_matrix,
                          true_revenue)
@@ -28,11 +29,17 @@ from .splitsample import (DEFAULT_SUBSET_CEILING, SplitSampleSpace, split_sample
 
 def massart_bound(cardinality: int, m: int,
                   value_range: tuple[float, float] = DEFAULT_RANGE) -> float:
-    """Finite-class Rademacher bound: (beta-alpha) * sqrt(2 ln(card) / m)."""
+    """Finite-class Rademacher bound: (beta-alpha) * sqrt(2 ln(card) / m) for
+    values in [alpha, beta]; revenues lie in ``revenue_range``."""
     if cardinality < 1 or m < 1:
         raise AuctionLearnError("cardinality and m must be >= 1")
     alpha, beta = check_value_range(value_range)
     return (beta - alpha) * math.sqrt(2.0 * math.log(cardinality) / m)
+
+
+def revenue_range(k: int, value_range: tuple[float, float]) -> tuple[float, float]:
+    """[0, k * beta], where every class's revenue on k items lies."""
+    return 0.0, k * check_value_range(value_range)[1]
 
 
 @dataclass(frozen=True)
@@ -64,16 +71,16 @@ def main_bound(spec: ClassSpec, m: int, n: int = 1, k: int = 1,
     """Expected-gap bound from the class's split-sample count bound at 2m."""
     if m < 1:
         raise AuctionLearnError("m must be >= 1")
-    alpha, beta = check_value_range(value_range)
+    width = revenue_range(k, value_range)[1]
     log_tau = theoretical_growth_bound(spec, 2 * m, n, k).log
-    bound = (beta - alpha) * math.sqrt(2.0 * log_tau / m)
+    bound = width * math.sqrt(2.0 * log_tau / m)
     hp = None
     if delta is not None:
         _check_delta(delta)
         hp = bound / delta
     headline = bound if hp is None else hp
     return BoundReport(spec.tag, m, n, k, spec.levels, delta, log_tau, bound, hp,
-                       value_range, vacuous=headline > (beta - alpha))
+                       value_range, vacuous=headline > width)
 
 
 def _check_delta(delta: float) -> None:
@@ -261,7 +268,6 @@ def generalization_chain_check(spec: ClassSpec, dist: DistributionSpec, m: int,
     if optimum is not None:
         source = "provided"
     else:
-        from .experiments import in_class_optimum  # deferred: avoids an import cycle
         est = in_class_optimum(spec, dist, method="auto", seed=seed.child("chain-opt"))
         optimum, source = est.value, est.method
 
@@ -278,7 +284,7 @@ def generalization_chain_check(spec: ClassSpec, dist: DistributionSpec, m: int,
         space = split_sample_space(spec, pooled, "exact", subset_ceiling=subset_ceiling)
         est = rademacher_estimate(S, space, sigma_draws, seed.child("chain-sigma", j))
         rads[j] = est.estimate
-        massarts[j] = massart_bound(len(space), m, dist.value_range)
+        massarts[j] = massart_bound(len(space), m, revenue_range(dist.k, dist.value_range))
 
     gap_mean = float(gaps.mean())
     gap_se = float(gaps.std(ddof=1) / math.sqrt(replicates))

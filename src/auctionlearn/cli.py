@@ -234,7 +234,7 @@ def cmd_bound(args) -> int:
     if report.high_prob_bound is not None:
         print(f"high-probability (delta={report.delta:g}): {_fmt(report.high_prob_bound)}")
     if report.vacuous:
-        print("warning: bound exceeds the value range (vacuous)", file=sys.stderr)
+        print("warning: bound exceeds the revenue range (vacuous)", file=sys.stderr)
     return 0
 
 
@@ -250,7 +250,8 @@ def cmd_rademacher(args) -> int:
             else f"monte-carlo over {est.draws} sign draws")
     print(f"rademacher estimate: {_fmt(est.estimate)} +/- {_fmt(est.std_error)} "
           f"({path}, {est.set_size} hypotheses)")
-    massart = bounds_mod.massart_bound(est.set_size, S.m, S.value_range)
+    massart = bounds_mod.massart_bound(est.set_size, S.m,
+                                       bounds_mod.revenue_range(S.k, S.value_range))
     print(f"finite-class bound: {_fmt(massart)}")
     return 0
 
@@ -385,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="subset enumeration mode (default exact)")
     p.add_argument("--trials", type=int, help="monte-carlo subset draws")
     p.add_argument("--subset-ceiling", dest="subset_ceiling", type=int,
-                   help=f"exact-mode subset ceiling (default {split_mod.DEFAULT_SUBSET_CEILING})")
+                   help=f"ceiling on subsets scored (default {split_mod.DEFAULT_SUBSET_CEILING})")
     p.add_argument("--ceiling", type=int, help="ceiling on candidate rows scored")
     p.set_defaults(func=cmd_split_sample)
 
@@ -394,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="sample size per draw (default 8)")
     p.add_argument("--draws", type=int, help="independent sample draws (default 20)")
     p.add_argument("--subset-ceiling", dest="subset_ceiling", type=int,
-                   help="exact-mode subset ceiling")
+                   help="ceiling on subsets scored")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_growth)
 
@@ -414,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--draws", type=int, help="sign draws (default 10000): exact when "
                                              "2^m <= draws, else Monte Carlo")
     p.add_argument("--subset-ceiling", dest="subset_ceiling", type=int,
-                   help="exact-mode subset ceiling")
+                   help="ceiling on subsets scored")
     p.set_defaults(func=cmd_rademacher)
 
     p = subs.add_parser("experiment", help="generalization gap vs bound over an m grid")

@@ -15,6 +15,10 @@ product and the candidates' revenue rows) once on the whole sample and
 scores every subset from it.  ERM is the case of one subset, the whole
 sample; split-sample enumeration passes its half-size subsets.
 
+The in-class optimum is the population counterpart: the closed form where
+one exists, else a grid maximum on shared Monte Carlo draws, scored through
+the same candidate model, auction columns and ``_near_max``.
+
 Determinism rules used throughout:
 
 * candidates are deduplicated and enumerated in ascending lexicographic
@@ -27,20 +31,22 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CeilingExceeded
+from .errors import AnalyticUnsupported, AuctionLearnError, CeilingExceeded
 from .mechanisms import (TAG_BEST, TAG_BUNDLE, TAG_ITEM, TAG_PLAYER, TAG_SINGLE,
-                         TAG_TLEVEL, ClassSpec, Hypothesis, SingleReserve, check_class_dims,
-                         hypothesis_from_params, profile_revenues, reserve_revenue,
-                         revenue_matrix, top_two)
-from .model import SampleSet
+                         TAG_TLEVEL, ClassSpec, Hypothesis, SingleReserve, analytic_optimum,
+                         auction_columns, check_class_dims, hypothesis_from_params,
+                         profile_revenues, reserve_revenue, revenue_matrix, top_two)
+from .model import DistributionSpec, SampleSet, Seed, sample_values
 
 DEFAULT_CANDIDATE_CEILING = 10**7
 _CHUNK = 4096
 CELLS = 2_500_000      # revenue cells (rows x profiles x bidders) built per chunk
 _BLOCK_CELLS = 2**18   # candidate x subset x profile cells gathered per scoring step
+_GRID_BUDGET = 2 * 10**8  # candidate rows x draws ceiling for joint grid optima
 
 
 # ---------------------------------------------------------------------------
@@ -50,25 +56,16 @@ _BLOCK_CELLS = 2**18   # candidate x subset x profile cells gathered per scoring
 def _columns(spec: ClassSpec, values: np.ndarray, beta: float) -> list[np.ndarray]:
     """Per parameter coordinate, in parameter order: the (m, w) values each
     profile contributes to that coordinate's pool."""
-    m, n, k = values.shape
-    tag = spec.tag
-    if tag == TAG_BEST:
+    m, n, _ = values.shape
+    if spec.tag == TAG_BEST:
         return [c for branch in spec.branches() for c in _columns(branch, values, beta)]
-    if tag == TAG_TLEVEL:
+    if spec.tag == TAG_TLEVEL:
         # the top of the range acts as the no-sale sentinel per bidder
         return [np.column_stack((values[:, i, 0], np.full(m, beta))) for i in range(n)]
-    if tag == TAG_ITEM:
-        if spec.per_player:
-            return [values[:, i, j:j + 1] for i in range(n) for j in range(k)]
-        return [values[:, :, j] for j in range(k)]
-    columns = np.sum(values, axis=2) if tag == TAG_BUNDLE else values[:, :, 0]
-    if spec.per_bidder:
-        return [columns[:, i:i + 1] for i in range(n)]
-    return [columns]        # single reserve, anonymous reserve or bundle price
-
-
-def _pools(columns: list[np.ndarray]) -> list[np.ndarray]:
-    return [np.unique(c) for c in columns]
+    auctions = auction_columns(spec, values)     # one shared reserve per auction
+    if spec.per_bidder:                          # or one per bidder, bidder-major
+        return [columns[:, i:i + 1] for i in range(n) for columns in auctions]
+    return auctions
 
 
 def _count(spec: ClassSpec, pools) -> int:
@@ -81,7 +78,7 @@ def _count(spec: ClassSpec, pools) -> int:
 def candidate_count(spec: ClassSpec, S: SampleSet) -> int:
     """Exact size of the deduplicated candidate set."""
     check_class_dims(spec, S.n, S.k)
-    return _count(spec, _pools(_columns(spec, S.values, S.value_range[1])))
+    return _count(spec, [np.unique(c) for c in _columns(spec, S.values, S.value_range[1])])
 
 
 def _separable(spec: ClassSpec) -> bool:
@@ -146,21 +143,16 @@ def _candidate_rows(spec: ClassSpec, factors, values: np.ndarray, alpha: float):
 # empirical revenue
 
 
-def _posted_means(prices: np.ndarray, zeros: np.ndarray, length: int) -> np.ndarray:
-    """Sorted-mean revenue of posted prices: the mean of a row holding
-    ``zeros`` no-sales first, then the price on each remaining profile.
-
-    That is the row ``np.sort`` makes of a posted price's revenues on a
-    sample with ``zeros`` values under the price, so the result equals the
-    sorted mean of the revenue matrix bit for bit.
-    """
-    return np.mean(prices[:, None] * (np.arange(length) >= zeros[:, None]), axis=-1)
+def _sorted_mean(rows: np.ndarray) -> np.ndarray:
+    """Mean of each revenue row, sorted in place first: summed in value
+    order, it does not depend on the order of the profiles."""
+    rows.sort(axis=-1)
+    return rows.mean(axis=-1)
 
 
 def empirical_revenue(h: Hypothesis, S: SampleSet) -> float:
     """Mean revenue of h over the sample (order-independent accumulation)."""
-    revs = profile_revenues(h, S.values, S.value_range[0])
-    return float(np.mean(np.sort(revs)))
+    return float(_sorted_mean(profile_revenues(h, S.values, S.value_range[0])))
 
 
 def _last_argmax(arr: np.ndarray) -> np.ndarray:
@@ -178,7 +170,7 @@ def _near_max(closed: np.ndarray, terms: int) -> np.ndarray:
     gamma_(terms+1)*R; gamma_j = j*2^-53/(1 - j*2^-53), no value subnormal.
     So the exact max's closed form is within about (2*terms+3)*2^-52 of the
     max, under a quarter of the margin; the rest covers rounding the cutoff.
-    ``experiments._reserve_grid_max`` relies on this margin too.
+    ``_reserve_grid_max`` relies on this margin too.
     """
     top = closed.max()
     return np.flatnonzero(closed >= top - (terms + 2) * 8 * 2.0**-52 * top)
@@ -192,18 +184,13 @@ def _coordinates(spec: ClassSpec, pools, values: np.ndarray, alpha: float):
     scored on exactly those, never on zero-padded others; an anonymous item
     price counts every profile.
     """
-    m, n, k = values.shape
-    if spec.tag == TAG_ITEM:
-        items = [values[:, :, j] for j in range(k)]
-    else:
-        items = [values[:, :, 0] if spec.tag == TAG_PLAYER else np.sum(values, axis=2)]
-    rules = [top_two(columns, alpha) for columns in items]
+    rules = [top_two(columns, alpha) for columns in auction_columns(spec, values)]
     lazy = spec.per_bidder
     coords = []
-    for f, pool in enumerate(pools):   # pool f is bidder f // items of item f % items
-        bidder, item = divmod(f, len(items)) if lazy else (None, f)
-        w, top, second = rules[item]
-        counted = w == bidder if lazy else np.ones(m, dtype=bool)
+    for f, pool in enumerate(pools):   # pool f is bidder f // auctions of auction f % auctions
+        bidder, auction = divmod(f, len(rules)) if lazy else (None, f)
+        w, top, second = rules[auction]
+        counted = w == bidder if lazy else np.ones(len(values), dtype=bool)
         coords.append((reserve_revenue(pool[:, None], top, second), counted))
     return coords
 
@@ -222,7 +209,7 @@ def subset_winners(spec: ClassSpec, values: np.ndarray, value_range: tuple[float
     coordinate pool of a separable one.
     """
     columns = _columns(spec, values, value_range[1])
-    pools = _pools(columns)
+    pools = [np.unique(c) for c in columns]
     _check_ceiling(spec, pools, ceiling)
     score = _separable_winners if _separable(spec) else _joint_winners
     return score(spec, values, value_range[0], pools, _occurrences(columns, pools), subsets)
@@ -261,10 +248,8 @@ def _joint_winners(spec: ClassSpec, values: np.ndarray, alpha: float, pools, occ
             # per factor row and subset: do all of the row's values occur in it
             present = [o[:, block].any(axis=-1)[mem].all(axis=1) for o, mem in zip(occ, members)]
             valid = np.logical_and.reduce([p[i] for p, i in zip(present, picks)])
-            g = R[:, block][valid]            # scored only where the candidate is one
-            g.sort(axis=-1)
             revs = np.full(valid.shape, -np.inf)
-            revs[valid] = g.mean(axis=-1)
+            revs[valid] = _sorted_mean(R[:, block][valid])   # only where it is a candidate
             local = _last_argmax(revs)
             top = revs[local, np.arange(len(block))]
             span = slice(at, at + len(block))
@@ -315,17 +300,17 @@ def erm(spec: ClassSpec, S: SampleSet,
     """
     check_class_dims(spec, S.n, S.k)
     if spec.tag == TAG_SINGLE:
-        return SingleReserve(_posted_erm(spec, S.values[:, 0, 0], ceiling))
+        return SingleReserve(_posted_erm(spec, S.values, ceiling))
     params = subset_winners(spec, S.values, S.value_range, np.arange(S.m)[None], ceiling)[0]
     return hypothesis_from_params(spec, params, S.n, S.k)
 
 
 def _posted_erm(spec: ClassSpec, values: np.ndarray, ceiling: int) -> float:
-    """The ERM posted price on the values, in O(m log m): the closed form
-    u*c/m (c values >= u) ranks every price, and the last argmax of
-    ``_posted_means`` over the prices ``_near_max`` keeps wins; a price kept
-    alone wins unscored."""
-    v = np.sort(values)
+    """The ERM posted price on (m, 1, 1) values, in O(m log m): the closed
+    form u*c/m (c values >= u) ranks every price, and among the prices
+    ``_near_max`` keeps, the last argmax of the sorted means of their revenue
+    rows wins; a price kept alone wins unscored."""
+    v = np.sort(values[:, 0, 0])
     m = len(v)
     below = np.searchsorted(v, v)             # equal values share one count
     first = below == np.arange(m)
@@ -334,5 +319,111 @@ def _posted_erm(spec: ClassSpec, values: np.ndarray, ceiling: int) -> float:
     kept = _near_max(prices * (m - zeros) / m, m)
     best = kept[0]
     if len(kept) > 1:
-        best = kept[_last_argmax(_posted_means(prices[kept], zeros[kept], m))]
+        best = kept[_last_argmax(_sorted_mean(revenue_matrix(spec, prices[kept, None], values)))]
     return float(prices[best])
+
+
+# ---------------------------------------------------------------------------
+# in-class optimum
+
+
+@dataclass(frozen=True)
+class OptimumEstimate:
+    value: float
+    std_error: float | None
+    method: str  # "analytic" | "grid-mc"
+
+
+def _price_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    return lo + np.arange(int(round((hi - lo) / step)) + 1) * step
+
+
+def _grid_curve(grid: np.ndarray, revenue_rows, draws: int, row_cells: int) -> np.ndarray:
+    """Mean over the draws of each grid row's revenue.
+
+    Rows are scored in chunks of at most ``CELLS`` cells (row_cells per
+    row), and each chunk's revenue array is reduced before the next one is
+    built; reserve grids send only their near-max points, all of them only
+    when they tie.
+    """
+    out = np.empty(len(grid))
+    chunk = max(1, CELLS // max(1, row_cells))
+    for start in range(0, len(grid), chunk):
+        out[start:start + chunk] = revenue_rows(grid[start:start + chunk]).sum(axis=1)
+    return out / draws
+
+
+def _reserve_grid_max(grid: np.ndarray, columns: np.ndarray, alpha: float, lazy: bool):
+    """Best grid reserve for one auction's (draws, n) values: one anonymous
+    reserve, or each bidder's best lazy reserve on the draws it wins.  Every
+    r is ranked by r*#{s < r <= t} + sum{s >= r} s on draws (t, s), and only
+    ``_near_max``'s points are summed exactly, in draw order (bit-exact)."""
+    w, top, second = top_two(columns, alpha)
+
+    def best(t, s):
+        ss = np.sort(s)
+        below = np.searchsorted(ss, grid)
+        above = np.append(np.cumsum(ss[::-1])[::-1], 0.0)[below]
+        kept = _near_max(grid * (below - np.searchsorted(np.sort(t), grid)) + above, len(t))
+        return _grid_curve(grid[kept], lambda g: reserve_revenue(g[:, None], t, s),
+                           len(columns), len(t)).max()
+
+    groups = [w == i for i in range(columns.shape[1])] if lazy else [slice(None)]
+    return sum(best(top[g], second[g]) for g in groups)
+
+
+def _grid_optimum(spec: ClassSpec, dist: DistributionSpec, grid_step: float,
+                  draws: int, seed: Seed) -> OptimumEstimate:
+    """Max over a parameter grid of mean revenue on one shared draw set.
+
+    Reserve-rule classes (and t-level at n = 1, a posted price on its lowest
+    threshold) take each auction's best grid reserve separately.  Multi-bidder
+    t-level and best-of score the grid product as ERM scores its candidate
+    product, with the grid as every coordinate's pool.  Common random numbers
+    across the grid keep the comparison low-variance; the reported value
+    inherits the usual upward selection bias of a max of correlated means.
+    """
+    n, k, tag = dist.n, dist.k, spec.tag
+    check_class_dims(spec, n, k)
+    alpha, beta = dist.value_range
+    grid = _price_grid(alpha, beta, grid_step)
+    bundle_grid = _price_grid(k * alpha, k * beta, grid_step)
+    if tag == TAG_BEST and (k != 1 or spec.per_player):
+        raise AnalyticUnsupported("joint grid optimum for best-of is limited to anonymous "
+                                  "k = 1; the branch classes cover multi-item grids separably")
+    joint = tag == TAG_BEST or (tag == TAG_TLEVEL and n > 1)
+    pools = [grid] * n if tag == TAG_TLEVEL else [bundle_grid, grid]
+    if joint and _count(spec, pools) * draws > _GRID_BUDGET:
+        raise CeilingExceeded(f"{spec.describe()} grid optimum over budget; "
+                              "increase grid_step or lower draws")
+    values = sample_values(dist, draws, seed).values
+    if joint:
+        rows = _candidate_rows(spec, _factors(spec, pools), values, alpha)
+        value = max(R.sum(axis=1).max() for _, R in rows) / draws
+    else:       # each auction's best grid reserve, summed in auction order
+        reserves = bundle_grid if tag == TAG_BUNDLE else grid
+        value = sum(_reserve_grid_max(reserves, columns, alpha, spec.per_bidder)
+                    for columns in auction_columns(spec, values))
+    return OptimumEstimate(float(value), None, "grid-mc")
+
+
+def in_class_optimum(spec: ClassSpec, dist: DistributionSpec, method: str = "auto",
+                     grid_step: float = 1e-3, draws: int = 10**6,
+                     seed: Seed = Seed(0)) -> OptimumEstimate:
+    """sup over the class of expected revenue under the spec.
+
+    'analytic' covers single-bidder posted-price shapes under uniform or
+    discrete marginals; 'grid' maximizes over a parameter grid evaluated on
+    shared Monte Carlo draws; 'auto' prefers analytic and falls back.
+    """
+    if method not in ("auto", "analytic", "grid"):
+        raise ValueError(f"unknown method {method!r}")
+    if method != "analytic" and not (math.isfinite(grid_step) and grid_step > 0):
+        raise AuctionLearnError(f"grid_step must be a finite number > 0, got {grid_step!r}")
+    if method in ("auto", "analytic"):
+        try:
+            return OptimumEstimate(analytic_optimum(spec, dist), None, "analytic")
+        except AnalyticUnsupported:
+            if method == "analytic":
+                raise
+    return _grid_optimum(spec, dist, grid_step, draws, seed)

@@ -1,10 +1,11 @@
 """End-to-end generalization experiments: sample -> ERM -> true revenue -> gap.
 
 Each configuration runs seeded replicates per sample size, measures how far
-the learned mechanism's expected revenue falls short of the in-class optimum,
-and attaches the closed-form bound plus the fraction of replicates violating
-the Markov high-probability variant.  Re-running with the same master seed
-reproduces every row bit-exactly.
+the learned mechanism's expected revenue falls short of the in-class optimum
+(``erm.in_class_optimum``), and attaches the closed-form bound plus the
+fraction of replicates violating the Markov high-probability variant.
+Re-running with the same master seed reproduces every row bit-exactly.  This
+module holds only the harness, its result rows, curves and writers.
 """
 
 from __future__ import annotations
@@ -18,143 +19,10 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .bounds import main_bound, sample_complexity_estimate
-from .erm import (CELLS, DEFAULT_CANDIDATE_CEILING, _candidate_rows, _count, _factors,
-                  _near_max, erm)
-from .errors import AnalyticUnsupported, AuctionLearnError, CeilingExceeded
-from .mechanisms import (TAG_BEST, TAG_BUNDLE, TAG_PLAYER, TAG_TLEVEL, ClassSpec, Discrete,
-                         Uniform, _posted_marginals, check_class_dims, reserve_revenue,
-                         top_two, true_revenue)
+from .erm import DEFAULT_CANDIDATE_CEILING, OptimumEstimate, erm, in_class_optimum
+from .errors import AuctionLearnError
+from .mechanisms import TAG_BEST, TAG_PLAYER, ClassSpec, true_revenue
 from .model import DistributionSpec, Seed, sample_values
-
-_GRID_BUDGET = 2 * 10**8  # candidate rows x draws ceiling for joint grid optima
-
-
-# ---------------------------------------------------------------------------
-# in-class optimum
-
-
-@dataclass(frozen=True)
-class OptimumEstimate:
-    value: float
-    std_error: float | None
-    method: str  # "analytic" | "grid-mc"
-
-
-def _posted_optimum(marginal) -> float:
-    """sup_r r * P(v >= r) for one marginal."""
-    if isinstance(marginal, Uniform):
-        a, b = marginal.low, marginal.high
-        r = max(a, b / 2.0)
-        return r * marginal.survival(r)
-    if isinstance(marginal, Discrete):
-        return max(float(x) * marginal.survival(float(x)) for x in marginal.points)
-    raise AnalyticUnsupported(
-        f"no closed-form posted-price optimum under {type(marginal).__name__}"
-    )
-
-
-def _analytic_optimum(spec: ClassSpec, dist: DistributionSpec) -> float:
-    if dist.n != 1:
-        raise AnalyticUnsupported("closed-form optima cover single-bidder specs only")
-    marginals = _posted_marginals(spec.tag, dist, "no closed-form optimum for {}")
-    return sum(map(_posted_optimum, marginals))
-
-
-def _price_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    count = int(round((hi - lo) / step))
-    return lo + np.arange(count + 1) * step
-
-
-def _grid_curve(grid: np.ndarray, revenue_rows, draws: int, row_cells: int) -> np.ndarray:
-    """Mean over the draws of each grid row's revenue.
-
-    Rows are scored in chunks of at most ``CELLS`` cells (row_cells per
-    row), and each chunk's revenue array is reduced before the next one is
-    built; reserve grids send only their near-max points, all of them only
-    when they tie.
-    """
-    out = np.empty(len(grid))
-    chunk = max(1, CELLS // max(1, row_cells))
-    for start in range(0, len(grid), chunk):
-        out[start:start + chunk] = revenue_rows(grid[start:start + chunk]).sum(axis=1)
-    return out / draws
-
-
-def _reserve_grid_max(grid: np.ndarray, columns: np.ndarray, alpha: float, lazy: bool):
-    """Best grid reserve for one item's (draws, n) values: one anonymous
-    reserve, or each bidder's best lazy reserve on the draws it wins.  Every
-    r is ranked by r*#{s < r <= t} + sum{s >= r} s on draws (t, s), and only
-    ``_near_max``'s points are summed exactly, in draw order (bit-exact)."""
-    w, top, second = top_two(columns, alpha)
-
-    def best(t, s):
-        ss = np.sort(s)
-        below = np.searchsorted(ss, grid)
-        above = np.append(np.cumsum(ss[::-1])[::-1], 0.0)[below]
-        kept = _near_max(grid * (below - np.searchsorted(np.sort(t), grid)) + above, len(t))
-        return _grid_curve(grid[kept], lambda g: reserve_revenue(g[:, None], t, s),
-                           len(columns), len(t)).max()
-
-    groups = [w == i for i in range(columns.shape[1])] if lazy else [slice(None)]
-    return sum(best(top[g], second[g]) for g in groups)
-
-
-def _grid_optimum(spec: ClassSpec, dist: DistributionSpec, grid_step: float,
-                  draws: int, seed: Seed) -> OptimumEstimate:
-    """Max over a parameter grid of mean revenue on one shared draw set.
-
-    Reserve-rule classes (and t-level at n = 1, a posted price on its lowest
-    threshold) take each item's best grid reserve separately.  Multi-bidder
-    t-level and best-of score the grid product as ERM scores its candidate
-    product, with the grid as every coordinate's pool.  Common random numbers
-    across the grid keep the comparison low-variance; the reported value
-    inherits the usual upward selection bias of a max of correlated means.
-    """
-    n, k, tag = dist.n, dist.k, spec.tag
-    check_class_dims(spec, n, k)
-    alpha, beta = dist.value_range
-    grid = _price_grid(alpha, beta, grid_step)
-    bundle_grid = _price_grid(k * alpha, k * beta, grid_step)
-    if tag == TAG_BEST and (k != 1 or spec.per_player):
-        raise AnalyticUnsupported("joint grid optimum for best-of is limited to anonymous "
-                                  "k = 1; the branch classes cover multi-item grids separably")
-    joint = tag == TAG_BEST or (tag == TAG_TLEVEL and n > 1)
-    pools = [grid] * n if tag == TAG_TLEVEL else [bundle_grid, grid]
-    if joint and _count(spec, pools) * draws > _GRID_BUDGET:
-        raise CeilingExceeded(f"{spec.describe()} grid optimum over budget; "
-                              "increase grid_step or lower draws")
-    values = sample_values(dist, draws, seed).values
-    lazy = spec.per_bidder
-    if joint:
-        rows = _candidate_rows(spec, _factors(spec, pools), values, alpha)
-        value = max(R.sum(axis=1).max() for _, R in rows) / draws
-    elif tag == TAG_BUNDLE:
-        value = _reserve_grid_max(bundle_grid, np.sum(values, axis=2), alpha, lazy)
-    else:
-        value = sum(_reserve_grid_max(grid, values[:, :, j], alpha, lazy) for j in range(k))
-    return OptimumEstimate(float(value), None, "grid-mc")
-
-
-def in_class_optimum(spec: ClassSpec, dist: DistributionSpec, method: str = "auto",
-                     grid_step: float = 1e-3, draws: int = 10**6,
-                     seed: Seed = Seed(0)) -> OptimumEstimate:
-    """sup over the class of expected revenue under the spec.
-
-    'analytic' covers single-bidder posted-price shapes under uniform or
-    discrete marginals; 'grid' maximizes over a parameter grid evaluated on
-    shared Monte Carlo draws; 'auto' prefers analytic and falls back.
-    """
-    if method not in ("auto", "analytic", "grid"):
-        raise ValueError(f"unknown method {method!r}")
-    if method != "analytic" and not (math.isfinite(grid_step) and grid_step > 0):
-        raise AuctionLearnError(f"grid_step must be a finite number > 0, got {grid_step!r}")
-    if method in ("auto", "analytic"):
-        try:
-            return OptimumEstimate(_analytic_optimum(spec, dist), None, "analytic")
-        except AnalyticUnsupported:
-            if method == "analytic":
-                raise
-    return _grid_optimum(spec, dist, grid_step, draws, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ scalar reference semantics (the oracle).  ``revenue_matrix`` is the one
 batched kernel: it scores a batch of parameter rows of one class on an array
 of profiles with results identical to the oracle bit for bit, and ERM, the
 grid optima and ``profile_revenues`` (its single-row case) all call it or its
-single-item primitive ``reserve_revenue``.
+single-item primitive ``reserve_revenue``, on the single-item auctions
+``auction_columns`` names for a reserve-rule class.
 """
 
 from __future__ import annotations
@@ -449,6 +450,15 @@ def top_two(columns: np.ndarray, alpha: float):
     return w, part[:, -1], part[:, -2]
 
 
+def auction_columns(spec: ClassSpec, values: np.ndarray) -> list[np.ndarray]:
+    """The (m, n) value columns of each single-item auction a reserve-rule
+    class runs on (m, n, k) values: each item for item prices, the bundle
+    totals for a bundle price, the value otherwise (a t-level bidder's too)."""
+    if spec.tag == TAG_ITEM:
+        return [values[:, :, j] for j in range(values.shape[2])]
+    return [np.sum(values, axis=2) if spec.tag == TAG_BUNDLE else values[:, :, 0]]
+
+
 def reserve_revenue(reserve, top, second) -> np.ndarray:
     """The single-item reserve rule, broadcast over its arguments: sell iff
     the top value clears the reserve, and charge max(reserve, second value)."""
@@ -498,24 +508,22 @@ def revenue_matrix(spec: ClassSpec, params, values, alpha: float = 0.0) -> np.nd
     if tag == TAG_TLEVEL:
         return _tlevel_rows(params.reshape(len(params), n, spec.levels), values[:, :, 0])
 
-    if tag == TAG_ITEM:
-        payments = np.zeros((len(params), m, n))
-        profiles = np.arange(m)
-        for j in range(k):
-            w, top, second = top_two(values[:, :, j], alpha)
-            reserve = params[:, w * k + j] if lazy else params[:, j:j + 1]
-            payments[:, profiles, w] += reserve_revenue(reserve, top, second)
-        return payments.sum(axis=2)
-
     if tag == TAG_BEST:
         bundle, items = spec.branches()
         split = _param_width(bundle, n, k)
         return np.maximum(revenue_matrix(bundle, params[:, :split], values, alpha),
                           revenue_matrix(items, params[:, split:], values, alpha))
 
-    columns = np.sum(values, axis=2) if tag == TAG_BUNDLE else values[:, :, 0]
-    w, top, second = top_two(columns, alpha)
-    return reserve_revenue(params[:, w] if lazy else params, top, second)
+    auctions = auction_columns(spec, values)
+    if tag != TAG_ITEM:     # one auction: no (C, m, n) payments to accumulate
+        w, top, second = top_two(auctions[0], alpha)
+        return reserve_revenue(params[:, w] if lazy else params, top, second)
+    payments = np.zeros((len(params), m, n))
+    for j, columns in enumerate(auctions):
+        w, top, second = top_two(columns, alpha)
+        reserve = params[:, w * k + j] if lazy else params[:, j:j + 1]
+        payments[:, np.arange(m), w] += reserve_revenue(reserve, top, second)
+    return payments.sum(axis=2)
 
 
 def profile_revenues(h: Hypothesis, values: np.ndarray, alpha: float = 0.0) -> np.ndarray:
@@ -642,6 +650,26 @@ def analytic_true_revenue(h: Hypothesis, spec: DistributionSpec) -> float:
     if len(prices) != len(marginals):
         raise DimensionMismatch("item prices do not match the spec's item count")
     return sum(map(_posted_price_revenue, marginals, prices))
+
+
+def _posted_optimum(marginal) -> float:
+    """sup_r r * P(v >= r) for one marginal."""
+    if isinstance(marginal, Uniform):
+        r = max(marginal.low, marginal.high / 2.0)
+        return r * marginal.survival(r)
+    if isinstance(marginal, Discrete):
+        return max(float(x) * marginal.survival(float(x)) for x in marginal.points)
+    raise AnalyticUnsupported(f"no closed-form posted-price optimum under "
+                              f"{type(marginal).__name__}")
+
+
+def analytic_optimum(spec: ClassSpec, dist: DistributionSpec) -> float:
+    """Closed-form sup over the class of expected revenue, for the shapes of
+    ``analytic_true_revenue``: the best posted price on each marginal."""
+    if dist.n != 1:
+        raise AnalyticUnsupported("closed-form optima cover single-bidder specs only")
+    marginals = _posted_marginals(spec.tag, dist, "no closed-form optimum for {}")
+    return sum(map(_posted_optimum, marginals))
 
 
 def monte_carlo_true_revenue(h: Hypothesis, spec: DistributionSpec, draws: int,

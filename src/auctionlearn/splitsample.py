@@ -59,6 +59,7 @@ def split_sample_space(spec: ClassSpec, S: SampleSet, mode: str = "exact",
     reports: it scores them all in lexicographic index order, but a posted
     price only its ``_posted_subsets``.  Monte-carlo mode samples `trials`
     subsets uniformly (its distinct set is always a subset of the exact one).
+    `subset_ceiling` bounds the subsets of either mode before any is drawn.
     ``erm.subset_winners`` scores the subsets in bulk, and `candidate_ceiling`
     bounds the rows scored, as in ``erm``: the candidate product of a joint
     class, the longest coordinate pool of a separable one.
@@ -80,6 +81,9 @@ def split_sample_space(spec: ClassSpec, S: SampleSet, mode: str = "exact",
     elif mode == "monte-carlo":
         if trials is None or trials < 1 or seed is None:
             raise AuctionLearnError("monte-carlo mode needs trials >= 1 and a seed")
+        if trials > subset_ceiling:
+            raise CeilingExceeded(f"monte-carlo mode draws {trials} subsets, over the "
+                                  f"ceiling {subset_ceiling}")
         rng = seed.rng()
         subsets = np.array([np.sort(rng.choice(m, size=size, replace=False))
                             for _ in range(trials)], dtype=np.intp)
@@ -112,9 +116,10 @@ def _posted_subsets(m: int, size: int) -> np.ndarray:
     rival in D is matched in A by one at least as large with no more
     no-sales: the one with f values below it in D's prefix by A's (f+1)-th
     value below u, the j-th above u in D's window (c copies of u, A has c_A)
-    by A's (j + c - c_A)-th above u.  ``_posted_means`` is nondecreasing in
-    the price and nonincreasing in no-sales (rounding is monotone), and ties
-    go to the larger price, so u beats them all.  Each D is a half-size
+    by A's (j + c - c_A)-th above u.  The sorted mean of a posted price's
+    revenue row (its no-sales first, then the price on every other profile)
+    is nondecreasing in the price and nonincreasing in no-sales (rounding is
+    monotone), and ties go to the larger price, so u beats them all.  Each D is a half-size
     subset, so its winner, scored by the same sorted mean, is in the space.
     """
     subsets = np.array([[*range(b), *range(i, i + size - b)]

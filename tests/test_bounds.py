@@ -11,7 +11,7 @@ from auctionlearn import (AuctionLearnError, ClassSpec, Discrete, DistributionSp
                           Seed, SingleReserve, Uniform, ValuationProfile, bound_formula,
                           generalization_chain_check, high_prob_bound,
                           main_bound, massart_bound, rademacher_estimate, revenue,
-                          sample_complexity_estimate, split_sample_space,
+                          revenue_range, sample_complexity_estimate, split_sample_space,
                           tlevel_epsilon)
 from oracles import SPLIT_IDS, SPLIT_SPECS, draw_eighth_sample, split_dims
 
@@ -260,6 +260,43 @@ def test_exact_rademacher_is_within_massart(spec, data):
     est = rademacher_estimate(SampleSet(values[:m]), space, draws=2**m, seed=Seed(1))
     assert est.method == "exact"
     assert est.estimate <= massart_bound(len(space), m, (0.0, float(k)))
+
+
+@pytest.mark.parametrize("values, value_range, k", [
+    # single reserve on S = (2, 3) in [2, 3]: the space {2, 3} averages exactly 1
+    ([[[2.0]], [[3.0]]], (2.0, 3.0), 1),
+    # item prices at n = 1, k = 2 on (0, 0) and (1, 1)
+    ([[[0.0, 0.0]], [[1.0, 1.0]]], (0.0, 1.0), 2),
+], ids=["alpha2", "k2"])
+def test_massart_needs_the_revenue_range(values, value_range, k):
+    S = SampleSet(np.array(values), value_range)
+    spec = SINGLE if k == 1 else ClassSpec("item-prices")
+    space = split_sample_space(spec, S, "exact")
+    est = rademacher_estimate(S, space, draws=2**S.m, seed=Seed(1))
+    assert (len(space), est.method, est.estimate) == (2, "exact", 1.0)
+    assert massart_bound(2, 2, value_range) < 1.0
+    assert revenue_range(k, value_range) == (0.0, k * value_range[1])
+    assert 1.0 <= massart_bound(2, 2, revenue_range(k, value_range))
+
+
+@pytest.mark.parametrize("spec", SPLIT_SPECS, ids=SPLIT_IDS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_exact_rademacher_is_within_massart_on_a_shifted_range(spec, data):
+    # values in [2, 5]: revenues lie in [0, 5k], wider than the value range
+    max_n, max_k, max_m = split_dims(spec)
+    n = data.draw(st.integers(1, max_n), label="n")
+    k = data.draw(st.integers(1, max_k), label="k")
+    pool = data.draw(st.integers(1, max_m), label="pool")
+    m = data.draw(st.integers(1, min(pool, 10)), label="m")
+    tenths = data.draw(st.lists(st.integers(0, 30), min_size=pool * n * k,
+                                max_size=pool * n * k), label="tenths")
+    values = 2.0 + np.array(tenths).reshape(pool, n, k) / 10
+    space = split_sample_space(spec, SampleSet(values, (2.0, 5.0)), "exact")
+    est = rademacher_estimate(SampleSet(values[:m], (2.0, 5.0)), space, draws=2**m,
+                              seed=Seed(1))
+    assert est.method == "exact"
+    assert est.estimate <= massart_bound(len(space), m, revenue_range(k, (2.0, 5.0)))
 
 
 def test_monte_carlo_rademacher_bits_are_pinned():

@@ -34,6 +34,29 @@ def test_bound_with_delta_and_csv(capsys, tmp_path):
     assert float(row[7]) == pytest.approx(0.213554, abs=1e-6)
 
 
+@pytest.mark.parametrize("argv, bound, vacuous", [
+    # two items sell for up to 1 each: revenue lies in [0, 2], not [0, 1]
+    (["--class", "item-prices", "--m", "10", "--k", "2"], "2.18933", True),
+    # a no-sale earns 0 on [2, 3]: revenue lies in [0, 3], not [2, 3]
+    (["--class", "single-reserve", "--m", "10", "--range", "2,3"], "2.32214", False),
+], ids=["k2", "alpha2"])
+def test_bound_scales_by_the_revenue_range(capsys, argv, bound, vacuous):
+    code, out, err = run_cli(capsys, "bound", *argv)
+    assert code == 0 and out == bound + "\n"
+    assert (err == "warning: bound exceeds the revenue range (vacuous)\n") == vacuous
+
+
+def test_rademacher_finite_class_bound_uses_the_revenue_range(capsys):
+    # item prices on (0, 0) and (1, 1): the exact average 1 is above the
+    # value-range Massart figure 0.832555, below the revenue-range one
+    code, out, _ = run_cli(capsys, "rademacher", "--class", "item-prices",
+                           "--values", "0/0,1/1", "--draws", "10")
+    assert code == 0
+    assert out.splitlines() == [
+        "rademacher estimate: 1 +/- 0 (exact over 4 sign vectors, 2 hypotheses)",
+        "finite-class bound: 1.66511"]
+
+
 def test_split_sample_worked_example(capsys):
     code, out, _ = run_cli(capsys, "split-sample", "--class", "single-reserve",
                            "--values", "0.2,0.4,0.5,1.0", "--mode", "exact")
@@ -170,6 +193,8 @@ UNIT_SAMPLE_FILE = '{"n": 1, "k": 1, "alpha": 0.0, "beta": 1.0}\n[[0.5]]\n[[0.2]
     ["bound", "--class", "single-reserve", "--m", "5", "--range", "1,0"],
     ["erm", "--class", "single-reserve", "--values", "0.5", "--range", "0,nan"],
     ["split-sample", "--class", "single-reserve", "--values", "0.5,0.2", "--ceiling", "0"],
+    ["split-sample", "--class", "single-reserve", "--values", "0.5,0.2", "--mode",
+     "monte-carlo", "--trials", "100000000", "--seed", "1"],
     ["erm", "--class", "single-reserve", "--in", "{samples}", "--range", "5,9"],
     ["curve", "--class", "single-reserve", "--dist", "uniform:0,1", "--m-grid", "5",
      "--replicates", "3", "--eps", "nan"],
@@ -187,7 +212,7 @@ UNIT_SAMPLE_FILE = '{"n": 1, "k": 1, "alpha": 0.0, "beta": 1.0}\n[[0.5]]\n[[0.2]
     ["erm", "--class", "single-reserve", "--in", "{header-k-bool}"],
 ], ids=["values", "range", "delta", "m", "bound-shape", "config", "trials", "draws", "m-grid",
         "eps", "config-value", "config-grid-step", "bound-range", "range-nan", "split-ceiling",
-        "range-file", "eps-nan", "dist-no-marginals", "dist-no-high", "dist-low-text",
+        "split-mc-ceiling", "range-file", "eps-nan", "dist-no-marginals", "dist-no-high", "dist-low-text",
         "config-list", "header-n-text", "record-text", "header-n-float", "header-k-bool"])
 def test_input_errors_are_one_line_messages(argv, tmp_path):
     uniform = {"type": "uniform", "low": 0}

@@ -204,15 +204,17 @@ def test_posted_price_erm_matches_exhaustive_argmax(m, kind, low, seed):
 ])
 def test_posted_price_near_ties_are_scored_exactly(values, monkeypatch):
     """Prices whose closed forms differ only by rounding are all re-scored by
-    the sorted mean, which alone decides the winner."""
+    the sorted mean, which alone decides the winner.  The spy sits on erm's
+    own binding of the kernel, which only the posted re-score calls here:
+    empirical revenue reaches the kernel through ``profile_revenues``."""
     module = importlib.import_module("auctionlearn.erm")
-    scored, posted_means = [], module._posted_means
+    scored, kernel = [], module.revenue_matrix
 
-    def spy(prices, zeros, length):
-        scored.append(len(prices))
-        return posted_means(prices, zeros, length)
+    def spy(spec, params, values, alpha=0.0):
+        scored.append(len(params))
+        return kernel(spec, params, values, alpha)
 
-    monkeypatch.setattr(module, "_posted_means", spy)
+    monkeypatch.setattr(module, "revenue_matrix", spy)
     assert_exhaustive_argmax(SINGLE, sample(values))
     assert scored and scored[0] > 1
 

@@ -86,6 +86,13 @@ def test_subset_ceiling():
     S = SampleSet(gen.random((20, 1, 1)))
     with pytest.raises(CeilingExceeded):
         split_sample_space(SINGLE, S, "exact", subset_ceiling=100)
+    # monte-carlo mode is refused before its first draw, and runs at the ceiling
+    with pytest.raises(CeilingExceeded):
+        split_sample_space(SINGLE, S, "monte-carlo", trials=10**8, seed=Seed(1),
+                           subset_ceiling=100)
+    space = split_sample_space(SINGLE, S, "monte-carlo", trials=100, seed=Seed(1),
+                               subset_ceiling=100)
+    assert space.subsets_examined == 100
 
 
 def per_subset_space(spec, values, value_range):

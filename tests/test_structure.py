@@ -1,0 +1,40 @@
+"""Module layout: the names the traced benchmark wraps, and imports at module top."""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "auctionlearn"
+
+
+def load_spans():
+    """bench/spans.py, imported by path; it is only read here."""
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_benchmark_targets_resolve():
+    """A span whose (module, attribute) no longer resolves would break the
+    traced benchmark run, so every target must name a function."""
+    pairs = [pair for _, attrs, _ in load_spans().TARGETS for pair in attrs]
+    assert pairs
+    for module_name, attr in pairs:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), \
+            f"{module_name}.{attr}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    """Every import sits at module top, so an import cycle fails at import
+    time instead of hiding inside a function."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    nested = [f"{path.name}:{node.lineno}"
+              for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not nested
