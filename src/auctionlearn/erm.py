@@ -161,8 +161,8 @@ def _last_argmax(arr: np.ndarray) -> np.ndarray:
 
 
 def _near_max(closed: np.ndarray, terms: int) -> np.ndarray:
-    """Indices of the closed forms within (terms+2)*8*2^-52 of their max,
-    relative to it: a superset of the argmaxes of the exact scores.
+    """Mask of the closed forms within (terms+2)*8*2^-52 of the max of their
+    last axis, relative to it: a superset of the argmaxes of the exact scores.
 
     A closed form (a prefix sum of at most `terms` nonnegative revenues and
     two roundings) is within gamma_(terms+2)*R of their total R, the exact score
@@ -172,8 +172,8 @@ def _near_max(closed: np.ndarray, terms: int) -> np.ndarray:
     max, under a quarter of the margin; the rest covers rounding the cutoff.
     ``_reserve_grid_max`` relies on this margin too.
     """
-    top = closed.max()
-    return np.flatnonzero(closed >= top - (terms + 2) * 8 * 2.0**-52 * top)
+    top = closed.max(axis=-1, keepdims=True)
+    return closed >= top - (terms + 2) * 8 * 2.0**-52 * top
 
 
 def _coordinates(spec: ClassSpec, pools, values: np.ndarray, alpha: float):
@@ -298,29 +298,44 @@ def erm(spec: ClassSpec, S: SampleSet,
     Ties are broken toward the lexicographically largest parameter vector;
     the result is a pure function of (spec, S as a multiset).
     """
-    check_class_dims(spec, S.n, S.k)
+    return erm_block(spec, S.values[None], S.value_range, ceiling)[0]
+
+
+def erm_block(spec: ClassSpec, values: np.ndarray, value_range: tuple[float, float],
+              ceiling: int = DEFAULT_CANDIDATE_CEILING) -> list[Hypothesis]:
+    """``erm`` on each sample of an (R, m, n, k) block of checked values; the
+    first sample over the ceiling raises.  Posted prices learn all rows at once."""
+    _, m, n, k = values.shape
+    check_class_dims(spec, n, k)
     if spec.tag == TAG_SINGLE:
-        return SingleReserve(_posted_erm(spec, S.values, ceiling))
-    params = subset_winners(spec, S.values, S.value_range, np.arange(S.m)[None], ceiling)[0]
-    return hypothesis_from_params(spec, params, S.n, S.k)
+        return [SingleReserve(p) for p in _posted_erm(spec, values[..., 0, 0], ceiling).tolist()]
+    return [hypothesis_from_params(spec, subset_winners(spec, v, value_range, np.arange(m)[None],
+                                                        ceiling)[0], n, k) for v in values]
 
 
-def _posted_erm(spec: ClassSpec, values: np.ndarray, ceiling: int) -> float:
-    """The ERM posted price on (m, 1, 1) values, in O(m log m): the closed
-    form u*c/m (c values >= u) ranks every price, and among the prices
-    ``_near_max`` keeps, the last argmax of the sorted means of their revenue
-    rows wins; a price kept alone wins unscored."""
-    v = np.sort(values[:, 0, 0])
-    m = len(v)
-    below = np.searchsorted(v, v)             # equal values share one count
-    first = below == np.arange(m)
-    prices, zeros = v[first], below[first]
-    _check_ceiling(spec, [prices], ceiling)
-    kept = _near_max(prices * (m - zeros) / m, m)
-    best = kept[0]
-    if len(kept) > 1:
-        best = kept[_last_argmax(_sorted_mean(revenue_matrix(spec, prices[kept, None], values)))]
-    return float(prices[best])
+def _posted_erm(spec: ClassSpec, values: np.ndarray, ceiling: int) -> np.ndarray:
+    """The ERM posted price of each row of (R, m) values, in O(m log m) a row:
+    the closed form u*c/m (c values >= u) ranks the distinct prices, and among
+    those ``_near_max`` keeps, the last argmax of the sorted means of their
+    revenue rows wins; a price kept alone wins unscored."""
+    v = np.sort(values, axis=1)
+    R, m = v.shape
+    first = np.empty((R, m), dtype=bool)      # the first position of each distinct price
+    first[:, 0] = True
+    np.not_equal(v[:, 1:], v[:, :-1], out=first[:, 1:])
+    if m > ceiling:         # only then can a row hold more distinct prices than the ceiling
+        for r in range(R):
+            _check_ceiling(spec, [v[r, first[r]]], ceiling)
+    # i values lie below a first position i; a repeat's closed form is at most
+    # its first position's, so the row max is a distinct price's
+    kept = _near_max(v * np.arange(m, 0, -1.0) / m, m) & first
+    if np.count_nonzero(kept) > R:            # some rows keep more than one price
+        for r in np.flatnonzero(kept.sum(axis=1) > 1):
+            prices = np.flatnonzero(kept[r])
+            scores = _sorted_mean(revenue_matrix(spec, v[r, prices, None], v[r, :, None, None]))
+            kept[r, prices] = False
+            kept[r, prices[_last_argmax(scores)]] = True
+    return v[kept]                            # one price a row, in row order
 
 
 # ---------------------------------------------------------------------------

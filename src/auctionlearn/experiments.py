@@ -19,10 +19,12 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .bounds import main_bound, sample_complexity_estimate
-from .erm import DEFAULT_CANDIDATE_CEILING, OptimumEstimate, erm, in_class_optimum
+from .erm import DEFAULT_CANDIDATE_CEILING, OptimumEstimate, erm_block, in_class_optimum
 from .errors import AuctionLearnError
 from .mechanisms import TAG_BEST, TAG_PLAYER, ClassSpec, true_revenue
-from .model import DistributionSpec, Seed, sample_values
+from .model import DistributionSpec, Seed, sample_block
+
+_REPLICATE_CELLS = 2**14   # replicate x profile x bidder x item values drawn and learned at once
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +59,8 @@ class ExperimentConfig:
             raise AuctionLearnError("optimum_grid_step must be a finite number > 0")
         if self.optimum_draws < 1:
             raise AuctionLearnError("optimum_draws must be >= 1")
+        if self.eval_draws < 2 and self.eval_method != "analytic":
+            raise AuctionLearnError("eval_draws must be >= 2 for a Monte Carlo evaluation")
 
     def canonical_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -114,13 +118,20 @@ def _row_dict(row) -> dict:
     return {_column(f.name): getattr(row, f.name) for f in fields(row)}
 
 
-def _replicate_revenue(config: ExperimentConfig, m: int, index: int) -> float:
-    S = sample_values(config.dist, m, config.seed.child(f"exp-sample-m{m}", index))
-    h = erm(config.class_spec, S, config.candidate_ceiling)
-    # a closed form draws nothing, so an analytic run derives no evaluation seeds
-    seed = config.seed if config.eval_method == "analytic" else \
-        config.seed.child(f"exp-eval-m{m}", index)
-    return true_revenue(h, config.dist, config.eval_method, config.eval_draws, seed).value
+def _replicate_revenues(config: ExperimentConfig, m: int) -> np.ndarray:
+    """Learned revenue of each replicate at size m: drawn and learned in blocks
+    of about ``_REPLICATE_CELLS`` values, evaluated one hypothesis at a time."""
+    dist, revs = config.dist, np.empty(config.replicates)
+    step = max(1, _REPLICATE_CELLS // (m * dist.n * dist.k))
+    seeded = config.eval_method != "analytic"   # a closed form needs no evaluation seeds
+    for start in range(0, config.replicates, step):
+        index = range(start, min(start + step, config.replicates))
+        values = sample_block(dist, m, [config.seed.child(f"exp-sample-m{m}", i) for i in index])
+        learned = erm_block(config.class_spec, values, dist.value_range, config.candidate_ceiling)
+        for i, h in zip(index, learned):
+            seed = config.seed.child(f"exp-eval-m{m}", i) if seeded else config.seed
+            revs[i] = true_revenue(h, dist, config.eval_method, config.eval_draws, seed).value
+    return revs
 
 
 def generalization_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
@@ -135,8 +146,7 @@ def generalization_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     fp = config_fingerprint(config)
     rows = []
     for m in config.m_grid:
-        revs = np.fromiter((_replicate_revenue(config, m, i) for i in range(config.replicates)),
-                           dtype=float, count=config.replicates)
+        revs = _replicate_revenues(config, m)
         report = main_bound(spec, m, dist.n, dist.k, delta=config.delta,
                             value_range=dist.value_range)
         mean_rev = float(revs.mean())

@@ -35,6 +35,16 @@ def check_value_range(value_range, error=AuctionLearnError) -> tuple[float, floa
     return alpha, beta
 
 
+def _check_values(arr: np.ndarray, value_range, what: str) -> None:
+    """Raise unless the nonempty arr is finite (a NaN propagates to min and max) and in range."""
+    alpha, beta = check_value_range(value_range)
+    lo, hi = arr.min(), arr.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise AuctionLearnError(f"{what} contains non-finite values")
+    if lo < alpha or hi > beta:
+        raise AuctionLearnError(f"{what} values outside declared range [{alpha}, {beta}]")
+
+
 # ---------------------------------------------------------------------------
 # seeds
 
@@ -285,13 +295,7 @@ class ValuationProfile:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DimensionMismatch("profile values must be an n x k matrix")
-        alpha, beta = check_value_range(self.value_range)
-        if not np.all(np.isfinite(arr)):
-            raise AuctionLearnError("profile contains non-finite values")
-        if arr.min() < alpha or arr.max() > beta:
-            raise AuctionLearnError(
-                f"profile values outside declared range [{alpha}, {beta}]"
-            )
+        _check_values(arr, self.value_range, "profile")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -319,11 +323,7 @@ class SampleSet:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 3 or arr.shape[0] < 1:
             raise DimensionMismatch("sample values must have shape (m, n, k) with m >= 1")
-        alpha, beta = check_value_range(self.value_range)
-        if not np.all(np.isfinite(arr)):
-            raise AuctionLearnError("sample contains non-finite values")
-        if arr.min() < alpha or arr.max() > beta:
-            raise AuctionLearnError(f"sample values outside declared range [{alpha}, {beta}]")
+        _check_values(arr, self.value_range, "sample")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -349,19 +349,26 @@ class SampleSet:
                          provenance=f"{self.provenance} + {other.provenance}")
 
 
-def sample_values(spec: DistributionSpec, m: int, seed: Seed) -> SampleSet:
-    """Draw m i.i.d. profiles from the spec.  Bit-identical for identical inputs."""
+def sample_block(spec: DistributionSpec, m: int, seeds) -> np.ndarray:
+    """One sample of m i.i.d. profiles per seed, as (R, m, n, k) values checked as
+    ``SampleSet`` checks one; row r is ``sample_values(spec, m, seeds[r]).values``."""
     if m < 1:
         raise AuctionLearnError("m must be >= 1")
-    rng = seed.rng()
-    u = rng.random((m, spec.n, spec.k))
-    out = np.empty((m, spec.n, spec.k), dtype=float)
+    block = np.empty((len(seeds), m, spec.n, spec.k))   # uniforms, mapped to values in place
+    for r, seed in enumerate(seeds):
+        seed.rng().random((m, spec.n, spec.k), out=block[r])
     for i in range(spec.n):
         for j in range(spec.k):
-            out[:, i, j] = spec.marginals[i][j].ppf(u[:, i, j])
-    alpha, beta = spec.value_range
-    out.clip(alpha, beta, out=out)  # guard against ppf rounding at the edges
-    return SampleSet(out, spec.value_range, provenance=f"sampled(seed={seed.master}, m={m})")
+            block[..., i, j] = spec.marginals[i][j].ppf(block[..., i, j])
+    block.clip(*spec.value_range, out=block)  # guard against ppf rounding at the edges
+    _check_values(block, spec.value_range, "sample")
+    return block
+
+
+def sample_values(spec: DistributionSpec, m: int, seed: Seed) -> SampleSet:
+    """Draw m i.i.d. profiles from the spec.  Bit-identical for identical inputs."""
+    return SampleSet(sample_block(spec, m, [seed])[0], spec.value_range,
+                     provenance=f"sampled(seed={seed.master}, m={m})")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import oracles
 from auctionlearn import (DEFAULT_CANDIDATE_CEILING, CeilingExceeded, ClassSpec,
                           PlayerReserves, SampleSet, SingleReserve,
                           candidate_count, empirical_revenue, erm)
+from auctionlearn.erm import erm_block
 from oracles import candidate_set
 
 
@@ -196,12 +197,15 @@ def test_posted_price_erm_matches_exhaustive_argmax(m, kind, low, seed):
     assert_exhaustive_argmax(SINGLE, posted_sample(m, kind, low, seed))
 
 
-@pytest.mark.parametrize("values", [
+NEAR_TIES = [
     [0.2, 0.3, 0.6],             # 0.2*3 = 0.3*2 = 0.6*1 in exact arithmetic
     [0.1] * 5 + [0.6],           # the closed form ranks 0.1 first, the sorted mean ties
     [0.2] * 4 + [0.6, 0.9],
     [0.1, 0.1, 0.1, 0.1, 0.3, 0.3],
-])
+]
+
+
+@pytest.mark.parametrize("values", NEAR_TIES)
 def test_posted_price_near_ties_are_scored_exactly(values, monkeypatch):
     """Prices whose closed forms differ only by rounding are all re-scored by
     the sorted mean, which alone decides the winner.  The spy sits on erm's
@@ -217,6 +221,62 @@ def test_posted_price_near_ties_are_scored_exactly(values, monkeypatch):
     monkeypatch.setattr(module, "revenue_matrix", spy)
     assert_exhaustive_argmax(SINGLE, sample(values))
     assert scored and scored[0] > 1
+
+
+def assert_block_is_per_sample_erm(samples, ceiling=DEFAULT_CANDIDATE_CEILING):
+    """``erm_block`` on the stacked samples returns each sample's own ERM,
+    which the exhaustive argmax confirms."""
+    block = np.stack([S.values for S in samples])
+    assert erm_block(SINGLE, block, samples[0].value_range, ceiling) == \
+        [erm(SINGLE, S, ceiling) for S in samples]
+    for S in samples:
+        assert_exhaustive_argmax(SINGLE, S)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from([1, 2, 3, 6, 9, 64]), low=st.sampled_from([0.0, 2.0]),
+       rows=st.lists(st.tuples(st.sampled_from(["uniform", "tenths", "equal"]),
+                               st.integers(0, 2**32 - 1)), min_size=1, max_size=6))
+@example(m=6, low=0.0, rows=[("uniform", 1), ("tenths", 798), ("equal", 2), ("tenths", 3)])
+@example(m=1, low=2.0, rows=[("uniform", 4), ("equal", 5)])
+def test_posted_erm_block_is_per_sample_erm(m, low, rows):
+    """Block posted-price ERM treats each row as its own sample: uniform,
+    tenths-grid (tied) and all-equal rows on [0, 1] or [2, 5]."""
+    assert_block_is_per_sample_erm([posted_sample(m, kind, low, seed) for kind, seed in rows])
+
+
+@pytest.mark.parametrize("values", NEAR_TIES)
+def test_posted_erm_block_rescores_near_ties_among_ordinary_rows(values, monkeypatch):
+    """A near-tie row between ordinary rows is re-scored by the sorted mean,
+    as it is alone."""
+    module = importlib.import_module("auctionlearn.erm")
+    scored, kernel = [], module.revenue_matrix
+
+    def spy(spec, params, values, alpha=0.0):
+        scored.append(len(params))
+        return kernel(spec, params, values, alpha)
+
+    monkeypatch.setattr(module, "revenue_matrix", spy)
+    m = len(values)
+    ordinary = [posted_sample(m, kind, 0.0, seed) for kind, seed in (("uniform", 1), ("tenths", 2))]
+    assert_block_is_per_sample_erm([ordinary[0], sample(values), ordinary[1]])
+    assert scored and max(scored) > 1
+
+
+def test_posted_erm_block_refuses_as_its_first_sample_over_the_ceiling():
+    """Samples with 3, 5 and 6 distinct prices under a ceiling of 4: the
+    block raises the message the 5-price sample raises alone; a ceiling of 6
+    admits them all."""
+    samples = [sample(row) for row in ([0.1, 0.2, 0.3, 0.3, 0.3, 0.3],
+                                       [0.1, 0.2, 0.3, 0.4, 0.5, 0.5],
+                                       [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])]
+    with pytest.raises(CeilingExceeded) as alone:
+        erm(SINGLE, samples[1], ceiling=4)
+    block = np.stack([S.values for S in samples])
+    with pytest.raises(CeilingExceeded) as blocked:
+        erm_block(SINGLE, block, (0.0, 1.0), ceiling=4)
+    assert str(blocked.value) == str(alone.value) and "scores 5 candidate rows" in str(alone.value)
+    assert_block_is_per_sample_erm(samples, ceiling=6)
 
 
 def test_erm_ceiling_error():

@@ -1,6 +1,7 @@
 """In-class optima, the generalization harness, curves, and output writers."""
 
 import hashlib
+import importlib
 import math
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from auctionlearn import (AuctionLearnError, CeilingExceeded, ClassSpec, Discrete,
                           DistributionSpec, ExperimentConfig, Seed, Uniform, config_fingerprint,
-                          generalization_experiment, in_class_optimum,
-                          sample_complexity_curve, write_gap_svg,
+                          erm, generalization_experiment, in_class_optimum,
+                          sample_complexity_curve, sample_values, true_revenue, write_gap_svg,
                           write_rows_csv, write_rows_jsonl)
 
 SINGLE = ClassSpec("single-reserve")
@@ -215,12 +216,66 @@ def small_config(**kw):
     dict(m_grid=()), dict(m_grid=(25, 0)), dict(eval_method="analytc"),
     dict(optimum_grid_step=0.0), dict(optimum_grid_step=-0.1),
     dict(optimum_grid_step=math.nan), dict(optimum_grid_step=math.inf), dict(optimum_draws=0),
+    dict(eval_method="auto", eval_draws=1), dict(eval_method="monte-carlo", eval_draws=0),
 ], ids=["replicates0", "replicates1", "delta0", "delta1", "empty-grid",
         "m0", "eval-method", "grid-step0", "grid-step-negative", "grid-step-nan",
-        "grid-step-inf", "optimum-draws0"])
+        "grid-step-inf", "optimum-draws0", "eval-draws-auto", "eval-draws-mc"])
 def test_config_rejects_values_that_make_bad_rows(bad):
     with pytest.raises(AuctionLearnError):
         small_config(**bad)
+
+
+def test_analytic_evaluation_needs_no_eval_draws():
+    assert small_config(eval_draws=1).eval_draws == 1
+
+
+def replicate_loop(config: ExperimentConfig, m: int) -> np.ndarray:
+    """The harness's reference: draw, learn and evaluate one replicate at a time."""
+    revs = []
+    for i in range(config.replicates):
+        S = sample_values(config.dist, m, config.seed.child(f"exp-sample-m{m}", i))
+        h = erm(config.class_spec, S, config.candidate_ceiling)
+        seed = config.seed if config.eval_method == "analytic" else \
+            config.seed.child(f"exp-eval-m{m}", i)
+        revs.append(true_revenue(h, config.dist, config.eval_method, config.eval_draws,
+                                 seed).value)
+    return np.array(revs)
+
+
+@pytest.mark.parametrize("m,config", [
+    (1, small_config(replicates=7)),
+    (400, small_config(replicates=43)),             # blocks of 40 rows, then 3
+    (7, small_config(dist=DistributionSpec.iid(Discrete((0.2, 0.5, 0.9), (0.3, 0.4, 0.3))),
+                     eval_method="auto", replicates=2340 + 6)),
+    (5, small_config(class_spec=ClassSpec("player-reserves"),
+                     dist=DistributionSpec.iid(Uniform(0, 1), 2, 1), replicates=1638 + 2,
+                     eval_method="monte-carlo", eval_draws=50)),
+], ids=["single-m1", "single-m400", "discrete-auto", "player-mc"])
+def test_blocked_replicates_match_the_replicate_loop(m, config):
+    """Replicates drawn and learned in blocks, including a last partial
+    block, give the loop's revenues bit for bit."""
+    module = importlib.import_module("auctionlearn.experiments")
+    assert np.array_equal(module._replicate_revenues(config, m), replicate_loop(config, m))
+
+
+def test_replicate_blocks_stay_under_the_cell_budget(monkeypatch):
+    """A run of 1000 replicates at m = 400 never draws more than
+    ``_REPLICATE_CELLS`` values at once, and its row is the one the first 1000
+    replicates of 1003, split into blocks differently, give."""
+    module = importlib.import_module("auctionlearn.experiments")
+    drawn, sampler = [], module.sample_block
+
+    def spy(dist, m, seeds):
+        values = sampler(dist, m, seeds)
+        drawn.append(values.size)
+        return values
+
+    monkeypatch.setattr(module, "sample_block", spy)
+    row = generalization_experiment(small_config(m_grid=(400,), replicates=1000))[0]
+    assert sum(drawn) == 400 * 1000 and max(drawn) <= module._REPLICATE_CELLS
+    revs = module._replicate_revenues(small_config(m_grid=(400,), replicates=1003), 400)[:1000]
+    assert (row.mean_revenue, row.std_error) == \
+        (float(revs.mean()), float(revs.std(ddof=1) / math.sqrt(1000)))
 
 
 def test_experiment_rows_basic_contracts():

@@ -10,6 +10,7 @@ from auctionlearn import (AnalyticUnsupported, AuctionLearnError, DimensionMisma
                           SampleSet, Seed, SingleReserve, TruncatedExponential,
                           Uniform, ValuationProfile, load_samples, sample_values,
                           save_samples, true_revenue)
+from auctionlearn.model import sample_block
 
 U01 = DistributionSpec.iid(Uniform(0, 1))
 
@@ -27,6 +28,43 @@ def test_sampling_is_deterministic():
     assert np.array_equal(a.values, b.values)
     c = sample_values(U01, 5, Seed(43))
     assert not np.array_equal(a.values, c.values)
+
+
+BLOCK_DISTS = {
+    "uniform": Uniform(0, 1),
+    "trunc-exp": TruncatedExponential(rate=2.0, cap=1.0),
+    "discrete": Discrete((0.1, 0.4, 0.8), (0.25, 0.5, 0.25)),
+    "shifted": Uniform(2, 5),
+}
+
+
+def reference_sample(spec, m, seed):
+    """The per-sample draw the block sampler replaced: one generator, one
+    ppf per marginal column, one clamp."""
+    u = seed.rng().random((m, spec.n, spec.k))
+    out = np.empty_like(u)
+    for i in range(spec.n):
+        for j in range(spec.k):
+            out[:, i, j] = spec.marginals[i][j].ppf(u[:, i, j])
+    return out.clip(*spec.value_range)
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 13, 50, 101])
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (1, 3), (3, 3)])
+@pytest.mark.parametrize("name", sorted(BLOCK_DISTS))
+def test_sample_block_rows_are_the_per_seed_samples(name, n, k, m):
+    """Drawn in blocks of 4 seeds, 11 seeds give the bits of 11 separate
+    ``sample_values`` calls and of the per-sample reference: the block's ppf
+    and clamp run once on all rows, and ufunc loops must not round a row
+    differently by its position."""
+    marginal = BLOCK_DISTS[name]
+    spec = DistributionSpec.iid(marginal, n, k, value_range=marginal.support)
+    seeds = [Seed(17).child(name, i) for i in range(11)]
+    blocks = [sample_block(spec, m, seeds[at:at + 4]) for at in range(0, len(seeds), 4)]
+    assert blocks[0].shape == (4, m, n, k)
+    expected = np.stack([sample_values(spec, m, seed).values for seed in seeds])
+    assert np.array_equal(np.concatenate(blocks), expected)
+    assert np.array_equal(expected, np.stack([reference_sample(spec, m, s) for s in seeds]))
 
 
 def test_uniform_mean_clt():
@@ -83,6 +121,14 @@ def test_profile_and_sample_validation():
     s = SampleSet(np.full((2, 1, 1), 0.5))
     with pytest.raises(ValueError):
         s.values[0, 0, 0] = 0.1                   # frozen storage
+    for bad in (math.nan, math.inf, -math.inf):
+        values = np.array([0.5, bad, 0.2])
+        with pytest.raises(AuctionLearnError, match="sample contains non-finite values"):
+            SampleSet(values.reshape(3, 1, 1))
+        with pytest.raises(AuctionLearnError, match="profile contains non-finite values"):
+            ValuationProfile(values.reshape(1, 3))
+    with pytest.raises(AuctionLearnError, match=r"outside declared range \[0.0, 1.0\]"):
+        SampleSet(np.full((2, 1, 1), 1.5))
 
 
 @pytest.mark.parametrize("bad", [(1.0, 0.0), (0.5, 0.5), (-0.1, 1.0), (0.0, math.nan),
