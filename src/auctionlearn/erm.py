@@ -40,7 +40,7 @@ from .mechanisms import (TAG_BEST, TAG_BUNDLE, TAG_ITEM, TAG_PLAYER, TAG_SINGLE,
                          TAG_TLEVEL, ClassSpec, Hypothesis, SingleReserve, analytic_optimum,
                          auction_columns, check_class_dims, hypothesis_from_params,
                          profile_revenues, reserve_revenue, revenue_matrix, top_two)
-from .model import DistributionSpec, SampleSet, Seed, sample_values
+from .model import DistributionSpec, SampleSet, Seed, sample_block
 
 DEFAULT_CANDIDATE_CEILING = 10**7
 _CHUNK = 4096
@@ -411,7 +411,7 @@ def _grid_optimum(spec: ClassSpec, dist: DistributionSpec, grid_step: float,
     if joint and _count(spec, pools) * draws > _GRID_BUDGET:
         raise CeilingExceeded(f"{spec.describe()} grid optimum over budget; "
                               "increase grid_step or lower draws")
-    values = sample_values(dist, draws, seed).values
+    values = sample_block(dist, draws, [seed])[0]
     if joint:
         rows = _candidate_rows(spec, _factors(spec, pools), values, alpha)
         value = max(R.sum(axis=1).max() for _, R in rows) / draws
@@ -427,9 +427,11 @@ def in_class_optimum(spec: ClassSpec, dist: DistributionSpec, method: str = "aut
                      seed: Seed = Seed(0)) -> OptimumEstimate:
     """sup over the class of expected revenue under the spec.
 
-    'analytic' covers single-bidder posted-price shapes under uniform or
-    discrete marginals; 'grid' maximizes over a parameter grid evaluated on
-    shared Monte Carlo draws; 'auto' prefers analytic and falls back.
+    'analytic' is ``analytic_optimum``: single-bidder posted-price shapes
+    under uniform or discrete marginals, and the multi-bidder reserve-rule
+    classes under uniform marginals (anonymous ones on identical marginals);
+    'grid' maximizes over a parameter grid evaluated on shared Monte Carlo
+    draws (biased upward); 'auto' prefers analytic and falls back.
     """
     if method not in ("auto", "analytic", "grid"):
         raise ValueError(f"unknown method {method!r}")

@@ -16,6 +16,11 @@ of profiles with results identical to the oracle bit for bit, and ERM, the
 grid optima and ``profile_revenues`` (its single-row case) all call it or its
 single-item primitive ``reserve_revenue``, on the single-item auctions
 ``auction_columns`` names for a reserve-rule class.
+
+Expected revenue and the in-class optimum have closed forms for the
+single-bidder posted-price shapes and, at n >= 2, for the reserve-rule
+classes under uniform marginals (Myerson's virtual surplus on each auction of
+``auction_columns``); ``true_revenue`` falls back to Monte Carlo elsewhere.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 
 from .errors import AnalyticUnsupported, AuctionLearnError, DimensionMismatch
 from .model import (Discrete, DistributionSpec, Seed, Uniform,
-                    ValuationProfile, sample_values)
+                    ValuationProfile, sample_block)
 
 TAG_SINGLE = "single-reserve"
 TAG_ASP = "anonymous-second-price"
@@ -638,10 +643,58 @@ def _posted_marginals(tag: str, spec: DistributionSpec, unsupported: str) -> tup
     raise AnalyticUnsupported(unsupported.format(tag))
 
 
+def _uniform_auctions(spec: ClassSpec, dist: DistributionSpec) -> list[tuple]:
+    """Per single-item auction of ``auction_columns`` at n >= 2, its bidders'
+    marginals: reserve-rule classes under uniform marginals, a bundle price
+    at k = 1 only (bundle totals of k >= 2 uniforms are not uniform)."""
+    if spec.tag in (TAG_TLEVEL, TAG_BEST) or (spec.tag == TAG_BUNDLE and dist.k != 1):
+        raise AnalyticUnsupported(f"no multi-bidder closed form for {spec.describe()} "
+                                  f"at k = {dist.k}")
+    if not all(isinstance(m, Uniform) for row in dist.marginals for m in row):
+        raise AnalyticUnsupported("multi-bidder closed forms need uniform marginals")
+    check_class_dims(spec, dist.n, dist.k)
+    return list(zip(*dist.marginals))
+
+
+def _lazy_reserve_revenue(marginals, reserves) -> float:
+    """Expected revenue of a second-price auction with lazy reserves r_i on
+    independent uniform values: sum_i int_{r_i}^{b_i} [x f_i - (1 - F_i)] G_i dx,
+    G_i = prod_{j != i} F_j the best rival's CDF, from E[max(r, Y) 1{Y < x}] =
+    x G(x) - int_r^x G (Myerson's virtual surplus).  Between the supports'
+    ends the integrand is a degree-n polynomial in t = x - x0: np.convolve of
+    its linear factors, integrated exactly by the power rule."""
+    ends = sorted({p for m in marginals for p in (m.low, m.high)})
+    total = 0.0
+    for i, (own, r) in enumerate(zip(marginals, reserves)):
+        rivals = marginals[:i] + marginals[i + 1:]
+        lo = max(r, *(m.low for m in rivals))     # G_i = 0 below a rival's support
+        if lo >= own.high:
+            continue
+        cuts = [lo, *(p for p in ends if lo < p < own.high), own.high]
+        width = own.high - own.low      # x f - (1 - F) = (2x - b) / width on the support
+        for x0, x1 in zip(cuts, cuts[1:]):
+            poly = [(2 * x0 - own.high) / width, 2 / width] if x0 >= own.low else [-1.0]
+            for m in rivals:
+                if x0 < m.high:
+                    poly = np.convolve(poly, [(x0 - m.low) / (m.high - m.low),
+                                              1 / (m.high - m.low)])
+            power = np.arange(1, len(poly) + 1)
+            total += float(np.dot(poly, (x1 - x0) ** power / power))
+    return total
+
+
 def analytic_true_revenue(h: Hypothesis, spec: DistributionSpec) -> float:
-    """Closed-form expected revenue; single-bidder posted-price shapes only."""
+    """Closed-form expected revenue: at n = 1 the posted-price shapes under
+    uniform or discrete marginals; at n >= 2 the reserve-rule classes (not
+    t-level or best-of, bundle prices at k = 1) under uniform marginals, by
+    ``_lazy_reserve_revenue`` on each auction of ``auction_columns``."""
     if spec.n != 1:
-        raise AnalyticUnsupported("closed forms cover single-bidder classes only")
+        cls = _check_dims(h, spec.n, spec.k)
+        auctions = _uniform_auctions(cls, spec)
+        params = np.asarray(h.param_vector(), dtype=float)
+        # reserves[i, j]: bidder i's reserve in auction j
+        reserves = params.reshape(spec.n, -1) if cls.per_bidder else np.tile(params, (spec.n, 1))
+        return sum(map(_lazy_reserve_revenue, auctions, reserves.T.tolist()))
     tag = h.tag
     marginals = _posted_marginals(tag, spec, "no closed form for {} under this spec")
     if tag != TAG_ITEM:     # one price: bidder 0's reserve or lowest threshold
@@ -665,9 +718,18 @@ def _posted_optimum(marginal) -> float:
 
 def analytic_optimum(spec: ClassSpec, dist: DistributionSpec) -> float:
     """Closed-form sup over the class of expected revenue, for the shapes of
-    ``analytic_true_revenue``: the best posted price on each marginal."""
+    ``analytic_true_revenue``.  At n = 1: the best posted price on each
+    marginal.  At n >= 2 bidder i's term depends on r_i alone and is best at
+    r_i = max(a_i, b_i / 2), where its virtual value turns nonnegative; an
+    anonymous class shares that reserve only when each auction's marginals
+    are identical, and raises AnalyticUnsupported otherwise."""
     if dist.n != 1:
-        raise AnalyticUnsupported("closed-form optima cover single-bidder specs only")
+        auctions = _uniform_auctions(spec, dist)
+        if not spec.per_bidder and any(len(set(a)) > 1 for a in auctions):
+            raise AnalyticUnsupported("anonymous closed-form optima need identical "
+                                      "marginals in each auction")
+        return sum(_lazy_reserve_revenue(a, [max(m.low, m.high / 2) for m in a])
+                   for a in auctions)
     marginals = _posted_marginals(spec.tag, dist, "no closed-form optimum for {}")
     return sum(map(_posted_optimum, marginals))
 
@@ -676,8 +738,8 @@ def monte_carlo_true_revenue(h: Hypothesis, spec: DistributionSpec, draws: int,
                              seed: Seed) -> RevenueEstimate:
     if draws < 2:
         raise AuctionLearnError("monte carlo needs at least 2 draws")
-    sample = sample_values(spec, draws, seed)
-    revs = profile_revenues(h, sample.values, spec.value_range[0])
+    values = sample_block(spec, draws, [seed])[0]
+    revs = profile_revenues(h, values, spec.value_range[0])
     return RevenueEstimate(float(revs.mean()),
                            float(revs.std(ddof=1) / math.sqrt(draws)))
 
@@ -687,10 +749,12 @@ def true_revenue(h: Hypothesis, spec: DistributionSpec, method: str = "analytic"
     """Expected revenue of h under the spec.
 
     ``method='analytic'`` uses the closed form (single-bidder posted-price
-    classes under uniform or discrete marginals) and raises
-    AnalyticUnsupported otherwise; ``method='monte-carlo'`` estimates from
-    fresh draws and reports a standard error; ``method='auto'`` takes the
-    closed form where there is one and Monte Carlo otherwise.
+    classes under uniform or discrete marginals; at n >= 2 anonymous second
+    price, player reserves, item prices and bundle prices at k = 1 under
+    uniform marginals) and raises AnalyticUnsupported otherwise;
+    ``method='monte-carlo'`` estimates from fresh draws and reports a
+    standard error; ``method='auto'`` takes the closed form where there is
+    one and Monte Carlo otherwise.
     """
     if method not in ("auto", "analytic", "monte-carlo"):
         raise ValueError(f"unknown method {method!r}")

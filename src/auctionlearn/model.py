@@ -70,7 +70,7 @@ class Seed:
         return Seed(int.from_bytes(digest, "big"))
 
     def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.master)
+        return np.random.Generator(np.random.PCG64(self.master))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ candidate-set or ERM code paths.
 """
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import integrate
 
 import auctionlearn
 from auctionlearn import (AnonymousSecondPriceReserve, BestOf, BundlePrice, ClassSpec,
@@ -265,6 +267,52 @@ def candidate_set(spec, S) -> CandidateSet:
     choices = _coordinate_choices(spec, S.values, S.value_range[1])
     return CandidateSet(tuple(hypothesis_from_params(spec, sum(row, ()), S.n, S.k)
                               for row in itertools.product(*choices)))
+
+
+# ---------------------------------------------------------------------------
+# expected revenue by quadrature
+
+
+def lazy_reserve_revenue_quad(supports, reserves) -> float:
+    """Expected revenue of a second-price auction with lazy reserves r_i on
+    independent U[a_i, b_i] values, from the direct definition
+    sum_i E[1{i top} 1{v_i >= r_i} max(r_i, second)] by nested quadrature:
+    given v_i = x >= r_i, bidder i wins when the best rival value Y is below
+    x and pays r_i if Y < r_i, else Y, so its share is
+    int f_i(x) [r_i P(Y < r_i) + int_{r_i}^x y g_i(y) dy] dx, g_i the
+    density of Y.  No integration by parts, no virtual values."""
+    ends = sorted({p for support in supports for p in support})
+
+    def cdf(j, y):
+        a, b = supports[j]
+        return min(max((y - a) / (b - a), 0.0), 1.0)
+
+    def pdf(j, y):
+        a, b = supports[j]
+        return 1.0 / (b - a) if a <= y <= b else 0.0
+
+    def quad(fn, lo, hi):
+        points = [p for p in ends if lo < p < hi] or None
+        return integrate.quad(fn, lo, hi, points=points, epsabs=1e-15, epsrel=1e-13,
+                              limit=200)[0]
+
+    total = 0.0
+    for i, (r, (a, b)) in enumerate(zip(reserves, supports)):
+        rivals = [j for j in range(len(supports)) if j != i]
+
+        def rival_cdf(y):
+            return math.prod(cdf(j, y) for j in rivals)
+
+        def rival_pdf(y):
+            return sum(pdf(j, y) * math.prod(cdf(l, y) for l in rivals if l != j)
+                       for j in rivals)
+
+        def share(x):
+            return pdf(i, x) * (r * rival_cdf(r) + quad(lambda y: y * rival_pdf(y), r, x))
+
+        if max(r, a) < b:
+            total += quad(share, max(r, a), b)
+    return total
 
 
 # ---------------------------------------------------------------------------

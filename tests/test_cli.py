@@ -138,6 +138,27 @@ def test_experiment_writes_deterministic_files(capsys, tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_multi_bidder_uniform_experiment_evaluates_in_closed_form(capsys, tmp_path):
+    prefix = tmp_path / "player"
+    code, _, err = run_cli(capsys, "experiment", "--class", "player-reserves", "--n", "2",
+                           "--dist", "uniform:0,1", "--m-grid", "10,40", "--replicates", "20",
+                           "--eval-method", "analytic", "--out", str(prefix))
+    assert code == 0 and err == ""
+    rows = [json.loads(line) for line in (tmp_path / "player.jsonl").read_text().splitlines()]
+    assert len(rows) == 2 and all(row["gap"] >= 0 for row in rows)
+
+
+def test_multi_bidder_tlevel_has_no_closed_form_evaluation(capsys, tmp_path):
+    config = tmp_path / "grid.json"        # a coarse grid, so the optimum is feasible
+    config.write_text(json.dumps({"optimum_grid_step": 0.25, "optimum_draws": 2000}))
+    code, out, err = run_cli(capsys, "experiment", "--class", "t-level", "--levels", "1",
+                             "--n", "2", "--dist", "uniform:0,1", "--m-grid", "10",
+                             "--replicates", "2", "--eval-method", "analytic",
+                             "--config", str(config))
+    assert code == 1 and out == ""
+    assert err == "error: no multi-bidder closed form for t-level s=1 at k = 1\n"
+
+
 def test_curve_smoke(capsys):
     code, out, _ = run_cli(capsys, "curve", "--class", "single-reserve",
                            "--dist", "uniform:0,1", "--m-grid", "25",

@@ -1,5 +1,6 @@
 """In-class optima, the generalization harness, curves, and output writers."""
 
+import dataclasses
 import hashlib
 import importlib
 import math
@@ -108,6 +109,28 @@ def test_workload_scale_grid_optimum_is_pinned():
     est = in_class_optimum(ClassSpec("player-reserves"), U01_PAIR, "grid", 1e-3, 200_000,
                            Seed(1).child("experiment-mc").child("optimum"))
     assert est.value == 0.4168109344756925
+
+
+def test_workload_scale_grid_optimum_is_biased_upward():
+    """The grid-mc value pinned above, against the exact optimum 5/12 that
+    ``in_class_optimum`` now returns there: a max over correlated grid means
+    overestimates, here by about 1.4e-4."""
+    exact = in_class_optimum(ClassSpec("player-reserves"), U01_PAIR)
+    assert exact.method == "analytic" and abs(exact.value - 5 / 12) <= 1e-15
+    assert 5 / 12 <= 0.4168109344756925 <= 5 / 12 + 1e-3
+
+
+def test_multi_bidder_uniform_experiment_draws_no_monte_carlo():
+    """Player reserves at n = 2 on U[0, 1]: the optimum is the closed form 5/12,
+    each learned reserve pair is scored exactly (eval_draws does not matter)
+    and no row's gap is negative."""
+    config = small_config(class_spec=ClassSpec("player-reserves"), dist=U01_PAIR,
+                          m_grid=(10, 40), replicates=20, eval_method="auto")
+    rows = generalization_experiment(config)
+    again = generalization_experiment(dataclasses.replace(config, eval_draws=2))
+    assert [r.mean_revenue for r in rows] == [r.mean_revenue for r in again]
+    for r in rows:
+        assert abs(r.optimum - 5 / 12) <= 1e-15 and r.gap >= 0
 
 
 RESERVE_GRID_CLASSES = [

@@ -3,10 +3,11 @@
 import zlib
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (ALL_TAGS, TRUTHFUL_TAGS, draw_eighth_sample, draw_grid_sample,
-                     misreport_improvement, random_hypothesis, random_instance)
+                     lazy_reserve_revenue_quad, misreport_improvement, random_hypothesis,
+                     random_instance)
 import pytest
 
 from auctionlearn import (AnalyticUnsupported, AnonymousSecondPriceReserve, BestOf,
@@ -17,7 +18,7 @@ from auctionlearn import (AnalyticUnsupported, AnonymousSecondPriceReserve, Best
                           hypothesis_to_record, in_class_optimum, monte_carlo_true_revenue,
                           profile_revenues, revenue, revenue_matrix, run_mechanism,
                           true_revenue)
-from auctionlearn.mechanisms import hypothesis_from_params, top_two
+from auctionlearn.mechanisms import analytic_optimum, hypothesis_from_params, spec_of, top_two
 
 rng = np.random.default_rng(20240817)
 
@@ -368,12 +369,12 @@ def test_auto_evaluation_is_the_closed_form_where_one_exists(h, spec):
 
 
 @pytest.mark.parametrize("h,spec", [
-    (AnonymousSecondPriceReserve(0.4), DistributionSpec.iid(UNI, 2, 1)),
+    (AnonymousSecondPriceReserve(0.4), DistributionSpec.iid(DISC, 2, 1)),
     (BestOf(BundlePrice(price=0.7), ItemPrices(prices=(0.4, 0.5))),
      DistributionSpec.iid(DISC, 1, 2)),
     (SingleReserve(0.5), DistributionSpec.iid(TruncatedExponential(2.0, 1.0))),
     (BundlePrice(price=1.1), DistributionSpec.iid(UNI, 1, 2)),
-], ids=["n2", "best-of", "trunc-exp", "bundle-uniform"])
+], ids=["n2-discrete", "best-of", "trunc-exp", "bundle-uniform"])
 def test_auto_evaluation_falls_back_to_monte_carlo(h, spec):
     auto = true_revenue(h, spec, "auto", draws=1000, seed=Seed(8))
     assert auto == monte_carlo_true_revenue(h, spec, 1000, Seed(8))
@@ -416,11 +417,21 @@ def test_single_bidder_closed_forms_are_pinned(spec, k, h, revenues, optima):
         assert in_class_optimum(spec, dist, "analytic").value == opt
 
 
+MULTI_BIDDER_UNIFORM_ONLY = "multi-bidder closed forms need uniform marginals"
+
+
 @pytest.mark.parametrize("h,spec,dist,revenue_error,optimum_error", [
     (AnonymousSecondPriceReserve(0.5), ClassSpec("anonymous-second-price"),
-     DistributionSpec.iid(UNI, 2, 1),
-     "closed forms cover single-bidder classes only",
-     "closed-form optima cover single-bidder specs only"),
+     DistributionSpec.iid(DISC, 2, 1), MULTI_BIDDER_UNIFORM_ONLY, MULTI_BIDDER_UNIFORM_ONLY),
+    (TLevel(((0.5,), (0.5,))), ClassSpec("t-level", levels=1), DistributionSpec.iid(UNI, 2, 1),
+     "no multi-bidder closed form for t-level s=1 at k = 1",
+     "no multi-bidder closed form for t-level s=1 at k = 1"),
+    (BundlePrice(price=1.0), ClassSpec("bundle-price"), DistributionSpec.iid(UNI, 2, 2),
+     "no multi-bidder closed form for bundle-price at k = 2",
+     "no multi-bidder closed form for bundle-price at k = 2"),
+    (AnonymousSecondPriceReserve(0.5), ClassSpec("anonymous-second-price"),
+     DistributionSpec(((UNI,), (U29,))), None,       # the revenue has a closed form
+     "anonymous closed-form optima need identical marginals in each auction"),
     (BestOf(BundlePrice(price=0.5), ItemPrices(prices=(0.5,))), ClassSpec("best-of"),
      DistributionSpec.iid(DISC), "no closed form for best-of under this spec",
      "no closed-form optimum for best-of"),
@@ -433,11 +444,15 @@ def test_single_bidder_closed_forms_are_pinned(spec, k, h, revenues, optima):
      DistributionSpec.iid(TruncatedExponential(1.0, 1.0), 1, 2),
      "no closed form for posted prices under TruncatedExponential",
      "no closed-form posted-price optimum under TruncatedExponential"),
-], ids=["n2", "best-of", "single-item-on-k2", "bundle-uniform", "trunc-exp"])
+], ids=["n2-discrete", "n2-t-level", "n2-bundle-k2", "n2-anonymous-optimum-asymmetric",
+        "best-of", "single-item-on-k2", "bundle-uniform", "trunc-exp"])
 def test_single_bidder_closed_forms_refuse_other_shapes(h, spec, dist, revenue_error,
                                                         optimum_error):
-    with pytest.raises(AnalyticUnsupported, match=f"^{revenue_error}$"):
-        analytic_true_revenue(h, dist)
+    if revenue_error is None:
+        assert analytic_true_revenue(h, dist) > 0
+    else:
+        with pytest.raises(AnalyticUnsupported, match=f"^{revenue_error}$"):
+            analytic_true_revenue(h, dist)
     with pytest.raises(AnalyticUnsupported, match=f"^{optimum_error}$"):
         in_class_optimum(spec, dist, "analytic")
 
@@ -448,3 +463,84 @@ def test_item_prices_of_the_wrong_length_have_no_closed_form(h):
     dist = DistributionSpec.iid(UNI, 1, 2)
     with pytest.raises(DimensionMismatch, match="item prices do not match"):
         analytic_true_revenue(h, dist)
+
+
+# ---------------------------------------------------------------------------
+# multi-bidder closed forms under uniform marginals
+
+
+def test_player_reserves_at_two_uniform_bidders_give_myersons_five_twelfths():
+    dist = DistributionSpec.iid(UNI, 2, 1)
+    assert abs(analytic_true_revenue(PlayerReserves((0.5, 0.5)), dist) - 5 / 12) <= 2**-54
+    assert abs(analytic_optimum(ClassSpec("player-reserves"), dist) - 5 / 12) <= 1e-15
+
+
+TWENTIETHS = st.integers(0, 20).map(lambda t: t / 20)
+# a support [a, b] in [0, 1], on the twentieths (shared ends, ties with reserves) or free
+SUPPORTS = st.one_of(
+    st.integers(0, 19).flatmap(lambda t: st.tuples(st.just(t / 20),
+                                                   st.integers(t + 1, 20).map(lambda u: u / 20))),
+    st.tuples(st.floats(0, 0.9), st.floats(0.01, 1)).map(lambda p: (p[0], min(1.0, sum(p)))))
+RESERVES = st.one_of(TWENTIETHS, st.floats(0, 1))
+
+
+AUCTIONS = st.sampled_from((2, 3, 4)).flatmap(lambda n: st.tuples(
+    st.lists(SUPPORTS, min_size=n, max_size=n), st.lists(RESERVES, min_size=n, max_size=n)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(auction=AUCTIONS)
+@example(auction=([(0.2, 0.6), (0.3, 1.0), (0.25, 0.45)], [0.1, 0.5, 0.5]))
+def test_lazy_reserve_closed_form_matches_quadrature_of_the_definition(auction):
+    """Asymmetric uniform marginals, reserves inside, below and above the
+    supports, against the quadrature oracle of the direct definition."""
+    supports, reserves = auction
+    dist = DistributionSpec(tuple((Uniform(a, b),) for a, b in supports))
+    assert analytic_true_revenue(PlayerReserves(reserves), dist) == pytest.approx(
+        lazy_reserve_revenue_quad(supports, reserves), rel=1e-9, abs=1e-15)
+
+
+U_LOW, U_HIGH, U_MID = Uniform(0.0, 0.7), Uniform(0.2, 1.0), Uniform(0.1, 0.6)
+THREE_ASYMMETRIC = DistributionSpec(((U_LOW,), (U_HIGH,), (U_MID,)))
+TWO_BY_TWO = DistributionSpec(((U_LOW, U_HIGH), (U_HIGH, U_MID)))
+MULTI_BIDDER_CLOSED_FORMS = [
+    (AnonymousSecondPriceReserve(0.45), THREE_ASYMMETRIC),
+    (PlayerReserves((0.3, 0.55, 0.4)), THREE_ASYMMETRIC),
+    (ItemPrices(prices=(0.35, 0.5)), TWO_BY_TWO),
+    (ItemPrices(price_matrix=((0.3, 0.6), (0.5, 0.25))), TWO_BY_TWO),
+    (BundlePrice(price=0.4), DistributionSpec(((U_LOW,), (U_MID,)))),
+    (BundlePrice(prices=(0.3, 0.6, 0.15)), THREE_ASYMMETRIC),
+]
+
+
+@pytest.mark.parametrize("h,dist", MULTI_BIDDER_CLOSED_FORMS,
+                         ids=[spec_of(h).describe().replace(" ", "-")
+                              for h, _ in MULTI_BIDDER_CLOSED_FORMS])
+def test_multi_bidder_closed_forms_agree_with_monte_carlo(h, dist):
+    exact = true_revenue(h, dist, "auto", draws=2)
+    assert exact.std_error is None and exact.value == analytic_true_revenue(h, dist)
+    mc = monte_carlo_true_revenue(h, dist, 10**6, Seed(18))
+    assert abs(mc.value - exact.value) <= 4 * mc.std_error
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_no_hypothesis_beats_the_closed_form_optimum(data):
+    tag = data.draw(st.sampled_from(("anonymous-second-price", "player-reserves",
+                                     "bundle-price", "item-prices")))
+    per_player = tag in ("bundle-price", "item-prices") and data.draw(st.booleans())
+    spec = ClassSpec(tag, per_player=per_player)
+    n = data.draw(st.integers(2, 4))
+    k = data.draw(st.integers(1, 3)) if tag == "item-prices" else 1
+    if spec.per_bidder:
+        rows = data.draw(st.lists(st.lists(SUPPORTS, min_size=k, max_size=k),
+                                  min_size=n, max_size=n))
+    else:                   # anonymous optima need each item's marginals identical
+        rows = [data.draw(st.lists(SUPPORTS, min_size=k, max_size=k))] * n
+    dist = DistributionSpec(tuple(tuple(Uniform(a, b) for a, b in row) for row in rows))
+    width = (n if spec.per_bidder else 1) * (k if tag == "item-prices" else 1)
+    h = hypothesis_from_params(spec, data.draw(st.lists(RESERVES, min_size=width,
+                                                        max_size=width)), n, k)
+    best = in_class_optimum(spec, dist)
+    assert best.method == "analytic"
+    assert true_revenue(h, dist).value <= best.value + 1e-12

@@ -104,6 +104,13 @@ def test_seed_children_are_pure_and_distinct():
     assert s.child("a", 0) != s.child("b", 0)
 
 
+@pytest.mark.parametrize("master", [0, 1, 2**64 - 1, Seed(5).child("exp-sample-m50", 3).master],
+                         ids=["0", "1", "2^64-1", "child"])
+def test_seed_rng_is_the_default_rng_stream(master):
+    assert np.array_equal(Seed(master).rng().random(1000),
+                          np.random.default_rng(master).random(1000))
+
+
 def test_distribution_validation():
     with pytest.raises(InvalidDistribution):
         Discrete((0.5, 0.7), (0.6, 0.6))          # probs don't sum to 1
