@@ -17,13 +17,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .erm import ClassSpec, erm, in_class_optimum
+from .erm import _REPLICATE_CELLS, ClassSpec, erm_block, in_class_optimum
 from .errors import AuctionLearnError, DimensionMismatch
 from .mechanisms import (TAG_ASP, TAG_PLAYER, TAG_SINGLE, _check_dims, revenue_matrix,
                          true_revenue)
 from .model import (DEFAULT_RANGE, DistributionSpec, SampleSet, Seed, check_value_range,
-                    sample_values)
-from .splitsample import (DEFAULT_SUBSET_CEILING, SplitSampleSpace, split_sample_space,
+                    sample_block)
+from .splitsample import (DEFAULT_SUBSET_CEILING, SplitSampleSpace, split_sample_block,
                           theoretical_growth_bound)
 
 
@@ -192,17 +192,24 @@ def rademacher_estimate(S: SampleSet, hypotheses, draws: int,
         rows = [h.param_vector() for h in hyps]
     if len(specs) != 1:
         raise AuctionLearnError(f"need hypotheses of one class, got {len(specs)} classes")
+    return _rademacher(specs.pop(), rows, S.values, S.value_range[0], draws, seed)
+
+
+def _rademacher(spec: ClassSpec, rows, values: np.ndarray, alpha: float, draws: int,
+                seed: Seed) -> RademacherEstimate:
+    """``rademacher_estimate`` of the class's parameter rows on (m, n, k) values."""
     if draws < 2:
         raise AuctionLearnError("need at least 2 sign draws")
-    R = revenue_matrix(specs.pop(), rows, S.values, S.value_range[0])
-    if 2**S.m <= draws:
+    m = len(values)
+    R = revenue_matrix(spec, rows, values, alpha)
+    if 2**m <= draws:
         # sup over sigma plus sup over -sigma is (2/m)(max - min) of R @ sigma
-        X = R @ _half_signs(S.m).T
-        return RademacherEstimate(float(np.mean((X.max(axis=0) - X.min(axis=0)) / S.m)),
-                                  0.0, 2**S.m, len(rows), "exact")
+        X = R @ _half_signs(m).T
+        return RademacherEstimate(float(np.mean((X.max(axis=0) - X.min(axis=0)) / m)),
+                                  0.0, 2**m, len(rows), "exact")
     rng = seed.rng()
-    signs = rng.integers(0, 2, size=(draws, S.m)).astype(float) * 2.0 - 1.0
-    sups = (R @ signs.T).max(axis=0) * (2.0 / S.m)
+    signs = rng.integers(0, 2, size=(draws, m)).astype(float) * 2.0 - 1.0
+    sups = (R @ signs.T).max(axis=0) * (2.0 / m)
     return RademacherEstimate(float(sups.mean()),
                               float(sups.std(ddof=1) / math.sqrt(draws)),
                               draws, len(rows), "monte-carlo")
@@ -258,6 +265,8 @@ def generalization_chain_check(spec: ClassSpec, dist: DistributionSpec, m: int,
     2^m <= sigma_draws, else a Monte Carlo estimate from sigma_draws sign
     vectors).  The report compares gap <= rademacher <= closed-form bound,
     each link slack by three combined standard errors across replicates.
+    Replicates are drawn, learned and enumerated in blocks (``sample_block``,
+    ``erm_block``, ``split_sample_block``), with the bits of one at a time.
 
     When no optimum is supplied it is resolved analytically where possible,
     otherwise through the dense-grid common-draws estimator (whose Monte
@@ -265,6 +274,8 @@ def generalization_chain_check(spec: ClassSpec, dist: DistributionSpec, m: int,
     """
     if replicates < 2:
         raise AuctionLearnError("need at least 2 replicates")
+    bound = main_bound(spec, m, dist.n, dist.k,
+                       value_range=dist.value_range).expected_gap_bound
     if optimum is not None:
         source = "provided"
     else:
@@ -274,24 +285,25 @@ def generalization_chain_check(spec: ClassSpec, dist: DistributionSpec, m: int,
     gaps = np.empty(replicates)
     rads = np.empty(replicates)
     massarts = np.empty(replicates)
-    for j in range(replicates):
-        S = sample_values(dist, m, seed.child("chain-S", j))
-        S_twin = sample_values(dist, m, seed.child("chain-S-twin", j))
-        h = erm(spec, S)
-        rd = true_revenue(h, dist, "auto", eval_draws, seed.child("chain-eval", j)).value
-        gaps[j] = optimum - rd
-        pooled = S.concat(S_twin)
-        space = split_sample_space(spec, pooled, "exact", subset_ceiling=subset_ceiling)
-        est = rademacher_estimate(S, space, sigma_draws, seed.child("chain-sigma", j))
-        rads[j] = est.estimate
-        massarts[j] = massart_bound(len(space), m, revenue_range(dist.k, dist.value_range))
+    step = max(1, _REPLICATE_CELLS // (2 * m * dist.n * dist.k))
+    for start in range(0, replicates, step):
+        index = range(start, min(start + step, replicates))
+        S, twin = (sample_block(dist, m, [seed.child(label, j) for j in index])
+                   for label in ("chain-S", "chain-S-twin"))
+        learned = erm_block(spec, S, dist.value_range)
+        spaces = split_sample_block(spec, np.concatenate([S, twin], axis=1), dist.value_range,
+                                    subset_ceiling)
+        for j, values, h, rows in zip(index, S, learned, spaces):
+            rd = true_revenue(h, dist, "auto", eval_draws, seed.child("chain-eval", j)).value
+            gaps[j] = optimum - rd
+            rads[j] = _rademacher(spec, rows, values, dist.value_range[0], sigma_draws,
+                                  seed.child("chain-sigma", j)).estimate
+            massarts[j] = massart_bound(len(rows), m, revenue_range(dist.k, dist.value_range))
 
     gap_mean = float(gaps.mean())
     gap_se = float(gaps.std(ddof=1) / math.sqrt(replicates))
     rad_mean = float(rads.mean())
     rad_se = float(rads.std(ddof=1) / math.sqrt(replicates))
-    bound = main_bound(spec, m, dist.n, dist.k,
-                       value_range=dist.value_range).expected_gap_bound
     link1 = gap_mean <= rad_mean + 3.0 * math.hypot(gap_se, rad_se)
     link2 = rad_mean <= bound + 3.0 * rad_se
     return ChainReport(spec.tag, m, replicates, optimum, source,

@@ -9,11 +9,12 @@ largest parameter vector.  A posted price needs no enumeration: its revenue
 is price x sales, so a closed form shortlists the near-maximal prices and
 only those are scored exactly.
 
-ERM on a set of subsets of the sample is one operation, ``subset_winners``:
-it builds the candidate model (per-coordinate pools, their lexicographic
-product and the candidates' revenue rows) once on the whole sample and
-scores every subset from it.  ERM is the case of one subset, the whole
-sample; split-sample enumeration passes its half-size subsets.
+ERM on a set of subsets of each sample of a block is one operation,
+``subset_winners``: it builds the candidate model (per-coordinate pools,
+their lexicographic product and the candidates' revenue rows) once on each
+whole sample and scores every subset from it.  ERM is the case of one
+subset, the whole sample; split-sample enumeration passes its half-size
+subsets.  Posted prices do both by the closed-form ranking of ``_posted_erm``.
 
 The in-class optimum is the population counterpart: the closed form where
 one exists, else a grid maximum on shared Monte Carlo draws, scored through
@@ -46,6 +47,7 @@ DEFAULT_CANDIDATE_CEILING = 10**7
 _CHUNK = 4096
 CELLS = 2_500_000      # revenue cells (rows x profiles x bidders) built per chunk
 _BLOCK_CELLS = 2**18   # candidate x subset x profile cells gathered per scoring step
+_REPLICATE_CELLS = 2**14  # values of a block of samples drawn, learned or gathered at once
 _GRID_BUDGET = 2 * 10**8  # candidate rows x draws ceiling for joint grid optima
 
 
@@ -196,23 +198,40 @@ def _coordinates(spec: ClassSpec, pools, values: np.ndarray, alpha: float):
 
 
 # ---------------------------------------------------------------------------
-# ERM over subsets of one sample
+# ERM over subsets of each sample of a block
 
 
 def subset_winners(spec: ClassSpec, values: np.ndarray, value_range: tuple[float, float],
-                   subsets: np.ndarray, ceiling: int) -> np.ndarray:
-    """The distinct ERM parameter rows over the subsets, ascending.
+                   subsets: np.ndarray, ceiling: int) -> list[np.ndarray]:
+    """Per sample of an (R, m, n, k) block of checked values, the distinct ERM
+    parameter rows over its subsets, ascending.
 
-    ``subsets`` is an (N, size) array of profile indices, one subset a row.
-    Revenue rows are built once on the whole sample, and ``ceiling`` bounds
-    the rows scored: the candidate product of a joint class, the longest
-    coordinate pool of a separable one.
+    ``subsets`` is an (N, size) array of profile indices, one subset a row,
+    the same for every sample.  Posted prices learn about
+    ``_REPLICATE_CELLS`` gathered subset values per ``_posted_erm`` call.  Other
+    classes build revenue rows once on each whole sample.  ``ceiling`` bounds
+    the rows scored on each whole sample, as in ``erm``.
     """
-    columns = _columns(spec, values, value_range[1])
-    pools = [np.unique(c) for c in columns]
-    _check_ceiling(spec, pools, ceiling)
-    score = _separable_winners if _separable(spec) else _joint_winners
-    return score(spec, values, value_range[0], pools, _occurrences(columns, pools), subsets)
+    if spec.tag == TAG_SINGLE:      # several samples a call, or a sample's subsets in parts
+        step = max(1, _REPLICATE_CELLS // subsets.size)
+        part = max(1, _REPLICATE_CELLS // subsets.shape[1])
+        won = np.concatenate([_posted_erm(spec, values[at:at + step, :, 0, 0], ceiling,
+                                          subsets[s:s + part])
+                              for at in range(0, len(values), step)
+                              for s in range(0, len(subsets), part)]).reshape(len(values), -1)
+        won.sort(axis=1)
+        fresh = np.ones(won.shape, dtype=bool)
+        np.not_equal(won[:, 1:], won[:, :-1], out=fresh[:, 1:])
+        return [row[keep, None] for row, keep in zip(won, fresh)]
+    winners = []
+    for v in values:
+        columns = _columns(spec, v, value_range[1])
+        pools = [np.unique(c) for c in columns]
+        _check_ceiling(spec, pools, ceiling)
+        score = _separable_winners if _separable(spec) else _joint_winners
+        winners.append(score(spec, v, value_range[0], pools, _occurrences(columns, pools),
+                             subsets))
+    return winners
 
 
 def _occurrences(columns, pools) -> list[np.ndarray]:
@@ -309,23 +328,28 @@ def erm_block(spec: ClassSpec, values: np.ndarray, value_range: tuple[float, flo
     check_class_dims(spec, n, k)
     if spec.tag == TAG_SINGLE:
         return [SingleReserve(p) for p in _posted_erm(spec, values[..., 0, 0], ceiling).tolist()]
-    return [hypothesis_from_params(spec, subset_winners(spec, v, value_range, np.arange(m)[None],
-                                                        ceiling)[0], n, k) for v in values]
+    return [hypothesis_from_params(spec, rows[0], n, k)
+            for rows in subset_winners(spec, values, value_range, np.arange(m)[None], ceiling)]
 
 
-def _posted_erm(spec: ClassSpec, values: np.ndarray, ceiling: int) -> np.ndarray:
+def _posted_erm(spec: ClassSpec, values: np.ndarray, ceiling: int,
+                subsets: np.ndarray | None = None) -> np.ndarray:
     """The ERM posted price of each row of (R, m) values, in O(m log m) a row:
     the closed form u*c/m (c values >= u) ranks the distinct prices, and among
     those ``_near_max`` keeps, the last argmax of the sorted means of their
-    revenue rows wins; a price kept alone wins unscored."""
+    revenue rows wins; a price kept alone wins unscored.  With (N, size)
+    ``subsets`` of positions, each row's N subsets are learned instead; the
+    ceiling bounds each whole row's distinct prices either way."""
+    if values.shape[1] > ceiling:   # only then can a row hold more distinct prices
+        for row in values:
+            _check_ceiling(spec, [np.unique(row)], ceiling)
+    if subsets is not None:
+        values = values[:, subsets].reshape(-1, subsets.shape[1])
     v = np.sort(values, axis=1)
     R, m = v.shape
     first = np.empty((R, m), dtype=bool)      # the first position of each distinct price
     first[:, 0] = True
     np.not_equal(v[:, 1:], v[:, :-1], out=first[:, 1:])
-    if m > ceiling:         # only then can a row hold more distinct prices than the ceiling
-        for r in range(R):
-            _check_ceiling(spec, [v[r, first[r]]], ceiling)
     # i values lie below a first position i; a repeat's closed form is at most
     # its first position's, so the row max is a distinct price's
     kept = _near_max(v * np.arange(m, 0, -1.0) / m, m) & first
@@ -335,7 +359,7 @@ def _posted_erm(spec: ClassSpec, values: np.ndarray, ceiling: int) -> np.ndarray
             scores = _sorted_mean(revenue_matrix(spec, v[r, prices, None], v[r, :, None, None]))
             kept[r, prices] = False
             kept[r, prices[_last_argmax(scores)]] = True
-    return v[kept]                            # one price a row, in row order
+    return v[kept]                            # one price a row (a subset), in order
 
 
 # ---------------------------------------------------------------------------

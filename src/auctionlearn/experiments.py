@@ -19,12 +19,11 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .bounds import main_bound, sample_complexity_estimate
-from .erm import DEFAULT_CANDIDATE_CEILING, OptimumEstimate, erm_block, in_class_optimum
+from .erm import (_REPLICATE_CELLS, DEFAULT_CANDIDATE_CEILING, OptimumEstimate, erm_block,
+                  in_class_optimum)
 from .errors import AuctionLearnError
 from .mechanisms import TAG_BEST, TAG_PLAYER, ClassSpec, true_revenue
 from .model import DistributionSpec, Seed, sample_block
-
-_REPLICATE_CELLS = 2**14   # replicate x profile x bidder x item values drawn and learned at once
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +137,8 @@ def generalization_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     """One row per m: mean learned revenue, gap to the optimum, and bounds."""
     spec = config.class_spec
     dist = config.dist
+    # revenues first: a run whose evaluation fails does not pay for the optimum
+    learned = [(m, _replicate_revenues(config, m)) for m in config.m_grid]
     if config.optimum_override is not None:
         opt = OptimumEstimate(config.optimum_override, None, "provided")
     else:
@@ -145,8 +146,7 @@ def generalization_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
                                config.optimum_draws, config.seed.child("optimum"))
     fp = config_fingerprint(config)
     rows = []
-    for m in config.m_grid:
-        revs = _replicate_revenues(config, m)
+    for m, revs in learned:
         report = main_bound(spec, m, dist.n, dist.k, delta=config.delta,
                             value_range=dist.value_range)
         mean_rev = float(revs.mean())

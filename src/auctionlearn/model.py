@@ -342,12 +342,6 @@ class SampleSet:
     def k(self) -> int:
         return self.values.shape[2]
 
-    def concat(self, other: "SampleSet") -> "SampleSet":
-        if (self.n, self.k) != (other.n, other.k) or self.value_range != other.value_range:
-            raise DimensionMismatch("cannot concatenate samples with different shapes or ranges")
-        return SampleSet(np.concatenate([self.values, other.values]), self.value_range,
-                         provenance=f"{self.provenance} + {other.provenance}")
-
 
 def sample_block(spec: DistributionSpec, m: int, seeds) -> np.ndarray:
     """One sample of m i.i.d. profiles per seed, as (R, m, n, k) values checked as

@@ -6,6 +6,11 @@ samples of a given size (the split-sample growth rate) is what the
 generalization bounds consume; the true supremum is not computable, so
 ``growth_rate_estimate`` reports an observed maximum over sampled S next to
 the closed-form per-class bound, never conflating the two.
+
+A posted price's space is the ERM prices of its few dominating subsets
+(``_posted_subsets``), ranked in closed form by ``erm._posted_erm``;
+``split_sample_block`` enumerates the exact spaces of a block of samples,
+and ``split_sample_space`` is its one-sample case.
 """
 
 from __future__ import annotations
@@ -17,11 +22,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .erm import DEFAULT_CANDIDATE_CEILING, subset_winners
+from .erm import _REPLICATE_CELLS, DEFAULT_CANDIDATE_CEILING, subset_winners
 from .errors import AuctionLearnError, CeilingExceeded
 from .mechanisms import (TAG_SINGLE, ClassSpec, Hypothesis, _param_width, check_class_dims,
                          hypothesis_from_params)
-from .model import DistributionSpec, SampleSet, Seed, _fields_equal, sample_values
+from .model import DistributionSpec, SampleSet, Seed, _fields_equal, sample_block
 
 DEFAULT_SUBSET_CEILING = 10**6
 
@@ -55,29 +60,19 @@ def split_sample_space(spec: ClassSpec, S: SampleSet, mode: str = "exact",
                        candidate_ceiling: int = DEFAULT_CANDIDATE_CEILING) -> SplitSampleSpace:
     """Enumerate ERM outputs over subsets of size ceil(m/2).
 
-    Exact mode covers all C(m, ceil(m/2)) subsets, which `subsets_examined`
-    reports: it scores them all in lexicographic index order, but a posted
-    price only its ``_posted_subsets``.  Monte-carlo mode samples `trials`
-    subsets uniformly (its distinct set is always a subset of the exact one).
-    `subset_ceiling` bounds the subsets of either mode before any is drawn.
-    ``erm.subset_winners`` scores the subsets in bulk, and `candidate_ceiling`
-    bounds the rows scored, as in ``erm``: the candidate product of a joint
-    class, the longest coordinate pool of a separable one.
+    Exact mode is ``split_sample_block`` on the one sample and covers all
+    C(m, ceil(m/2)) subsets, which `subsets_examined` reports.  Monte-carlo
+    mode samples `trials` subsets uniformly (its distinct set is always a
+    subset of the exact one).  `subset_ceiling` bounds the subsets of either
+    mode before any is drawn; `candidate_ceiling` bounds the rows scored, as
+    in ``erm``, counted on the whole sample.
     """
     check_class_dims(spec, S.n, S.k)
     m = S.m
     size = math.ceil(m / 2)
-    total = math.comb(m, size)
-
     if mode == "exact":
-        if total > subset_ceiling:
-            raise CeilingExceeded(
-                f"exact mode needs {total} subsets, over the ceiling {subset_ceiling}"
-            )
-        if spec.tag == TAG_SINGLE:
-            subsets = np.argsort(S.values[:, 0, 0], kind="stable")[_posted_subsets(m, size)]
-        else:
-            subsets = _combo_indices(m, size)
+        rows = split_sample_block(spec, S.values[None], S.value_range, subset_ceiling,
+                                  candidate_ceiling)[0]
     elif mode == "monte-carlo":
         if trials is None or trials < 1 or seed is None:
             raise AuctionLearnError("monte-carlo mode needs trials >= 1 and a seed")
@@ -87,12 +82,31 @@ def split_sample_space(spec: ClassSpec, S: SampleSet, mode: str = "exact",
         rng = seed.rng()
         subsets = np.array([np.sort(rng.choice(m, size=size, replace=False))
                             for _ in range(trials)], dtype=np.intp)
+        rows = subset_winners(spec, S.values[None], S.value_range, subsets, candidate_ceiling)[0]
     else:
         raise AuctionLearnError(f"unknown mode {mode!r}")
-
-    rows = subset_winners(spec, S.values, S.value_range, subsets, candidate_ceiling)
     rows.setflags(write=False)
-    return SplitSampleSpace(S, spec, size, rows, mode, total if mode == "exact" else trials)
+    return SplitSampleSpace(S, spec, size, rows, mode,
+                            math.comb(m, size) if mode == "exact" else trials)
+
+
+def split_sample_block(spec: ClassSpec, values: np.ndarray, value_range: tuple[float, float],
+                       subset_ceiling: int = DEFAULT_SUBSET_CEILING,
+                       candidate_ceiling: int = DEFAULT_CANDIDATE_CEILING) -> list[np.ndarray]:
+    """The exact split-sample space's rows of each sample of an (R, m, n, k)
+    block of checked values: a posted price's over its ``_posted_subsets``
+    of the sorted sample, any other class's over all C(m, ceil(m/2))."""
+    _, m, n, k = values.shape
+    check_class_dims(spec, n, k)
+    size = math.ceil(m / 2)
+    total = math.comb(m, size)
+    if total > subset_ceiling:
+        raise CeilingExceeded(f"exact mode needs {total} subsets, over the ceiling "
+                              f"{subset_ceiling}")
+    if spec.tag == TAG_SINGLE:
+        return subset_winners(spec, np.sort(values, axis=1), value_range,
+                              _posted_subsets(m, size), candidate_ceiling)
+    return subset_winners(spec, values, value_range, _combo_indices(m, size), candidate_ceiling)
 
 
 @lru_cache(maxsize=4)      # one array is C(m, size) x size indices: 62 MB at m = 22
@@ -177,12 +191,12 @@ def growth_rate_estimate(spec: ClassSpec, m: int, dist: DistributionSpec,
     """
     if draws < 1:
         raise AuctionLearnError("draws must be >= 1")
-    observed = 0
-    for i in range(draws):
-        S = sample_values(dist, m, seed.child("growth-draw", i))
-        space = split_sample_space(spec, S, "exact", subset_ceiling=subset_ceiling)
-        observed = max(observed, len(space))
     bound = theoretical_growth_bound(spec, m, dist.n, dist.k)
+    seeds = [seed.child("growth-draw", i) for i in range(draws)]
+    step = max(1, _REPLICATE_CELLS // (m * dist.n * dist.k))
+    observed = max(len(rows) for at in range(0, draws, step)
+                   for rows in split_sample_block(spec, sample_block(dist, m, seeds[at:at + step]),
+                                                  dist.value_range, subset_ceiling))
     return GrowthEstimate(spec.tag, m, dist.n, dist.k, spec.levels, draws, observed, bound)
 
 

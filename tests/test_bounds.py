@@ -1,5 +1,6 @@
 """Bound algebra, Rademacher estimation, and the generalization chain."""
 
+import dataclasses
 import itertools
 import math
 
@@ -189,7 +190,8 @@ def pooled_space(spec, n, m, gen, eighths=False):
     split-sample space of S plus a twin."""
     S, twin = (SampleSet(draw_eighth_sample(gen, m, n, 1) if eighths else gen.random((m, n, 1)))
                for _ in range(2))
-    return S, split_sample_space(spec, S.concat(twin), "exact")
+    pooled = SampleSet(np.concatenate([S.values, twin.values]))
+    return S, split_sample_space(spec, pooled, "exact")
 
 
 @pytest.mark.parametrize("m", [2, 4, 8])
@@ -328,6 +330,13 @@ def test_chain_check_point_mass_has_zero_gap():
     assert report.chain_holds
 
 
+@pytest.mark.parametrize("m, replicates, sigma_draws", [(0, 10, 100), (3, 1, 100), (3, 10, 1)])
+def test_chain_check_rejects_sizes_it_cannot_run(m, replicates, sigma_draws):
+    with pytest.raises(AuctionLearnError):
+        generalization_chain_check(SINGLE, U01, m=m, replicates=replicates,
+                                   sigma_draws=sigma_draws, seed=Seed(1))
+
+
 def test_chain_check_non_analytic_class_uses_monte_carlo():
     dist2 = DistributionSpec.iid(Uniform(0, 1), 2, 1)
     # quadrature reference for the two-uniform-bidder reserve optimum:
@@ -342,3 +351,30 @@ def test_chain_check_non_analytic_class_uses_monte_carlo():
         sigma_draws=400, seed=Seed(14), optimum=best, eval_draws=4000)
     assert report.optimum_source == "provided"
     assert report.chain_holds
+
+
+TIES = DistributionSpec.iid(Discrete((0.1, 0.3, 0.5, 0.7, 1.0), (0.3, 0.2, 0.2, 0.2, 0.1)))
+
+
+@pytest.mark.parametrize("spec, dist, m, replicates, sigma_draws, seed, optimum, expected", [
+    (SINGLE, U01, 4, 80, 500, 11, None,
+     ("single-reserve", 4, 80, 0.25, "analytic", 0.04209019916779134, 0.005221236440976851,
+      0.25492229190018945, 0.007033867724139456, 0.9449735608968455, 1.019666990168809,
+      True, True)),
+    # tenths-grid ties, and m = 10 > log2(300): sampled sign vectors
+    (SINGLE, TIES, 10, 40, 300, 13, None,
+     ("single-reserve", 10, 40, 0.25, "analytic", 0.03099999999999999, 0.0070328897660590734,
+      0.12486, 0.0037886566337316826, 0.5184455331527743, 0.7740455120409899, True, True)),
+    (ASP, DistributionSpec.iid(Uniform(0, 1), 2, 1), 4, 30, 400, 14, 0.4,
+     ("anonymous-second-price", 4, 30, 0.4, "provided", 0.02453267641789856,
+      0.011279581128872545, 0.2866823656815077, 0.009896032764432499, 0.9532080483276908,
+      1.1774100225154747, True, True)),
+], ids=["uniform", "discrete-ties", "asp-provided"])
+def test_chain_check_reports_are_pinned(spec, dist, m, replicates, sigma_draws, seed,
+                                        optimum, expected):
+    """Whole reports, bit for bit: replicates drawn, learned and enumerated
+    in blocks give the one-replicate-at-a-time bits."""
+    report = generalization_chain_check(spec, dist, m=m, replicates=replicates,
+                                        sigma_draws=sigma_draws, seed=Seed(seed),
+                                        optimum=optimum, eval_draws=4000)
+    assert dataclasses.astuple(report) == expected

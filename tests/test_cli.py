@@ -1,5 +1,6 @@
 """Command-line surface: spec'd outputs, precedence, reproducibility."""
 
+import importlib
 import json
 
 import pytest
@@ -157,6 +158,20 @@ def test_multi_bidder_tlevel_has_no_closed_form_evaluation(capsys, tmp_path):
                              "--config", str(config))
     assert code == 1 and out == ""
     assert err == "error: no multi-bidder closed form for t-level s=1 at k = 1\n"
+
+
+def test_failed_evaluation_exits_before_the_optimum(capsys, monkeypatch):
+    """A discrete multi-bidder run has no closed-form evaluation; it exits
+    with that error without estimating the in-class optimum."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid optimum ran")
+
+    monkeypatch.setattr(importlib.import_module("auctionlearn.erm"), "_grid_optimum", refuse)
+    code, out, err = run_cli(capsys, "experiment", "--class", "anonymous-second-price",
+                             "--n", "2", "--dist", "discrete:0.2@0.5,0.9@0.5", "--m-grid", "10",
+                             "--replicates", "2", "--eval-method", "analytic")
+    assert code == 1 and out == ""
+    assert err == "error: multi-bidder closed forms need uniform marginals\n"
 
 
 def test_curve_smoke(capsys):

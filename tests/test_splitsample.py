@@ -1,5 +1,6 @@
 """Split-sample space enumeration, growth estimates, and count bounds."""
 
+import importlib
 import itertools
 import math
 
@@ -11,11 +12,12 @@ from auctionlearn import (AnonymousSecondPriceReserve, AuctionLearnError, Ceilin
                           ClassSpec, DimensionMismatch, Discrete, DistributionSpec,
                           PlayerReserves, SampleSet, Seed, SingleReserve, Uniform,
                           ValuationProfile, erm, growth_rate_estimate, rademacher_estimate,
-                          split_sample_space, theoretical_growth_bound)
-from auctionlearn.splitsample import _posted_subsets
+                          sample_values, split_sample_space, theoretical_growth_bound)
+from auctionlearn.splitsample import _posted_subsets, split_sample_block
 from oracles import SPLIT_IDS, SPLIT_SPECS, split_dims
 
 SINGLE = ClassSpec("single-reserve")
+splitsample = importlib.import_module("auctionlearn.splitsample")
 
 
 def sample(values):
@@ -125,6 +127,50 @@ def test_split_sample_space_matches_per_subset_erm(spec, data):
     assert list(space.hypotheses) == sorted(space.hypotheses, key=lambda h: h.param_vector())
 
 
+@pytest.mark.parametrize("spec", SPLIT_SPECS, ids=SPLIT_IDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_split_sample_block_is_per_sample_space(spec, data):
+    """Each sample of a block gets the rows its exact space has alone, with
+    the block learned a few samples, or a part of one sample's subsets, at a
+    time, so chunks end inside it."""
+    max_n, max_k, max_m = split_dims(spec)
+    n = data.draw(st.integers(1, max_n), label="n")
+    k = data.draw(st.integers(1, max_k), label="k")
+    m = data.draw(st.integers(1, max_m), label="m")
+    count = data.draw(st.integers(1, 5), label="samples") * m * n * k
+    if data.draw(st.booleans(), label="tenths"):
+        unit = np.array(data.draw(st.lists(st.integers(0, 10), min_size=count,
+                                           max_size=count), label="tenths")) / 10
+    else:
+        unit = np.array(data.draw(st.lists(st.floats(0, 1), min_size=count, max_size=count),
+                                  label="unit"))
+    low, width = data.draw(st.sampled_from([(0.0, 1.0), (2.0, 3.0)]), label="range")
+    values = low + width * unit.reshape(-1, m, n, k)
+    value_range = (low, low + width)
+    # from one subset per call to three samples' subsets
+    cells = data.draw(st.integers(1, 3 * _posted_subsets(m, math.ceil(m / 2)).size),
+                      label="gathered values per call")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(importlib.import_module("auctionlearn.erm"), "_REPLICATE_CELLS", cells)
+        block = split_sample_block(spec, values, value_range)
+    alone = [split_sample_space(spec, SampleSet(v, value_range), "exact").rows for v in values]
+    assert len(block) == len(alone)
+    assert all(np.array_equal(b, a) for b, a in zip(block, alone))
+
+
+def test_growth_estimate_is_the_max_over_its_draws(monkeypatch):
+    """Draws sampled and enumerated in blocks of 2 give the one-draw-at-a-time
+    maximum, here reached only by the last draw, alone in its block."""
+    monkeypatch.setattr(splitsample, "_REPLICATE_CELLS", 2 * 9)
+    dist = DistributionSpec.iid(Discrete((0.1, 0.4, 0.6, 0.9), (0.25,) * 4))
+    sizes = [len(split_sample_space(SINGLE, sample_values(dist, 9,
+                                                          Seed(11).child("growth-draw", i))))
+             for i in range(7)]
+    assert sizes == [3, 2, 2, 3, 2, 2, 4]
+    assert growth_rate_estimate(SINGLE, 9, dist, draws=7, seed=Seed(11)).observed_max == 4
+
+
 def test_posted_subsets_are_distinct():
     for m in range(1, 21):
         subsets = _posted_subsets(m, math.ceil(m / 2))
@@ -137,7 +183,8 @@ def test_rademacher_scores_space_rows_as_its_hypotheses(spec):
     gen = np.random.default_rng(31)
     half = max_m // 2
     S, twin = (SampleSet(gen.integers(0, 11, (half, n, k)) / 10) for _ in range(2))
-    space = split_sample_space(spec, S.concat(twin), "exact")
+    pooled = SampleSet(np.concatenate([S.values, twin.values]))
+    space = split_sample_space(spec, pooled, "exact")
     by_rows = rademacher_estimate(S, space, draws=500, seed=Seed(9))
     by_hyps = rademacher_estimate(S, space.hypotheses, draws=500, seed=Seed(9))
     assert by_rows.estimate == by_hyps.estimate and by_rows.std_error == by_hyps.std_error
@@ -219,6 +266,17 @@ def test_candidate_ceiling_bounds_full_sample_rows():
     assert len(split_sample_space(SINGLE, pair, "exact", candidate_ceiling=2)) == 2
     with pytest.raises(CeilingExceeded):
         split_sample_space(SINGLE, pair, "exact", candidate_ceiling=1)
+
+
+def test_posted_ceiling_counts_the_whole_sample():
+    """Four distinct prices over a ceiling of 3 are refused, though every
+    half-size subset holds only two, in either mode."""
+    S = sample([0.1, 0.2, 0.3, 0.4])
+    for mode in ("exact", "monte-carlo"):
+        with pytest.raises(CeilingExceeded, match="scores 4 candidate rows"):
+            split_sample_space(SINGLE, S, mode, trials=3, seed=Seed(1), candidate_ceiling=3)
+        assert len(split_sample_space(SINGLE, S, mode, trials=3, seed=Seed(1),
+                                      candidate_ceiling=4)) >= 1
 
 
 def test_theoretical_growth_bound_values():
