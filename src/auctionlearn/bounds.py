@@ -196,8 +196,9 @@ def rademacher_estimate(S: SampleSet, hypotheses, draws: int,
 
 
 def _rademacher(spec: ClassSpec, rows, values: np.ndarray, alpha: float, draws: int,
-                seed: Seed) -> RademacherEstimate:
-    """``rademacher_estimate`` of the class's parameter rows on (m, n, k) values."""
+                seed: Seed, *child) -> RademacherEstimate:
+    """``rademacher_estimate`` of parameter rows on (m, n, k) values; sampled
+    signs come from ``seed.child(*child)`` if `child` is given, else `seed`."""
     if draws < 2:
         raise AuctionLearnError("need at least 2 sign draws")
     m = len(values)
@@ -207,7 +208,7 @@ def _rademacher(spec: ClassSpec, rows, values: np.ndarray, alpha: float, draws: 
         X = R @ _half_signs(m).T
         return RademacherEstimate(float(np.mean((X.max(axis=0) - X.min(axis=0)) / m)),
                                   0.0, 2**m, len(rows), "exact")
-    rng = seed.rng()
+    rng = (seed.child(*child) if child else seed).rng()
     signs = rng.integers(0, 2, size=(draws, m)).astype(float) * 2.0 - 1.0
     sups = (R @ signs.T).max(axis=0) * (2.0 / m)
     return RademacherEstimate(float(sups.mean()),
@@ -297,7 +298,7 @@ def generalization_chain_check(spec: ClassSpec, dist: DistributionSpec, m: int,
             rd = true_revenue(h, dist, "auto", eval_draws, seed.child("chain-eval", j)).value
             gaps[j] = optimum - rd
             rads[j] = _rademacher(spec, rows, values, dist.value_range[0], sigma_draws,
-                                  seed.child("chain-sigma", j)).estimate
+                                  seed, "chain-sigma", j).estimate
             massarts[j] = massart_bound(len(rows), m, revenue_range(dist.k, dist.value_range))
 
     gap_mean = float(gaps.mean())

@@ -3,18 +3,16 @@
 For every hypothesis class the empirical maximum over the full parameter
 space is attained at a finite candidate set built from sample values (for
 threshold-ranked auctions the top of the value range is added as a no-sale
-sentinel so a bidder can be priced out entirely).  ERM enumerates or
-separably maximizes that set and breaks ties toward the lexicographically
-largest parameter vector.  A posted price needs no enumeration: its revenue
-is price x sales, so a closed form shortlists the near-maximal prices and
-only those are scored exactly.
+sentinel so a bidder can be priced out entirely).  ERM returns the argmax of
+``empirical_revenue`` over that set, ties broken toward the lexicographically
+largest parameter vector.
 
-ERM on a set of subsets of each sample of a block is one operation,
-``subset_winners``: it builds the candidate model (per-coordinate pools,
-their lexicographic product and the candidates' revenue rows) once on each
-whole sample and scores every subset from it.  ERM is the case of one
-subset, the whole sample; split-sample enumeration passes its half-size
-subsets.  Posted prices do both by the closed-form ranking of ``_posted_erm``.
+A reserve rule (every class but t-level and best-of) sets one reserve per
+auction of ``auction_columns`` (per bidder when lazy): ``_reserve_erm``
+shortlists each by a closed form and scores only the shortlists' product.
+T-level and best-of score their whole candidate product.  ERM on subsets
+of each sample of a block is ``subset_winners``; ERM is its whole-sample
+case, and split-sample enumeration passes half-size subsets.
 
 The in-class optimum is the population counterpart: the closed form where
 one exists, else a grid maximum on shared Monte Carlo draws, scored through
@@ -24,8 +22,9 @@ Determinism rules used throughout:
 
 * candidates are deduplicated and enumerated in ascending lexicographic
   parameter order; the tie winner is the last argmax in that order
-* per-profile revenues are accumulated in sorted order, so empirical revenue
-  and hence the ERM output never depend on how the sample is ordered
+* every exact score is ``empirical_revenue``'s, the mean of the sorted,
+  C-ordered revenue row: neither sample order nor memory layout changes it
+* a closed form only shortlists; it never decides between candidates
 """
 
 from __future__ import annotations
@@ -37,10 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnalyticUnsupported, AuctionLearnError, CeilingExceeded
-from .mechanisms import (TAG_BEST, TAG_BUNDLE, TAG_ITEM, TAG_PLAYER, TAG_SINGLE,
-                         TAG_TLEVEL, ClassSpec, Hypothesis, SingleReserve, analytic_optimum,
-                         auction_columns, check_class_dims, hypothesis_from_params,
-                         profile_revenues, reserve_revenue, revenue_matrix, top_two)
+from .mechanisms import (TAG_BEST, TAG_BUNDLE, TAG_TLEVEL, ClassSpec, Hypothesis,
+                         analytic_optimum, auction_columns, check_class_dims,
+                         hypotheses_from_params, profile_revenues, reserve_revenue,
+                         revenue_matrix, top_two)
 from .model import DistributionSpec, SampleSet, Seed, sample_block
 
 DEFAULT_CANDIDATE_CEILING = 10**7
@@ -83,16 +82,13 @@ def candidate_count(spec: ClassSpec, S: SampleSet) -> int:
     return _count(spec, [np.unique(c) for c in _columns(spec, S.values, S.value_range[1])])
 
 
-def _separable(spec: ClassSpec) -> bool:
-    """Whether empirical revenue is a sum of per-coordinate objectives: lazy
-    player reserves, per-player bundle prices and both item-pricing modes."""
-    return spec.tag in (TAG_PLAYER, TAG_ITEM) or (spec.tag == TAG_BUNDLE and spec.per_player)
+_JOINT = (TAG_TLEVEL, TAG_BEST)   # classes whose parameters interact: ERM scores the product
 
 
-def _check_ceiling(spec: ClassSpec, pools, ceiling: int) -> None:
-    """Refuse work over `ceiling` candidate rows scored: the candidate
-    product of a joint class, the longest coordinate pool of a separable one."""
-    rows = max(len(p) for p in pools) if _separable(spec) else _count(spec, pools)
+def _check_ceiling(spec: ClassSpec, rows: int, ceiling: int) -> None:
+    """Refuse work over `ceiling` candidate rows: the candidate product of a
+    joint class; a reserve rule's longest coordinate pool, and the product
+    of the near-tied values it scores on any one sample or subset."""
     if rows > ceiling:
         raise CeilingExceeded(f"{spec.describe()} scores {rows} candidate rows, over the "
                               f"ceiling {ceiling}; raise the ceiling explicitly to score them")
@@ -146,8 +142,9 @@ def _candidate_rows(spec: ClassSpec, factors, values: np.ndarray, alpha: float):
 
 
 def _sorted_mean(rows: np.ndarray) -> np.ndarray:
-    """Mean of each revenue row, sorted in place first: summed in value
-    order, it does not depend on the order of the profiles."""
+    """Mean of each revenue row, sorted and C-ordered first: the order of the
+    profiles does not matter, and each row sums as it does alone."""
+    rows = np.ascontiguousarray(rows)
     rows.sort(axis=-1)
     return rows.mean(axis=-1)
 
@@ -162,9 +159,10 @@ def _last_argmax(arr: np.ndarray) -> np.ndarray:
     return len(arr) - 1 - np.argmax(arr[::-1], axis=0)
 
 
-def _near_max(closed: np.ndarray, terms: int) -> np.ndarray:
+def _near_max(closed: np.ndarray, terms: int, total=None) -> np.ndarray:
     """Mask of the closed forms within (terms+2)*8*2^-52 of the max of their
-    last axis, relative to it: a superset of the argmaxes of the exact scores.
+    last axis, relative to `total` (default that max): a superset of the
+    argmaxes of the exact scores.
 
     A closed form (a prefix sum of at most `terms` nonnegative revenues and
     two roundings) is within gamma_(terms+2)*R of their total R, the exact score
@@ -173,28 +171,24 @@ def _near_max(closed: np.ndarray, terms: int) -> np.ndarray:
     So the exact max's closed form is within about (2*terms+3)*2^-52 of the
     max, under a quarter of the margin; the rest covers rounding the cutoff.
     ``_reserve_grid_max`` relies on this margin too.
+
+    For a score summing coordinates' f_c, pass as `total` the sum T of their
+    maxima and as `terms` a bound on the revenues the score or a closed form
+    sums: the scores of a joint maximizer x and the coordinatewise one y are
+    within gamma_(terms+1)*T of sum_c f_c, so no f_c(y_c) - f_c(x_c) >= 0
+    exceeds 2*gamma_(terms+1)*T.  Each coordinate's own max would not do:
+    rounding the others' revenue can tie away a small coordinate's gap.
     """
     top = closed.max(axis=-1, keepdims=True)
-    return closed >= top - (terms + 2) * 8 * 2.0**-52 * top
+    return closed >= top - (terms + 2) * 8 * 2.0**-52 * (top if total is None else total)
 
 
-def _coordinates(spec: ClassSpec, pools, values: np.ndarray, alpha: float):
-    """Per pool of a separable class: (rows, counted), the reserve rule of
-    each pool value on every profile and the profiles its objective sums.
-
-    A lazy reserve only earns on the profiles its bidder wins, so it is
-    scored on exactly those, never on zero-padded others; an anonymous item
-    price counts every profile.
-    """
-    rules = [top_two(columns, alpha) for columns in auction_columns(spec, values)]
-    lazy = spec.per_bidder
-    coords = []
-    for f, pool in enumerate(pools):   # pool f is bidder f // auctions of auction f % auctions
-        bidder, auction = divmod(f, len(rules)) if lazy else (None, f)
-        w, top, second = rules[auction]
-        counted = w == bidder if lazy else np.ones(len(values), dtype=bool)
-        coords.append((reserve_revenue(pool[:, None], top, second), counted))
-    return coords
+def _check_pools(spec: ClassSpec, values: np.ndarray, beta: float, ceiling: int) -> None:
+    """``_check_ceiling`` on each whole sample of a reserve rule's block."""
+    if values.shape[1] * values.shape[2] > ceiling:     # no pool is longer than n*m
+        for v in values:
+            longest = max(len(np.unique(c)) for c in _columns(spec, v, beta))
+            _check_ceiling(spec, longest, ceiling)
 
 
 # ---------------------------------------------------------------------------
@@ -207,59 +201,53 @@ def subset_winners(spec: ClassSpec, values: np.ndarray, value_range: tuple[float
     parameter rows over its subsets, ascending.
 
     ``subsets`` is an (N, size) array of profile indices, one subset a row,
-    the same for every sample.  Posted prices learn about
-    ``_REPLICATE_CELLS`` gathered subset values per ``_posted_erm`` call.  Other
-    classes build revenue rows once on each whole sample.  ``ceiling`` bounds
-    the rows scored on each whole sample, as in ``erm``.
+    the same for every sample.  Reserve-rule classes gather about
+    ``_REPLICATE_CELLS`` subset values per ``_reserve_erm`` call (several
+    samples a call, or a sample's subsets in parts) and sort and dedupe each
+    sample's winners.  T-level and best-of build revenue rows once on each
+    whole sample.  ``ceiling`` bounds the rows scored on each whole sample
+    and a reserve rule's near-tie product on each subset, as in ``erm``.
     """
-    if spec.tag == TAG_SINGLE:      # several samples a call, or a sample's subsets in parts
-        step = max(1, _REPLICATE_CELLS // subsets.size)
-        part = max(1, _REPLICATE_CELLS // subsets.shape[1])
-        won = np.concatenate([_posted_erm(spec, values[at:at + step, :, 0, 0], ceiling,
-                                          subsets[s:s + part])
-                              for at in range(0, len(values), step)
-                              for s in range(0, len(subsets), part)]).reshape(len(values), -1)
-        won.sort(axis=1)
-        fresh = np.ones(won.shape, dtype=bool)
-        np.not_equal(won[:, 1:], won[:, :-1], out=fresh[:, 1:])
-        return [row[keep, None] for row, keep in zip(won, fresh)]
+    R, _, n, k = values.shape
+    if spec.tag in _JOINT:
+        return [_joint_winners(spec, v, value_range, subsets, ceiling) for v in values]
+    _check_pools(spec, values, value_range[1], ceiling)
+    N, size = subsets.shape
+    step = max(1, _REPLICATE_CELLS // (subsets.size * n * k))
+    part = max(1, _REPLICATE_CELLS // (size * n * k))
     winners = []
-    for v in values:
-        columns = _columns(spec, v, value_range[1])
-        pools = [np.unique(c) for c in columns]
-        _check_ceiling(spec, pools, ceiling)
-        score = _separable_winners if _separable(spec) else _joint_winners
-        winners.append(score(spec, v, value_range[0], pools, _occurrences(columns, pools),
-                             subsets))
+    for at in range(0, R, step):
+        block = values[at:at + step]
+        won = np.concatenate([_reserve_erm(spec, block[:, subsets[s:s + part]]
+                                           .reshape(-1, size, n, k), value_range[0], ceiling)
+                              for s in range(0, N, part)])
+        won = won.reshape(len(block), N, -1)       # each sample's rows, lexicographically:
+        won = won[np.arange(len(block))[:, None], np.lexsort(won.T[::-1].swapaxes(1, 2), axis=-1)]
+        fresh = np.ones(won.shape[:2], dtype=bool)
+        fresh[:, 1:] = (won[:, 1:] != won[:, :-1]).any(axis=2)
+        winners += [w[f] for w, f in zip(won, fresh)]
     return winners
 
 
-def _occurrences(columns, pools) -> list[np.ndarray]:
-    """Per coordinate pool: [p, t] is whether pool value p is in profile t's
-    own pool for that coordinate.
-
-    A subset's pools are the unions of its profiles' pools, so a candidate is
-    a candidate on the subset iff each of its values occurs in some subset
-    profile (for t-level, beta is in every profile's pool).
-    """
+def _joint_winners(spec: ClassSpec, values: np.ndarray, value_range: tuple[float, float],
+                   subsets: np.ndarray, ceiling: int) -> np.ndarray:
+    """The candidate model is built on the whole (m, n, k) sample and each
+    candidate chunk's revenue rows once; a subset scores them on its own
+    profiles by the sorted mean, with the candidates absent from its pools
+    set to -inf, and keeps the last argmax, carried across chunks with ``>=``."""
+    columns = _columns(spec, values, value_range[1])
+    pools = [np.unique(c) for c in columns]
+    _check_ceiling(spec, _count(spec, pools), ceiling)
+    # occ[f][p, t]: pool value p is in profile t's pool f (beta in every t-level one)
     occ = [np.zeros((len(pool), len(c)), dtype=bool) for c, pool in zip(columns, pools)]
     for o, c, pool in zip(occ, columns, pools):
         o[np.searchsorted(pool, c), np.arange(len(c))[:, None]] = True
-    return occ
-
-
-def _joint_winners(spec: ClassSpec, values: np.ndarray, alpha: float, pools, occ,
-                   subsets: np.ndarray) -> np.ndarray:
-    """Each candidate chunk's revenue rows are built once; a subset scores
-    them on its own profiles by the sorted mean, with the candidates absent
-    from its pools set to -inf, and keeps the last argmax, carried across
-    chunks with ``>=``."""
     factors = _factors(spec, pools)
     lengths = [len(f) for f in factors]
     members = [np.searchsorted(p, f) for p, f in zip(pools, factors)]  # factor rows as pool indices
     best_rev = np.full(len(subsets), -np.inf)
     best = np.zeros(len(subsets), dtype=np.intp)
-    for start, R in _candidate_rows(spec, factors, values, alpha):
+    for start, R in _candidate_rows(spec, factors, values, value_range[0]):
         picks = np.unravel_index(np.arange(start, start + len(R)), lengths)
         step = max(1, _BLOCK_CELLS // (len(R) * subsets.shape[1]))
         for at in range(0, len(subsets), step):
@@ -276,34 +264,6 @@ def _joint_winners(spec: ClassSpec, values: np.ndarray, alpha: float, pools, occ
             best_rev[span][better] = top[better]
             best[span][better] = start + local[better]
     return _product_rows(factors, np.unique(best))
-
-
-def _separable_winners(spec: ClassSpec, values: np.ndarray, alpha: float, pools, occ,
-                       subsets: np.ndarray) -> np.ndarray:
-    """Each coordinate is scored on its own: the sorted sum of its reserve
-    rows over the subset's counted profiles, grouped by how many a subset
-    holds (zero-padding would change the summation order), and the last
-    argmax among the pool values present in the subset."""
-    coords = _coordinates(spec, pools, values, alpha)
-    step = max(1, _BLOCK_CELLS // (max(len(p) for p in pools) * subsets.shape[1]))
-    params = np.empty((len(subsets), len(pools)))
-    for at in range(0, len(subsets), step):
-        block = subsets[at:at + step]
-        for f, (pool, o, (rows, counted)) in enumerate(zip(pools, occ, coords)):
-            revs = np.empty((len(pool), len(block)))
-            kept = counted[block]
-            counts = kept.sum(axis=1)
-            for c in np.unique(counts):
-                group = counts == c
-                g = rows[:, block[group][kept[group]].reshape(int(group.sum()), c)]
-                g.sort(axis=-1)
-                revs[:, group] = g.sum(axis=-1)
-            revs[~o[:, block].any(axis=-1)] = -np.inf
-            params[at:at + len(block), f] = pool[_last_argmax(revs)]
-    params = params[np.lexsort(params.T[::-1])]    # np.unique(axis=0) is ~5x slower
-    fresh = np.ones(len(params), dtype=bool)
-    fresh[1:] = (params[1:] != params[:-1]).any(axis=1)
-    return params[fresh]
 
 
 # ---------------------------------------------------------------------------
@@ -323,43 +283,127 @@ def erm(spec: ClassSpec, S: SampleSet,
 def erm_block(spec: ClassSpec, values: np.ndarray, value_range: tuple[float, float],
               ceiling: int = DEFAULT_CANDIDATE_CEILING) -> list[Hypothesis]:
     """``erm`` on each sample of an (R, m, n, k) block of checked values; the
-    first sample over the ceiling raises.  Posted prices learn all rows at once."""
+    first sample over the ceiling raises.  Reserve-rule classes learn all
+    samples in one ``_reserve_erm`` call."""
     _, m, n, k = values.shape
     check_class_dims(spec, n, k)
-    if spec.tag == TAG_SINGLE:
-        return [SingleReserve(p) for p in _posted_erm(spec, values[..., 0, 0], ceiling).tolist()]
-    return [hypothesis_from_params(spec, rows[0], n, k)
-            for rows in subset_winners(spec, values, value_range, np.arange(m)[None], ceiling)]
+    if spec.tag in _JOINT:
+        rows = np.concatenate(subset_winners(spec, values, value_range, np.arange(m)[None],
+                                             ceiling))
+    else:
+        _check_pools(spec, values, value_range[1], ceiling)
+        rows = _reserve_erm(spec, values, value_range[0], ceiling)
+    return hypotheses_from_params(spec, rows, n, k)
 
 
-def _posted_erm(spec: ClassSpec, values: np.ndarray, ceiling: int,
-                subsets: np.ndarray | None = None) -> np.ndarray:
-    """The ERM posted price of each row of (R, m) values, in O(m log m) a row:
-    the closed form u*c/m (c values >= u) ranks the distinct prices, and among
-    those ``_near_max`` keeps, the last argmax of the sorted means of their
-    revenue rows wins; a price kept alone wins unscored.  With (N, size)
-    ``subsets`` of positions, each row's N subsets are learned instead; the
-    ceiling bounds each whole row's distinct prices either way."""
-    if values.shape[1] > ceiling:   # only then can a row hold more distinct prices
-        for row in values:
-            _check_ceiling(spec, [np.unique(row)], ceiling)
-    if subsets is not None:
-        values = values[:, subsets].reshape(-1, subsets.shape[1])
-    v = np.sort(values, axis=1)
-    R, m = v.shape
-    first = np.empty((R, m), dtype=bool)      # the first position of each distinct price
-    first[:, 0] = True
+def _reserve_erm(spec: ClassSpec, values: np.ndarray, alpha: float, ceiling: int) -> np.ndarray:
+    """The ERM parameter row of each sample of an (R, m, n, k) block of a
+    reserve rule: ``_near_max`` keeps each coordinate's candidates whose
+    closed forms are near its max, relative to the row's joint total, and a
+    value kept alone wins.  Else ``_tied_winners`` scores the product of the
+    kept values; a product over `ceiling` rows raises."""
+    R, m = values.shape[:2]
+    coords = _closed_forms(spec, values, alpha)
+    total = sum(c.max(axis=1, keepdims=True) for _, c, _ in coords) if len(coords) > 1 else None
+    kept = [_near_max(closed, m * len(coords), total) & first for _, closed, first in coords]
+    params = np.column_stack([v[np.arange(R), keep.argmax(axis=1)]
+                              for (v, _, _), keep in zip(coords, kept)])
+    counts = np.array([keep.sum(axis=1) for keep in kept])     # (coordinates, R)
+    sizes = counts.prod(axis=0, dtype=float)
+    _check_ceiling(spec, math.prod(map(int, counts[:, sizes.argmax()])), ceiling)
+    tied = np.flatnonzero(sizes > 1)
+    if len(tied):       # each coordinate's kept values first, ascending
+        picks = [np.take_along_axis(v[tied], np.argsort(~keep[tied], axis=1, kind="stable"), 1)
+                 for (v, _, _), keep in zip(coords, kept)]
+        params[tied] = _tied_winners(spec, picks, counts[:, tied], values[tied], alpha)
+    return params
+
+
+def _tied_winners(spec: ClassSpec, picks, counts: np.ndarray, values: np.ndarray,
+                  alpha: float) -> np.ndarray:
+    """Per sample of a (T, m, n, k) block, the last argmax of the sorted mean
+    over the ascending lexicographic product of its first counts[c] values of
+    each picks[c] (T, L).  Every sample's product is scored in one sequence
+    of chunks of at most ``_CHUNK`` rows and about ``CELLS`` cells, each
+    candidate on its own sample; the best is carried across chunks with ``>=``."""
+    T, m, n, k = values.shape
+    sizes = counts.prod(axis=0)
+    ends = np.cumsum(sizes)
+
+    def rows_at(at):        # the samples and candidate rows at flat positions
+        owner = np.searchsorted(ends, at, side="right")
+        local, digits = at - (ends - sizes)[owner], []
+        for pick, count in zip(picks[::-1], counts[::-1]):
+            local, d = np.divmod(local, count[owner])
+            digits.append(pick[owner, d])
+        return owner, np.column_stack(digits[::-1])
+
+    best_rev = np.full(T, -np.inf)
+    best = np.zeros(T, dtype=np.intp)
+    chunk = min(_CHUNK, max(1, CELLS // (m * n * k)))
+    for start in range(0, ends[-1], chunk):
+        at = np.arange(start, min(start + chunk, ends[-1]))
+        owner, rows = rows_at(at)
+        scores = _sorted_mean(revenue_matrix(spec, rows, values[owner], alpha))
+        firsts = np.flatnonzero(np.diff(owner, prepend=-1))     # each sample's first position
+        top = np.maximum.reduceat(scores, firsts)
+        # owners are consecutive: every sample has candidates
+        last = np.maximum.reduceat(np.where(scores == top[owner - owner[0]], at, -1), firsts)
+        won = owner[firsts]
+        better = top >= best_rev[won]
+        best_rev[won[better]] = top[better]
+        best[won[better]] = last[better]
+    return rows_at(best)[1]
+
+
+def _closed_forms(spec: ClassSpec, values: np.ndarray, alpha: float) -> list:
+    """Per coordinate (an auction, per bidder if lazy) of a reserve rule on
+    (R, m, n, k) values: (v, closed, first), v (R, L) ascending, first each
+    distinct candidate's first position and closed its revenue's closed
+    form there, no more elsewhere.  One bidder's price u at first position i
+    sells m - i times: u*(m - i)/m.  With n >= 2 reserve r earns
+    r*#{second < r <= top} + sum{second >= r} second on its counted profiles
+    (its bidder's wins if lazy); a value no counted top equals loses to the
+    next larger, so the candidates are those tops and the largest value."""
+    R, m, n, _ = values.shape
+    auctions = auction_columns(spec, values)
+    if n == 1:      # i values lie below first position i; a repeat's closed form is no more
+        return [(v, v * np.arange(m, 0, -1.0) / m, _firsts(v))
+                for v in (np.sort(columns[..., 0], axis=1) for columns in auctions)]
+    rules = [top_two(columns, alpha) for columns in auctions]
+    if not spec.per_bidder:
+        return [_ranked(top, second, np.ones((R, m), dtype=bool), top.max(axis=1, keepdims=True))
+                for _, top, second in rules]
+    return [_ranked(top, second, w == i, col[..., i].max(axis=1, keepdims=True))
+            for i in range(n) for col, (w, top, second) in zip(auctions, rules)]  # bidder-major
+
+
+def _firsts(v: np.ndarray) -> np.ndarray:
+    """The first position of each run of equal values in each ascending row."""
+    first = np.ones(v.shape, dtype=bool)
     np.not_equal(v[:, 1:], v[:, :-1], out=first[:, 1:])
-    # i values lie below a first position i; a repeat's closed form is at most
-    # its first position's, so the row max is a distinct price's
-    kept = _near_max(v * np.arange(m, 0, -1.0) / m, m) & first
-    if np.count_nonzero(kept) > R:            # some rows keep more than one price
-        for r in np.flatnonzero(kept.sum(axis=1) > 1):
-            prices = np.flatnonzero(kept[r])
-            scores = _sorted_mean(revenue_matrix(spec, v[r, prices, None], v[r, :, None, None]))
-            kept[r, prices] = False
-            kept[r, prices[_last_argmax(scores)]] = True
-    return v[kept]                            # one price a row (a subset), in order
+    return first
+
+
+def _ranked(top: np.ndarray, second: np.ndarray, counted: np.ndarray,
+            largest: np.ndarray) -> tuple:
+    """(v, closed, first) from the (R, m) tops, seconds and counted profiles
+    and the (R, 1) largest pool value: counts and sums at and above a value
+    are suffixes from its run's first position, a candidate's if any."""
+    R, m = top.shape
+    keys = np.concatenate([np.where(counted, top, -np.inf), largest, second], axis=1)
+    order = np.argsort(keys, axis=1, kind="stable")
+    flat = order + np.arange(0, keys.size, keys.shape[1])[:, None]
+    v = keys.ravel()[flat]
+    weights = np.zeros((2, R, 2 * m + 1))      # sales minus seconds; seconds' sum
+    weights[0] = np.concatenate([counted, np.zeros((R, 1)), -1.0 * counted], axis=1)
+    weights[1, :, m + 1:] = second * counted
+    suffix = weights.reshape(2, -1)[:, flat][..., ::-1].cumsum(axis=-1)[..., ::-1]
+    first = _firsts(v) & (order <= m) & (v > -np.inf)
+    closed = np.full(v.shape, -np.inf)
+    np.multiply(v, suffix[0], out=closed, where=first)
+    np.add(closed, suffix[1], out=closed, where=first)
+    return v, closed, first
 
 
 # ---------------------------------------------------------------------------
@@ -377,35 +421,22 @@ def _price_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + np.arange(int(round((hi - lo) / step)) + 1) * step
 
 
-def _grid_curve(grid: np.ndarray, revenue_rows, draws: int, row_cells: int) -> np.ndarray:
-    """Mean over the draws of each grid row's revenue.
-
-    Rows are scored in chunks of at most ``CELLS`` cells (row_cells per
-    row), and each chunk's revenue array is reduced before the next one is
-    built; reserve grids send only their near-max points, all of them only
-    when they tie.
-    """
-    out = np.empty(len(grid))
-    chunk = max(1, CELLS // max(1, row_cells))
-    for start in range(0, len(grid), chunk):
-        out[start:start + chunk] = revenue_rows(grid[start:start + chunk]).sum(axis=1)
-    return out / draws
-
-
 def _reserve_grid_max(grid: np.ndarray, columns: np.ndarray, alpha: float, lazy: bool):
     """Best grid reserve for one auction's (draws, n) values: one anonymous
     reserve, or each bidder's best lazy reserve on the draws it wins.  Every
     r is ranked by r*#{s < r <= t} + sum{s >= r} s on draws (t, s), and only
-    ``_near_max``'s points are summed exactly, in draw order (bit-exact)."""
+    ``_near_max``'s points are summed exactly, in draw order (bit-exact), in
+    chunks of about ``CELLS`` cells."""
     w, top, second = top_two(columns, alpha)
 
     def best(t, s):
         ss = np.sort(s)
         below = np.searchsorted(ss, grid)
         above = np.append(np.cumsum(ss[::-1])[::-1], 0.0)[below]
-        kept = _near_max(grid * (below - np.searchsorted(np.sort(t), grid)) + above, len(t))
-        return _grid_curve(grid[kept], lambda g: reserve_revenue(g[:, None], t, s),
-                           len(columns), len(t)).max()
+        g = grid[_near_max(grid * (below - np.searchsorted(np.sort(t), grid)) + above, len(t))]
+        step = max(1, CELLS // max(1, len(t)))
+        return max(reserve_revenue(g[at:at + step, None], t, s).sum(axis=1).max()
+                   for at in range(0, len(g), step)) / len(columns)
 
     groups = [w == i for i in range(columns.shape[1])] if lazy else [slice(None)]
     return sum(best(top[g], second[g]) for g in groups)

@@ -444,24 +444,24 @@ def bidder_utility(h: Hypothesis, i: int, true_values: np.ndarray,
 
 def top_two(columns: np.ndarray, alpha: float):
     """Per-profile winner (ties to the lowest index), top value and second
-    value of an (m, n) value array; the second value is alpha when n = 1."""
-    if columns.shape[1] == 2:
-        a, b = columns[:, 0], columns[:, 1]
+    value of an (..., m, n) value array; the second value is alpha when n = 1."""
+    if columns.shape[-1] == 2:
+        a, b = columns[..., 0], columns[..., 1]
         return (b > a).astype(np.intp), np.maximum(a, b), np.minimum(a, b)
-    w = np.argmax(columns, axis=1)
-    if columns.shape[1] < 2:
-        return w, columns[:, 0], np.full(len(columns), alpha)
-    part = np.partition(columns, -2, axis=1)
-    return w, part[:, -1], part[:, -2]
+    w = np.argmax(columns, axis=-1)
+    if columns.shape[-1] < 2:
+        return w, columns[..., 0], np.full(columns.shape[:-1], alpha)
+    part = np.partition(columns, -2, axis=-1)
+    return w, part[..., -1], part[..., -2]
 
 
 def auction_columns(spec: ClassSpec, values: np.ndarray) -> list[np.ndarray]:
-    """The (m, n) value columns of each single-item auction a reserve-rule
-    class runs on (m, n, k) values: each item for item prices, the bundle
+    """The (..., m, n) value columns of each single-item auction a reserve-rule
+    class runs on (..., m, n, k) values: each item for item prices, the bundle
     totals for a bundle price, the value otherwise (a t-level bidder's too)."""
     if spec.tag == TAG_ITEM:
-        return [values[:, :, j] for j in range(values.shape[2])]
-    return [np.sum(values, axis=2) if spec.tag == TAG_BUNDLE else values[:, :, 0]]
+        return [values[..., j] for j in range(values.shape[-1])]
+    return [np.sum(values, axis=-1) if spec.tag == TAG_BUNDLE else values[..., 0]]
 
 
 def reserve_revenue(reserve, top, second) -> np.ndarray:
@@ -490,25 +490,30 @@ def revenue_matrix(spec: ClassSpec, params, values, alpha: float = 0.0) -> np.nd
     """Revenue of each parameter row of the class on each profile.
 
     ``params`` is (C, P), row c laid out as its hypothesis's
-    ``param_vector()``; ``values`` is (m, n, k).  Entry [c, t] equals
-    ``revenue(h_c, profile_t)`` bit for bit.  Lazy reserves read the winning
-    bidder's own reserve, and item payments are accumulated per bidder before
-    the bidders are summed, as in ``run_mechanism``.
+    ``param_vector()``; ``values`` is (m, n, k), or for every class but
+    t-level (C, m, n, k), one block of profiles per row.  Entry [c, t] equals
+    ``revenue(h_c, profile_t)`` (of row c's block) bit for bit.  Lazy
+    reserves read the winning bidder's own reserve, and item payments are
+    accumulated per bidder before the bidders are summed, as in
+    ``run_mechanism``.
     """
     params = np.asarray(params, dtype=float)
     values = np.asarray(values, dtype=float)
-    m, n, k = values.shape
+    m, n, k = values.shape[-3:]
     check_class_dims(spec, n, k)
     if params.ndim != 2 or params.shape[1] != _param_width(spec, n, k):
         raise DimensionMismatch(
             f"{spec.describe()} needs parameter rows of width {_param_width(spec, n, k)} "
             f"at n = {n}, k = {k}, got an array of shape {params.shape}")
+    if values.ndim != 3 and (values.shape[:-3] != params.shape[:1] or spec.tag == TAG_TLEVEL):
+        raise DimensionMismatch(f"{spec.describe()} cannot score values of shape "
+                                f"{values.shape} with {len(params)} parameter rows")
     tag = spec.tag
     lazy = spec.per_bidder
 
     if tag == TAG_SINGLE:
         # a posted price has no competing bid, so it charges the price itself
-        return reserve_revenue(params, values[:, 0, 0], -math.inf)
+        return reserve_revenue(params, values[..., 0, 0], -math.inf)
 
     if tag == TAG_TLEVEL:
         return _tlevel_rows(params.reshape(len(params), n, spec.levels), values[:, :, 0])
@@ -519,16 +524,22 @@ def revenue_matrix(spec: ClassSpec, params, values, alpha: float = 0.0) -> np.nd
         return np.maximum(revenue_matrix(bundle, params[:, :split], values, alpha),
                           revenue_matrix(items, params[:, split:], values, alpha))
 
-    auctions = auction_columns(spec, values)
+    auctions = auction_columns(spec, values)   # each auction's w, top, second: (m,) or (C, m)
     if tag != TAG_ITEM:     # one auction: no (C, m, n) payments to accumulate
         w, top, second = top_two(auctions[0], alpha)
-        return reserve_revenue(params[:, w] if lazy else params, top, second)
+        return reserve_revenue(_own(params, w) if lazy else params, top, second)
     payments = np.zeros((len(params), m, n))
     for j, columns in enumerate(auctions):
         w, top, second = top_two(columns, alpha)
-        reserve = params[:, w * k + j] if lazy else params[:, j:j + 1]
-        payments[:, np.arange(m), w] += reserve_revenue(reserve, top, second)
+        reserve = _own(params, w * k + j) if lazy else params[:, j:j + 1]
+        payments[np.arange(len(params))[:, None], np.arange(m), w] += \
+            reserve_revenue(reserve, top, second)
     return payments.sum(axis=2)
+
+
+def _own(params: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """(C, m): each row's entry at each profile's column, (m,) or (C, m)."""
+    return np.take_along_axis(params, columns.reshape(-1, columns.shape[-1]), axis=1)
 
 
 def profile_revenues(h: Hypothesis, values: np.ndarray, alpha: float = 0.0) -> np.ndarray:
@@ -546,16 +557,21 @@ def profile_revenues(h: Hypothesis, values: np.ndarray, alpha: float = 0.0) -> n
 
 
 def hypothesis_from_params(spec: ClassSpec, params, n: int, k: int) -> Hypothesis:
-    """The hypothesis of the class on n bidders and k items whose
-    ``param_vector()`` is ``params``."""
-    row = np.asarray(params, dtype=float)
+    """The class's hypothesis on n bidders and k items whose ``param_vector()`` is ``params``."""
+    return hypotheses_from_params(spec, np.reshape(params, (1, -1)), n, k)[0]
+
+
+def hypotheses_from_params(spec: ClassSpec, rows, n: int, k: int) -> list[Hypothesis]:
+    """``hypothesis_from_params`` of each row of a (C, P) array."""
+    rows = np.asarray(rows, dtype=float)
     if spec.tag == TAG_BEST:
         bundle, items = spec.branches()
         split = _param_width(bundle, n, k)
-        return BestOf(hypothesis_from_params(bundle, row[:split], n, k),
-                      hypothesis_from_params(items, row[split:], n, k))
+        return list(map(BestOf, hypotheses_from_params(bundle, rows[:, :split], n, k),
+                        hypotheses_from_params(items, rows[:, split:], n, k)))
     field, shape = _layout(spec, n, k)
-    return _TYPES[spec.tag](**{field: row.reshape(shape).tolist()})
+    make = _TYPES[spec.tag]
+    return [make(**{field: p}) for p in rows.reshape(-1, *shape).tolist()]
 
 
 _TYPES = {cls.tag: cls for cls in Hypothesis.__args__}
@@ -631,12 +647,13 @@ def _bundle_total_distribution(spec: DistributionSpec) -> Discrete:
 def _posted_marginals(tag: str, spec: DistributionSpec, unsupported: str) -> tuple:
     """The marginals a one-bidder class posts one price each to: its value (a
     reserve or a t-level's lowest threshold is then a posted price), each item,
-    or the bundle total.  Other tags raise ``unsupported.format(tag)``."""
+    or the bundle total, which at k = 1 is the value.  Other tags raise
+    ``unsupported.format(tag)``."""
     if tag in (TAG_SINGLE, TAG_ASP, TAG_PLAYER, TAG_TLEVEL):
         if spec.k != 1:
             raise AnalyticUnsupported("single-item class on a multi-item spec")
         return spec.marginals[0]
-    if tag == TAG_ITEM:
+    if tag == TAG_ITEM or (tag == TAG_BUNDLE and spec.k == 1):
         return spec.marginals[0]
     if tag == TAG_BUNDLE:
         return (_bundle_total_distribution(spec),)

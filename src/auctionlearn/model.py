@@ -157,27 +157,25 @@ class Discrete:
         order = np.argsort(pts, kind="stable")
         object.__setattr__(self, "points", tuple(pts[i] for i in order))
         object.__setattr__(self, "probs", tuple(pr[i] for i in order))
+        # what ppf and cdf read, built once (not fields): P(value <= points[i - 1]) at i
+        object.__setattr__(self, "_pts", np.asarray(self.points))
+        object.__setattr__(self, "_cum", np.concatenate([[0.0], np.cumsum(self.probs)]))
 
     @property
     def support(self) -> tuple[float, float]:
         return (self.points[0], self.points[-1])
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
-        cum = np.cumsum(self.probs)
-        cum[-1] = 1.0  # guard against rounding in the final bin
-        idx = np.searchsorted(cum, u, side="right")
-        return np.asarray(self.points, dtype=float)[np.minimum(idx, len(self.points) - 1)]
+        # the clamp maps u >= a last sum rounded below 1 to the last point
+        idx = np.searchsorted(self._cum[1:], u, side="right")
+        return self._pts[np.minimum(idx, len(self.points) - 1)]
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        pts = np.asarray(self.points)
-        cum = np.concatenate([[0.0], np.cumsum(self.probs)])
-        return cum[np.searchsorted(pts, np.asarray(x, dtype=float), side="right")]
+        return self._cum[np.searchsorted(self._pts, np.asarray(x, dtype=float), side="right")]
 
     def cdf_left(self, x: np.ndarray) -> np.ndarray:
         """P(value < x); differs from cdf at the atoms."""
-        pts = np.asarray(self.points)
-        cum = np.concatenate([[0.0], np.cumsum(self.probs)])
-        return cum[np.searchsorted(pts, np.asarray(x, dtype=float), side="left")]
+        return self._cum[np.searchsorted(self._pts, np.asarray(x, dtype=float), side="left")]
 
     def survival(self, price: float) -> float:
         """P(value >= price)."""

@@ -8,9 +8,10 @@ generalization bounds consume; the true supremum is not computable, so
 the closed-form per-class bound, never conflating the two.
 
 A posted price's space is the ERM prices of its few dominating subsets
-(``_posted_subsets``), ranked in closed form by ``erm._posted_erm``;
-``split_sample_block`` enumerates the exact spaces of a block of samples,
-and ``split_sample_space`` is its one-sample case.
+(``_posted_subsets``); every reserve rule's subsets are ranked in closed
+form by ``erm._reserve_erm``.  ``split_sample_block`` enumerates the exact
+spaces of a block of samples, and ``split_sample_space`` is its one-sample
+case.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .erm import _REPLICATE_CELLS, DEFAULT_CANDIDATE_CEILING, subset_winners
 from .errors import AuctionLearnError, CeilingExceeded
 from .mechanisms import (TAG_SINGLE, ClassSpec, Hypothesis, _param_width, check_class_dims,
-                         hypothesis_from_params)
+                         hypotheses_from_params)
 from .model import DistributionSpec, SampleSet, Seed, _fields_equal, sample_block
 
 DEFAULT_SUBSET_CEILING = 10**6
@@ -50,8 +51,7 @@ class SplitSampleSpace:
 
     @cached_property
     def hypotheses(self) -> tuple[Hypothesis, ...]:
-        return tuple(hypothesis_from_params(self.spec, row, self.base.n, self.base.k)
-                     for row in self.rows)
+        return tuple(hypotheses_from_params(self.spec, self.rows, self.base.n, self.base.k))
 
 
 def split_sample_space(spec: ClassSpec, S: SampleSet, mode: str = "exact",
@@ -136,9 +136,10 @@ def _posted_subsets(m: int, size: int) -> np.ndarray:
     monotone), and ties go to the larger price, so u beats them all.  Each D is a half-size
     subset, so its winner, scored by the same sorted mean, is in the space.
     """
-    subsets = np.array([[*range(b), *range(i, i + size - b)]
-                        for i in range(m) for b in range(min(i, size - 1) + 1)
-                        if i + size - b <= m and (b < i or i == 0)], dtype=np.intp)
+    i, b = np.divmod(np.arange(m * size), size)     # i-major, as the rows are listed
+    keep = (b <= i) & (i + size - b <= m) & ((b < i) | (i == 0))
+    j, i, b = np.arange(size), i[keep, None], b[keep, None]
+    subsets = np.where(j < b, j, i + j - b)
     subsets.setflags(write=False)
     return subsets
 

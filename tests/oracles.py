@@ -20,7 +20,8 @@ from scipy import integrate
 import auctionlearn
 from auctionlearn import (AnonymousSecondPriceReserve, BestOf, BundlePrice, ClassSpec,
                           ItemPrices, PlayerReserves, SingleReserve, TLevel,
-                          ValuationProfile, bidder_utility, profile_revenues)
+                          ValuationProfile, bidder_utility, candidate_count,
+                          empirical_revenue, erm, profile_revenues)
 from auctionlearn.mechanisms import hypothesis_from_params
 
 FINE_GRID = np.arange(1001) / 1000.0          # step 1e-3 on [0, 1]
@@ -267,6 +268,26 @@ def candidate_set(spec, S) -> CandidateSet:
     choices = _coordinate_choices(spec, S.values, S.value_range[1])
     return CandidateSet(tuple(hypothesis_from_params(spec, sum(row, ()), S.n, S.k)
                               for row in itertools.product(*choices)))
+
+
+def exhaustive_argmax(spec, S):
+    """(best, top): the argmax of empirical revenue over the materialized
+    candidate set, ties broken toward the largest parameter vector, and the
+    positions of the maximum in the set, which ``candidate_count`` sizes."""
+    cands = candidate_set(spec, S).materialize()
+    assert candidate_count(spec, S) == len(cands)
+    revs = np.array([empirical_revenue(c, S) for c in cands])
+    top = np.flatnonzero(revs == revs.max())
+    return max((cands[i] for i in top), key=lambda c: c.param_vector()), top
+
+
+def assert_exhaustive_argmax(spec, S) -> np.ndarray:
+    """ERM equals ``exhaustive_argmax``; returns the positions of the maximum
+    in the candidate set."""
+    best, top = exhaustive_argmax(spec, S)
+    h = erm(spec, S)
+    assert h == best, f"{spec.describe()}: {h} vs {best}"
+    return top
 
 
 # ---------------------------------------------------------------------------

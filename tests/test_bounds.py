@@ -378,3 +378,20 @@ def test_chain_check_reports_are_pinned(spec, dist, m, replicates, sigma_draws, 
                                         sigma_draws=sigma_draws, seed=Seed(seed),
                                         optimum=optimum, eval_draws=4000)
     assert dataclasses.astuple(report) == expected
+
+
+@pytest.mark.parametrize("m, sigma_draws, derived", [(4, 16, 0), (4, 15, 5)],
+                         ids=["exact", "sampled"])
+def test_chain_derives_sign_seeds_only_for_sampled_signs(m, sigma_draws, derived, monkeypatch):
+    """A replicate's "chain-sigma" seed is derived only when its signs are
+    sampled (2^m > sigma_draws); the exact path never reads it."""
+    labels, child = [], Seed.child
+
+    def spy(self, label, index=0):
+        labels.append(label)
+        return child(self, label, index)
+
+    monkeypatch.setattr(Seed, "child", spy)
+    generalization_chain_check(SINGLE, U01, m=m, replicates=5, sigma_draws=sigma_draws,
+                               seed=Seed(3), eval_draws=100)
+    assert labels.count("chain-sigma") == derived

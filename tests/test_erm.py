@@ -5,14 +5,14 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import oracles
 from auctionlearn import (DEFAULT_CANDIDATE_CEILING, CeilingExceeded, ClassSpec,
                           PlayerReserves, SampleSet, SingleReserve,
                           candidate_count, empirical_revenue, erm)
 from auctionlearn.erm import erm_block
-from oracles import candidate_set
+from oracles import assert_exhaustive_argmax, candidate_set
 
 
 def sample(values, value_range=(0.0, 1.0)):
@@ -109,20 +109,6 @@ ALL_SPECS = [
 ]
 
 
-def assert_exhaustive_argmax(spec, S) -> np.ndarray:
-    """ERM equals the argmax over the materialized candidate set, with ties
-    broken toward the largest parameter vector, and ``candidate_count`` its
-    size; returns the positions of the maximum in the candidate set."""
-    cands = candidate_set(spec, S).materialize()
-    assert candidate_count(spec, S) == len(cands)
-    revs = np.array([empirical_revenue(c, S) for c in cands])
-    top = np.flatnonzero(revs == revs.max())
-    best = max((cands[i] for i in top), key=lambda c: c.param_vector())
-    h = erm(spec, S)
-    assert h == best, f"{spec.describe()}: {h} vs {best}"
-    return top
-
-
 @pytest.mark.parametrize("spec,n,k", ALL_SPECS)
 def test_erm_equals_exhaustive_enumeration(spec, n, k):
     """The fast per-class paths must agree with argmax over the materialized
@@ -135,6 +121,80 @@ def test_erm_equals_exhaustive_enumeration(spec, n, k):
     for _ in range(8):
         m = int(gen.integers(1, 6))
         assert_exhaustive_argmax(spec, SampleSet(oracles.draw_grid_sample(gen, m, n, k)))
+
+
+RESERVE_RULES = [ClassSpec("single-reserve"), ClassSpec("anonymous-second-price"),
+                 ClassSpec("player-reserves"),
+                 ClassSpec("bundle-price"), ClassSpec("bundle-price", per_player=True),
+                 ClassSpec("item-prices"), ClassSpec("item-prices", per_player=True)]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(spec=st.sampled_from(RESERVE_RULES), n=st.integers(1, 3), k=st.integers(1, 2),
+       m=st.integers(1, 12), tenths=st.lists(st.integers(0, 10), min_size=72, max_size=72))
+# each ties exactly with the exhaustive argmax on a smaller parameter vector
+@example(spec=ClassSpec("item-prices"), n=1, k=2, m=3, tenths=[7, 1, 6, 3, 9, 1] + [0] * 66)
+@example(spec=ClassSpec("player-reserves"), n=2, k=1, m=4,
+         tenths=[9, 4, 2, 0, 1, 2, 4, 6] + [0] * 64)
+# near-ties whose revenue rows come back Fortran-ordered, m >= 8
+@example(spec=ClassSpec("player-reserves"), n=2, k=1, m=8,
+         tenths=[8, 5, 6, 1, 5, 3, 2, 4, 0, 7, 7, 3, 7, 5, 6, 7] + [0] * 56)
+@example(spec=ClassSpec("bundle-price", per_player=True), n=2, k=1, m=11,
+         tenths=[8, 6, 3, 10, 0, 6, 2, 1, 6, 5, 9, 7, 7, 5, 6, 6, 0, 7, 5, 9, 3, 6] + [0] * 50)
+def test_reserve_rule_erm_is_the_exhaustive_argmax(spec, n, k, m, tenths):
+    """Every reserve-rule class, n <= 3 and k <= 2, on tenths grids (m <= 12),
+    whose exact ties the shortlist and the sorted-mean re-score must break
+    as the exhaustive argmax does, toward the largest parameter vector."""
+    n = 1 if spec.tag == "single-reserve" else n
+    k = k if spec.tag in ("bundle-price", "item-prices") else 1
+    S = SampleSet(np.array(tenths[:m * n * k]).reshape(m, n, k) / 10)
+    assume(candidate_count(spec, S) <= 1500)
+    assert_exhaustive_argmax(spec, S)
+
+
+def test_shortlist_margin_is_relative_to_the_joint_total():
+    """Item 2's prices a and b < 3a earn 3a and b, a few ulps apart, far
+    outside a margin relative to item 2's own revenue; item 1's revenue of 3
+    swallows the gap, so (1, a) and (1, b) tie and b, the larger, must win."""
+    a, b = 2.0**-10, 3 * 2.0**-10 - 150 * 2.0**-61
+    S = SampleSet(np.array([[[1.0, a]], [[1.0, a]], [[1.0, b]]]))
+    assert len(assert_exhaustive_argmax(ClassSpec("item-prices"), S)) == 2
+    assert erm(ClassSpec("item-prices"), S).prices == (1.0, b)
+
+
+def tied_items(k):
+    """One bidder, k items, profiles all 0.5 and all 1.0: in every item
+    prices 0.5 and 1.0 both earn 0.5, so all 2^k price vectors tie exactly."""
+    return SampleSet(np.array([[[0.5] * k], [[1.0] * k]]))
+
+
+def test_a_tied_product_is_scored_across_chunks_and_bounded_by_the_ceiling():
+    """2^13 = 8,192 tied rows in two chunks of 4,096: the last, all 1.0, wins.
+    The ceiling counts those rows, though each item's pool has two values."""
+    items = ClassSpec("item-prices")
+    assert erm(items, tied_items(13)).prices == (1.0,) * 13
+    assert erm(items, tied_items(13), ceiling=8192).prices == (1.0,) * 13
+    with pytest.raises(CeilingExceeded, match="scores 8192 candidate rows"):
+        erm(items, tied_items(13), ceiling=8191)
+    with pytest.raises(CeilingExceeded, match="scores 16777216 candidate rows"):
+        erm(items, tied_items(24))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+@pytest.mark.parametrize("spec,n,k", [(ClassSpec("player-reserves"), 2, 1),
+                                      (ClassSpec("item-prices"), 1, 2),
+                                      (ClassSpec("bundle-price", per_player=True), 2, 2)])
+def test_tied_samples_of_a_block_are_scored_together(spec, n, k, chunk, monkeypatch):
+    """A block of quarter-grid samples, 14 of 48 tied with products of 2 to
+    4 rows, learns each sample's exhaustive argmax, wherever the chunks split
+    the samples' candidates."""
+    monkeypatch.setattr(importlib.import_module("auctionlearn.erm"), "_CHUNK", chunk)
+    gen = np.random.default_rng(zlib.crc32(spec.describe().encode()))
+    samples = [SampleSet(gen.integers(0, 5, (6, n, k)) / 4) for _ in range(16)]
+    learned = erm_block(spec, np.stack([S.values for S in samples]), (0.0, 1.0))
+    assert learned == [erm(spec, S) for S in samples]
+    for S in samples:
+        assert_exhaustive_argmax(spec, S)
 
 
 @pytest.mark.parametrize("spec,shape,seed,chunk", [

@@ -249,6 +249,37 @@ def test_revenue_matrix_rows_match_scalar_bitwise(spec, data):
     assert np.array_equal(revenue_matrix(spec, params, values, 0.0), scalar)
 
 
+BLOCK_SPECS = [s for s in KERNEL_SPECS if s.tag != "t-level"]
+
+
+@pytest.mark.parametrize("spec", BLOCK_SPECS,
+                         ids=[s.describe().replace(" ", "-") for s in BLOCK_SPECS])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_revenue_matrix_scores_each_row_on_its_own_block(spec, data):
+    """With one (m, n, k) block of profiles per parameter row, row c is
+    row c's revenue on block c alone, bit for bit."""
+    n = 1 if spec.tag == "single-reserve" else data.draw(st.integers(1, 3), label="n")
+    k = data.draw(st.integers(1, 3), label="k") if spec.tag in ("bundle-price", "item-prices",
+                                                                "best-of") else 1
+    m = data.draw(st.integers(1, 8), label="m")
+    C = data.draw(st.integers(1, 5), label="C")
+    draw = data.draw(st.sampled_from([draw_grid_sample, draw_eighth_sample]), label="grid")
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    blocks = np.stack([draw(gen, m, n, k) for _ in range(C)])
+    params = grid_param_rows(spec, draw, gen, C, n, k)
+    alone = np.vstack([revenue_matrix(spec, params[c:c + 1], blocks[c], 0.0) for c in range(C)])
+    assert np.array_equal(revenue_matrix(spec, params, blocks, 0.0), alone)
+
+
+def test_revenue_matrix_refuses_blocks_that_do_not_pair_with_rows():
+    """Blocks must number the rows; t-level scores one shared block only."""
+    with pytest.raises(DimensionMismatch):
+        revenue_matrix(ClassSpec("player-reserves"), np.zeros((3, 2)), np.zeros((2, 4, 2, 1)))
+    with pytest.raises(DimensionMismatch):
+        revenue_matrix(ClassSpec("t-level", levels=1), np.zeros((2, 2)), np.zeros((2, 4, 2, 1)))
+
+
 def test_top_two_of_a_pair_matches_the_partition_path():
     """Two bidders take max/min, not np.partition; the winner, top and
     second value are the same, ties (to index 0) and equal columns included."""
@@ -415,6 +446,20 @@ def test_single_bidder_closed_forms_are_pinned(spec, k, h, revenues, optima):
         dist = DistributionSpec.iid(marginal, 1, k)
         assert analytic_true_revenue(h, dist) == rev
         assert in_class_optimum(spec, dist, "analytic").value == opt
+
+
+@pytest.mark.parametrize("marginal", [UNI, U29, DISC], ids=["uniform", "uniform-0.2-0.9", "discrete"])
+def test_one_item_bundle_price_is_a_posted_price(marginal):
+    """At n = k = 1 the bundle total is the value, so a bundle price's closed
+    forms are a single reserve's, under uniform marginals too."""
+    dist = DistributionSpec.iid(marginal)
+    for r in (0.1, 0.3, 0.45, 0.5, 0.8):
+        expected = analytic_true_revenue(SingleReserve(r), dist)
+        assert analytic_true_revenue(BundlePrice(price=r), dist) == expected
+        assert analytic_true_revenue(BundlePrice(prices=(r,)), dist) == expected
+    for spec in (ClassSpec("bundle-price"), ClassSpec("bundle-price", per_player=True)):
+        assert in_class_optimum(spec, dist, "analytic") == \
+            in_class_optimum(ClassSpec("single-reserve"), dist, "analytic")
 
 
 MULTI_BIDDER_UNIFORM_ONLY = "multi-bidder closed forms need uniform marginals"

@@ -38,6 +38,24 @@ BLOCK_DISTS = {
 }
 
 
+@pytest.mark.parametrize("probs", [(0.25, 0.5, 0.25), (0.7, 0.2, 0.1), (0.1, 0.2, 0.7)])
+def test_discrete_lookups_match_the_per_call_cumulative_sums(probs):
+    """ppf, cdf and cdf_left read cumulative arrays built once; they give
+    the bits of building them on every call, as they once were, including
+    probabilities whose float sum is not 1."""
+    d = Discrete((0.8, 0.1, 0.4), probs)
+    pts = np.asarray(d.points)
+    cum = np.cumsum(d.probs)
+    guarded = cum.copy()
+    guarded[-1] = 1.0
+    u = np.random.default_rng(2).random(200)
+    x = np.concatenate([u, pts, np.nextafter(pts, 2.0), [-1.0, 2.0]])
+    assert np.array_equal(d.ppf(u), pts[np.minimum(np.searchsorted(guarded, u, "right"), 2)])
+    assert np.array_equal(d.cdf(x), np.concatenate([[0.0], cum])[np.searchsorted(pts, x, "right")])
+    assert np.array_equal(d.cdf_left(x),
+                          np.concatenate([[0.0], cum])[np.searchsorted(pts, x, "left")])
+
+
 def reference_sample(spec, m, seed):
     """The per-sample draw the block sampler replaced: one generator, one
     ppf per marginal column, one clamp."""

@@ -6,15 +6,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from auctionlearn import (AnonymousSecondPriceReserve, AuctionLearnError, CeilingExceeded,
                           ClassSpec, DimensionMismatch, Discrete, DistributionSpec,
                           PlayerReserves, SampleSet, Seed, SingleReserve, Uniform,
-                          ValuationProfile, erm, growth_rate_estimate, rademacher_estimate,
-                          sample_values, split_sample_space, theoretical_growth_bound)
+                          ValuationProfile, candidate_count, erm, growth_rate_estimate,
+                          rademacher_estimate, sample_values, split_sample_space,
+                          theoretical_growth_bound)
 from auctionlearn.splitsample import _posted_subsets, split_sample_block
-from oracles import SPLIT_IDS, SPLIT_SPECS, split_dims
+from oracles import SPLIT_IDS, SPLIT_SPECS, exhaustive_argmax, split_dims
 
 SINGLE = ClassSpec("single-reserve")
 splitsample = importlib.import_module("auctionlearn.splitsample")
@@ -127,6 +128,28 @@ def test_split_sample_space_matches_per_subset_erm(spec, data):
     assert list(space.hypotheses) == sorted(space.hypotheses, key=lambda h: h.param_vector())
 
 
+RESERVE_RULES = [spec for spec in SPLIT_SPECS if spec.tag not in ("t-level", "best-of")]
+
+
+@pytest.mark.parametrize("spec", RESERVE_RULES,
+                         ids=[s.describe().replace(" ", "-") for s in RESERVE_RULES])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(n=st.integers(1, 2), k=st.integers(1, 2), m=st.integers(1, 6),
+       tenths=st.lists(st.integers(0, 10), min_size=24, max_size=24))
+def test_exact_space_is_the_subsets_exhaustive_argmaxes(spec, n, k, m, tenths):
+    """On tenths grids, whose ties the batched subset ERM must break as the
+    exhaustive argmax does, the exact space of a reserve-rule class is the
+    set of its half-size subsets' exhaustive argmaxes."""
+    n = 1 if spec.tag == "single-reserve" else n
+    k = k if spec.tag in ("bundle-price", "item-prices") else 1
+    values = np.array(tenths[:m * n * k]).reshape(m, n, k) / 10
+    assume(candidate_count(spec, SampleSet(values)) <= 200)
+    size = math.ceil(m / 2)
+    expected = {exhaustive_argmax(spec, SampleSet(values[list(idx)]))[0]
+                for idx in itertools.combinations(range(m), size)}
+    assert set(split_sample_space(spec, SampleSet(values), "exact").hypotheses) == expected
+
+
 @pytest.mark.parametrize("spec", SPLIT_SPECS, ids=SPLIT_IDS)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
@@ -169,6 +192,16 @@ def test_growth_estimate_is_the_max_over_its_draws(monkeypatch):
              for i in range(7)]
     assert sizes == [3, 2, 2, 3, 2, 2, 4]
     assert growth_rate_estimate(SINGLE, 9, dist, draws=7, seed=Seed(11)).observed_max == 4
+
+
+def test_posted_subsets_keep_the_listed_rows_in_order():
+    """The array form lists the rows of the defining comprehension, in order."""
+    for m in range(1, 41):
+        size = math.ceil(m / 2)
+        listed = [[*range(b), *range(i, i + size - b)]
+                  for i in range(m) for b in range(min(i, size - 1) + 1)
+                  if i + size - b <= m and (b < i or i == 0)]
+        assert _posted_subsets(m, size).tolist() == listed
 
 
 def test_posted_subsets_are_distinct():
@@ -277,6 +310,18 @@ def test_posted_ceiling_counts_the_whole_sample():
             split_sample_space(SINGLE, S, mode, trials=3, seed=Seed(1), candidate_ceiling=3)
         assert len(split_sample_space(SINGLE, S, mode, trials=3, seed=Seed(1),
                                       candidate_ceiling=4)) >= 1
+
+
+def test_a_subsets_tied_product_counts_against_the_ceiling():
+    """One bidder, 12 items, two profiles of 0.5s and two of 1s: each item's
+    pool holds two values, but a subset of one of each ties all 2^12 price
+    vectors, which ERM scores; the ceiling counts them, and all 1s wins."""
+    S = SampleSet(np.array([[[0.5] * 12], [[1.0] * 12]] * 2))
+    items = ClassSpec("item-prices")
+    with pytest.raises(CeilingExceeded, match="scores 4096 candidate rows"):
+        split_sample_space(items, S, "exact", candidate_ceiling=4095)
+    space = split_sample_space(items, S, "exact", candidate_ceiling=4096)
+    assert [h.prices for h in space.hypotheses] == [(0.5,) * 12, (1.0,) * 12]
 
 
 def test_theoretical_growth_bound_values():
