@@ -9,14 +9,16 @@ largest parameter vector.
 
 A reserve rule (every class but t-level and best-of) sets one reserve per
 auction of ``auction_columns`` (per bidder when lazy): ``_reserve_erm``
-shortlists each by a closed form and scores only the shortlists' product.
+shortlists each by a closed form (at n >= 2 ranked by one sort in
+``_ranked``) and scores only the shortlists' product.
 T-level and best-of score their whole candidate product.  ERM on subsets
 of each sample of a block is ``subset_winners``; ERM is its whole-sample
 case, and split-sample enumeration passes half-size subsets.
 
 The in-class optimum is the population counterpart: the closed form where
-one exists, else a grid maximum on shared Monte Carlo draws, scored through
-the same candidate model, auction columns and ``_near_max``.
+one exists, else a max on shared Monte Carlo draws.  For a reserve rule that
+is ERM on the draws, exact over the whole class there; multi-bidder t-level
+and best-of score a parameter grid through the candidate model.
 
 Determinism rules used throughout:
 
@@ -36,10 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnalyticUnsupported, AuctionLearnError, CeilingExceeded
-from .mechanisms import (TAG_BEST, TAG_BUNDLE, TAG_TLEVEL, ClassSpec, Hypothesis,
+from .mechanisms import (TAG_BEST, TAG_SINGLE, TAG_TLEVEL, ClassSpec, Hypothesis,
                          analytic_optimum, auction_columns, check_class_dims,
-                         hypotheses_from_params, profile_revenues, reserve_revenue,
-                         revenue_matrix, top_two)
+                         hypotheses_from_params, profile_revenues, revenue_matrix, top_two)
 from .model import DistributionSpec, SampleSet, Seed, sample_block
 
 DEFAULT_CANDIDATE_CEILING = 10**7
@@ -159,10 +160,10 @@ def _last_argmax(arr: np.ndarray) -> np.ndarray:
     return len(arr) - 1 - np.argmax(arr[::-1], axis=0)
 
 
-def _near_max(closed: np.ndarray, terms: int, total=None) -> np.ndarray:
-    """Mask of the closed forms within (terms+2)*8*2^-52 of the max of their
-    last axis, relative to `total` (default that max): a superset of the
-    argmaxes of the exact scores.
+def _near_max(closed: np.ndarray, top: np.ndarray, terms: int, total: np.ndarray) -> np.ndarray:
+    """Mask of the closed forms within (terms+2)*8*2^-52 of `top`, the max of
+    their last axis, relative to `total` (at least that max): a superset of
+    the argmaxes of the exact scores.
 
     A closed form (a prefix sum of at most `terms` nonnegative revenues and
     two roundings) is within gamma_(terms+2)*R of their total R, the exact score
@@ -170,7 +171,6 @@ def _near_max(closed: np.ndarray, terms: int, total=None) -> np.ndarray:
     gamma_(terms+1)*R; gamma_j = j*2^-53/(1 - j*2^-53), no value subnormal.
     So the exact max's closed form is within about (2*terms+3)*2^-52 of the
     max, under a quarter of the margin; the rest covers rounding the cutoff.
-    ``_reserve_grid_max`` relies on this margin too.
 
     For a score summing coordinates' f_c, pass as `total` the sum T of their
     maxima and as `terms` a bound on the revenues the score or a closed form
@@ -179,8 +179,7 @@ def _near_max(closed: np.ndarray, terms: int, total=None) -> np.ndarray:
     exceeds 2*gamma_(terms+1)*T.  Each coordinate's own max would not do:
     rounding the others' revenue can tie away a small coordinate's gap.
     """
-    top = closed.max(axis=-1, keepdims=True)
-    return closed >= top - (terms + 2) * 8 * 2.0**-52 * (top if total is None else total)
+    return closed >= top - (terms + 2) * 8 * 2.0**-52 * total
 
 
 def _check_pools(spec: ClassSpec, values: np.ndarray, beta: float, ceiling: int) -> None:
@@ -304,8 +303,12 @@ def _reserve_erm(spec: ClassSpec, values: np.ndarray, alpha: float, ceiling: int
     kept values; a product over `ceiling` rows raises."""
     R, m = values.shape[:2]
     coords = _closed_forms(spec, values, alpha)
-    total = sum(c.max(axis=1, keepdims=True) for _, c, _ in coords) if len(coords) > 1 else None
-    kept = [_near_max(closed, m * len(coords), total) & first for _, closed, first in coords]
+    # each row's max, reduced over a Fortran-ordered copy: numpy reduces the
+    # short rows of a C-ordered array one at a time
+    tops = [np.asfortranarray(closed).max(axis=1, keepdims=True) for _, closed, _ in coords]
+    total = sum(tops)
+    kept = [_near_max(closed, top, m * len(coords), total) & first
+            for (_, closed, first), top in zip(coords, tops)]
     params = np.column_stack([v[np.arange(R), keep.argmax(axis=1)]
                               for (v, _, _), keep in zip(coords, kept)])
     counts = np.array([keep.sum(axis=1) for keep in kept])     # (coordinates, R)
@@ -388,21 +391,28 @@ def _firsts(v: np.ndarray) -> np.ndarray:
 def _ranked(top: np.ndarray, second: np.ndarray, counted: np.ndarray,
             largest: np.ndarray) -> tuple:
     """(v, closed, first) from the (R, m) tops, seconds and counted profiles
-    and the (R, 1) largest pool value: counts and sums at and above a value
-    are suffixes from its run's first position, a candidate's if any."""
-    R, m = top.shape
-    keys = np.concatenate([np.where(counted, top, -np.inf), largest, second], axis=1)
-    order = np.argsort(keys, axis=1, kind="stable")
-    flat = order + np.arange(0, keys.size, keys.shape[1])[:, None]
-    v = keys.ravel()[flat]
-    weights = np.zeros((2, R, 2 * m + 1))      # sales minus seconds; seconds' sum
-    weights[0] = np.concatenate([counted, np.zeros((R, 1)), -1.0 * counted], axis=1)
-    weights[1, :, m + 1:] = second * counted
-    suffix = weights.reshape(2, -1)[:, flat][..., ::-1].cumsum(axis=-1)[..., ::-1]
-    first = _firsts(v) & (order <= m) & (v > -np.inf)
-    closed = np.full(v.shape, -np.inf)
-    np.multiply(v, suffix[0], out=closed, where=first)
-    np.add(closed, suffix[1], out=closed, where=first)
+    and the (R, 1) largest pool value, by one sort of uint64 keys
+    (bits(x) << 1) + 2 + is_second, 0 for an uncounted profile: values are
+    nonnegative, so their bits order as they do, and the shift drops -0.0's
+    sign.  A run's first key is a candidate's if it is even, and from there
+    on lie the counted tops and seconds at or above it (a top sorts before
+    an equal second), the largest and no zero key: its sales
+    #{second < r <= top} are the keys there, less one, less twice the
+    seconds, and sum{second >= r} second is a suffix sum too."""
+    m = top.shape[1]
+    keys = np.concatenate([top, largest, second], axis=1).view(np.uint64) << 1
+    keys += np.repeat(np.array([2, 3], dtype=np.uint64), [m + 1, m])
+    keys[:, :m] *= counted
+    keys[:, m + 1:] *= counted
+    keys.sort(axis=1)
+    odd = (keys & 1).view(np.int64)
+    v = ((keys >> 1) - 1).view(np.float64)     # NaN at zero keys, which precede every candidate
+    closed = v * (np.arange(2 * m, -1, -1) - 2 * odd[:, ::-1].cumsum(axis=1)[:, ::-1])
+    closed += (v * odd)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    first = _firsts(keys)
+    first[:, 0] = keys[:, 0] > 0
+    first &= odd == 0
+    closed[~first] = -np.inf
     return v, closed, first
 
 
@@ -414,67 +424,46 @@ def _ranked(top: np.ndarray, second: np.ndarray, counted: np.ndarray,
 class OptimumEstimate:
     value: float
     std_error: float | None
-    method: str  # "analytic" | "grid-mc"
+    method: str  # "analytic" | "grid-mc" (a max on shared draws, see _grid_optimum)
 
 
 def _price_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + np.arange(int(round((hi - lo) / step)) + 1) * step
 
 
-def _reserve_grid_max(grid: np.ndarray, columns: np.ndarray, alpha: float, lazy: bool):
-    """Best grid reserve for one auction's (draws, n) values: one anonymous
-    reserve, or each bidder's best lazy reserve on the draws it wins.  Every
-    r is ranked by r*#{s < r <= t} + sum{s >= r} s on draws (t, s), and only
-    ``_near_max``'s points are summed exactly, in draw order (bit-exact), in
-    chunks of about ``CELLS`` cells."""
-    w, top, second = top_two(columns, alpha)
-
-    def best(t, s):
-        ss = np.sort(s)
-        below = np.searchsorted(ss, grid)
-        above = np.append(np.cumsum(ss[::-1])[::-1], 0.0)[below]
-        g = grid[_near_max(grid * (below - np.searchsorted(np.sort(t), grid)) + above, len(t))]
-        step = max(1, CELLS // max(1, len(t)))
-        return max(reserve_revenue(g[at:at + step, None], t, s).sum(axis=1).max()
-                   for at in range(0, len(g), step)) / len(columns)
-
-    groups = [w == i for i in range(columns.shape[1])] if lazy else [slice(None)]
-    return sum(best(top[g], second[g]) for g in groups)
-
-
 def _grid_optimum(spec: ClassSpec, dist: DistributionSpec, grid_step: float,
                   draws: int, seed: Seed) -> OptimumEstimate:
-    """Max over a parameter grid of mean revenue on one shared draw set.
+    """Max over the class of mean revenue on one shared draw set.
 
-    Reserve-rule classes (and t-level at n = 1, a posted price on its lowest
-    threshold) take each auction's best grid reserve separately.  Multi-bidder
-    t-level and best-of score the grid product as ERM scores its candidate
-    product, with the grid as every coordinate's pool.  Common random numbers
-    across the grid keep the comparison low-variance; the reported value
-    inherits the usual upward selection bias of a max of correlated means.
+    A reserve rule (and t-level at n = 1, a posted price on its lowest
+    threshold, learned as a single reserve) is ERM on the draws, whose
+    sample-valued candidates hold the class's exact max there, scored as
+    ``empirical_revenue`` scores.  Multi-bidder t-level and best-of score
+    the grid product of step `grid_step` as ERM scores its candidate
+    product, with the grid as every coordinate's pool.  Either value is a
+    max of correlated means, so it is biased upward.
     """
     n, k, tag = dist.n, dist.k, spec.tag
     check_class_dims(spec, n, k)
     alpha, beta = dist.value_range
-    grid = _price_grid(alpha, beta, grid_step)
-    bundle_grid = _price_grid(k * alpha, k * beta, grid_step)
     if tag == TAG_BEST and (k != 1 or spec.per_player):
         raise AnalyticUnsupported("joint grid optimum for best-of is limited to anonymous "
                                   "k = 1; the branch classes cover multi-item grids separably")
-    joint = tag == TAG_BEST or (tag == TAG_TLEVEL and n > 1)
-    pools = [grid] * n if tag == TAG_TLEVEL else [bundle_grid, grid]
-    if joint and _count(spec, pools) * draws > _GRID_BUDGET:
+    if tag not in _JOINT or (tag == TAG_TLEVEL and n == 1):
+        values = sample_block(dist, draws, [seed])[0]
+        h = erm_block(ClassSpec(TAG_SINGLE) if tag == TAG_TLEVEL else spec, values[None],
+                      dist.value_range)[0]
+        return OptimumEstimate(float(_sorted_mean(profile_revenues(h, values, alpha))), None,
+                               "grid-mc")
+    grid = _price_grid(alpha, beta, grid_step)
+    pools = [grid] * n if tag == TAG_TLEVEL else [_price_grid(k * alpha, k * beta, grid_step), grid]
+    if _count(spec, pools) * draws > _GRID_BUDGET:
         raise CeilingExceeded(f"{spec.describe()} grid optimum over budget; "
                               "increase grid_step or lower draws")
     values = sample_block(dist, draws, [seed])[0]
-    if joint:
-        rows = _candidate_rows(spec, _factors(spec, pools), values, alpha)
-        value = max(R.sum(axis=1).max() for _, R in rows) / draws
-    else:       # each auction's best grid reserve, summed in auction order
-        reserves = bundle_grid if tag == TAG_BUNDLE else grid
-        value = sum(_reserve_grid_max(reserves, columns, alpha, spec.per_bidder)
-                    for columns in auction_columns(spec, values))
-    return OptimumEstimate(float(value), None, "grid-mc")
+    rows = _candidate_rows(spec, _factors(spec, pools), values, alpha)
+    return OptimumEstimate(float(max(R.sum(axis=1).max() for _, R in rows) / draws), None,
+                           "grid-mc")
 
 
 def in_class_optimum(spec: ClassSpec, dist: DistributionSpec, method: str = "auto",
@@ -485,8 +474,10 @@ def in_class_optimum(spec: ClassSpec, dist: DistributionSpec, method: str = "aut
     'analytic' is ``analytic_optimum``: single-bidder posted-price shapes
     under uniform or discrete marginals, and the multi-bidder reserve-rule
     classes under uniform marginals (anonymous ones on identical marginals);
-    'grid' maximizes over a parameter grid evaluated on shared Monte Carlo
-    draws (biased upward); 'auto' prefers analytic and falls back.
+    'grid' maximizes mean revenue on shared Monte Carlo draws (biased
+    upward): exactly, by ERM, for a reserve rule and t-level at n = 1, and
+    over a grid of step `grid_step` for multi-bidder t-level and best-of;
+    'auto' prefers analytic and falls back.
     """
     if method not in ("auto", "analytic", "grid"):
         raise ValueError(f"unknown method {method!r}")

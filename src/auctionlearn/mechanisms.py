@@ -13,9 +13,9 @@ The revenue rules live in exactly two places.  ``run_mechanism`` is the
 scalar reference semantics (the oracle).  ``revenue_matrix`` is the one
 batched kernel: it scores a batch of parameter rows of one class on an array
 of profiles with results identical to the oracle bit for bit, and ERM, the
-grid optima and ``profile_revenues`` (its single-row case) all call it or its
-single-item primitive ``reserve_revenue``, on the single-item auctions
-``auction_columns`` names for a reserve-rule class.
+in-class optima and ``profile_revenues`` (its single-row case) all call it.
+It runs a reserve-rule class as its single-item primitive ``reserve_revenue``
+on each single-item auction that ``auction_columns`` names.
 
 Expected revenue and the in-class optimum have closed forms for the
 single-bidder posted-price shapes and, at n >= 2, for the reserve-rule

@@ -162,6 +162,24 @@ def test_shortlist_margin_is_relative_to_the_joint_total():
     assert erm(ClassSpec("item-prices"), S).prices == (1.0, b)
 
 
+@pytest.mark.parametrize("spec", [ClassSpec("anonymous-second-price"),
+                                  ClassSpec("player-reserves")], ids=lambda s: s.tag)
+def test_reserve_ranking_orders_negative_zero_and_large_values(spec):
+    """The n >= 2 closed-form ranking sorts the values' bits, so they must
+    order as the floats do: samples holding -0.0, which ``SampleSet``
+    accepts, beside 0.0, and samples on [0, 10^6], whose bits lie above 2^62."""
+    gen = np.random.default_rng(11)
+    for _ in range(8):
+        halves = gen.integers(0, 3, (6, 2, 1)) / 2
+        halves[:2, 0] = 0.0
+        signed = np.where((halves == 0) & (gen.random(halves.shape) < 0.5), -0.0, halves)
+        signed[0, 0], signed[1, 0] = -0.0, 0.0
+        assert_exhaustive_argmax(spec, SampleSet(signed))
+        assert_exhaustive_argmax(spec, SampleSet(gen.integers(0, 11, (6, 2, 1)) * 1e5,
+                                                 (0.0, 1e6)))
+        assert_exhaustive_argmax(spec, SampleSet(gen.random((6, 2, 1)) * 1e6, (0.0, 1e6)))
+
+
 def tied_items(k):
     """One bidder, k items, profiles all 0.5 and all 1.0: in every item
     prices 0.5 and 1.0 both earn 0.5, so all 2^k price vectors tie exactly."""

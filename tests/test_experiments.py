@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from auctionlearn import (AuctionLearnError, CeilingExceeded, ClassSpec, Discrete,
                           DistributionSpec, ExperimentConfig, Seed, Uniform, config_fingerprint,
-                          erm, generalization_experiment, in_class_optimum,
+                          empirical_revenue, erm, generalization_experiment, in_class_optimum,
                           sample_complexity_curve, sample_values, true_revenue, write_gap_svg,
                           write_rows_csv, write_rows_jsonl)
 
@@ -80,15 +80,16 @@ def test_optimum_grid_second_price_sanity():
 U01_PAIR = DistributionSpec.iid(Uniform(0, 1), 2, 1)
 U01_PAIR_2 = DistributionSpec.iid(Uniform(0, 1), 2, 2)
 
-# Grid optima recorded before the grid branches moved onto the shared
-# revenue kernel; the rewrite must reproduce them bit for bit.
+# Optima on 1,000 shared draws: the reserve rules' are ERM's exact maxima on
+# the draws; t-level's and best-of's are maxima over the step-0.05 grid,
+# recorded before the grid branches moved onto the shared revenue kernel.
 GRID_OPTIMA = [
-    (ClassSpec("anonymous-second-price"), U01_PAIR, 0.42610011072213205),
-    (ClassSpec("player-reserves"), U01_PAIR, 0.42610011072213205),
-    (ClassSpec("bundle-price"), U01_PAIR_2, 0.8374333495200308),
-    (ClassSpec("bundle-price", per_player=True), U01_PAIR_2, 0.8396846731838574),
-    (ClassSpec("item-prices"), U01_PAIR_2, 0.8228930786302542),
-    (ClassSpec("item-prices", per_player=True), U01_PAIR_2, 0.8250915409882182),
+    (ClassSpec("anonymous-second-price"), U01_PAIR, 0.4264609331370766),
+    (ClassSpec("player-reserves"), U01_PAIR, 0.4297218629460394),
+    (ClassSpec("bundle-price"), U01_PAIR_2, 0.8391477208524684),
+    (ClassSpec("bundle-price", per_player=True), U01_PAIR_2, 0.841562198696916),
+    (ClassSpec("item-prices"), U01_PAIR_2, 0.8285029741337511),
+    (ClassSpec("item-prices", per_player=True), U01_PAIR_2, 0.8309827698309697),
     (ClassSpec("t-level", levels=1), U01_PAIR, 0.39935000000000004),
     (ClassSpec("best-of"), U01_PAIR, 0.516124445569),
 ]
@@ -103,21 +104,20 @@ def test_grid_optimum_bits_are_pinned(spec, dist, expected):
 
 
 def test_workload_scale_grid_optimum_is_pinned():
-    """The optimum of bench/'s experiment-mc at seed 1 (player reserves,
-    n = 2, 200,000 draws, step 1e-3), recorded when every grid point was
-    scored on every draw."""
+    """The grid-mc optimum of bench/'s experiment-mc configuration at seed 1
+    (player reserves, n = 2, 200,000 draws): ERM's exact max on the draws."""
     est = in_class_optimum(ClassSpec("player-reserves"), U01_PAIR, "grid", 1e-3, 200_000,
                            Seed(1).child("experiment-mc").child("optimum"))
-    assert est.value == 0.4168109344756925
+    assert est.value == 0.416823657317162
 
 
 def test_workload_scale_grid_optimum_is_biased_upward():
     """The grid-mc value pinned above, against the exact optimum 5/12 that
-    ``in_class_optimum`` now returns there: a max over correlated grid means
-    overestimates, here by about 1.4e-4."""
+    ``in_class_optimum`` now returns there: a max over correlated means
+    overestimates, here by about 1.6e-4."""
     exact = in_class_optimum(ClassSpec("player-reserves"), U01_PAIR)
     assert exact.method == "analytic" and abs(exact.value - 5 / 12) <= 1e-15
-    assert 5 / 12 <= 0.4168109344756925 <= 5 / 12 + 1e-3
+    assert 5 / 12 <= 0.416823657317162 <= 5 / 12 + 1e-3
 
 
 def test_multi_bidder_uniform_experiment_draws_no_monte_carlo():
@@ -175,17 +175,25 @@ def reserve_grid_dist(kind: str, n: int, k: int, picks: list[int]) -> Distributi
 @given(kind=st.sampled_from(["uniform", "thousandths", "idle-bidder", "point-mass"]),
        picks=st.lists(st.integers(0, 1000), min_size=1, max_size=6),
        draws=st.integers(1, 1500), seed=st.integers(0, 2**32 - 1))
-# near ties: 0.255*7 = 0.595*3 and 0.267*7 = 0.623*3 in exact arithmetic, but the
-# closed form and the exact sum round them in opposite directions (the winning
+# near ties: 0.255*7 = 0.595*3 and 0.267*7 = 0.623*3 in exact arithmetic, but a
+# closed form and an exact sum round them in opposite directions (the winning
 # draws are anonymous reserves and player reserves in the first, items in the second)
 @example(kind="idle-bidder", picks=[255, 595], draws=7, seed=2)
 @example(kind="idle-bidder", picks=[267, 623], draws=7, seed=0)
 def test_reserve_grid_optimum_equals_exhaustive_curve(spec, n, k, kind, picks, draws, seed):
-    """Ranking grid reserves in closed form and summing only the near-max
-    ones exactly gives the max over every grid point bit for bit."""
+    """A reserve rule's grid-mc optimum is ERM's empirical revenue on the same
+    draws (t-level at n = 1 as a single reserve), bit for bit, and no less
+    than the best point of the step-1e-3 grid beyond rounding.  The grid
+    sums each auction's draws in draw order, within (draws + 2)*2^-53 of its
+    exact value, plus a rounding per auction summed, and the sorted mean
+    within less: (draws + 8)*2^-52 of the grid's value covers both."""
     dist = reserve_grid_dist(kind, n, k, picks)
     est = in_class_optimum(spec, dist, "grid", 1e-3, draws, Seed(seed))
-    assert est.value == oracles.reserve_grid_optimum(spec, dist, 1e-3, draws, Seed(seed))
+    S = sample_values(dist, draws, Seed(seed))
+    rule = SINGLE if spec.tag == "t-level" else spec
+    assert est.value == empirical_revenue(erm(rule, S), S)
+    grid = oracles.reserve_grid_optimum(spec, dist, 1e-3, draws, Seed(seed))
+    assert est.value >= grid - (draws + 8) * 2.0**-52 * grid
 
 
 T1, T2 = ClassSpec("t-level", levels=1), ClassSpec("t-level", levels=2)
