@@ -451,8 +451,13 @@ def _grid_optimum(spec: ClassSpec, dist: DistributionSpec, grid_step: float,
                                   "k = 1; the branch classes cover multi-item grids separably")
     if tag not in _JOINT or (tag == TAG_TLEVEL and n == 1):
         values = sample_block(dist, draws, [seed])[0]
-        h = erm_block(ClassSpec(TAG_SINGLE) if tag == TAG_TLEVEL else spec, values[None],
-                      dist.value_range)[0]
+        try:
+            h = erm_block(ClassSpec(TAG_SINGLE) if tag == TAG_TLEVEL else spec, values[None],
+                          dist.value_range, DEFAULT_CANDIDATE_CEILING)[0]
+        except CeilingExceeded as exc:   # the caller's only lever here is the draw count
+            raise CeilingExceeded(f"{spec.describe()} grid optimum on {draws} draws scores more "
+                                  f"than the candidate ceiling {DEFAULT_CANDIDATE_CEILING} rows; "
+                                  "lower draws (optimum_draws) to run it") from exc
         return OptimumEstimate(float(_sorted_mean(profile_revenues(h, values, alpha))), None,
                                "grid-mc")
     grid = _price_grid(alpha, beta, grid_step)

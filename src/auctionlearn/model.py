@@ -4,6 +4,13 @@ All sampling is a pure function of (spec, m, seed): the same inputs always
 reproduce the same bits.  Sub-seeds are derived from a master seed via a keyed
 hash of (master, purpose label, replicate index), so parallel experiments can
 draw independent streams in any order.
+
+A seed's stream is ``Seed.rng()``, numpy's PCG64 seeded with the master; it
+is the reference.  ``sample_block`` draws the same bits without building a
+generator per seed: it derives the PCG64 (state, increment) of all of a
+block's masters at once (``_pcg64_states``, numpy's ``SeedSequence``
+transcribed and vectorized over the masters) and sets them, row by row, on
+one generator of its own.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -61,8 +69,13 @@ class Seed:
     master: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.master) < 2**64:
+        try:
+            master = operator.index(self.master)    # an int, or a numpy integer as an int
+        except TypeError:
+            raise AuctionLearnError(f"seed must be an integer, got {self.master!r}") from None
+        if not 0 <= master < 2**64:
             raise AuctionLearnError("seed must be a 64-bit unsigned integer")
+        object.__setattr__(self, "master", master)
 
     def child(self, label: str, index: int = 0) -> "Seed":
         key = f"{self.master}|{label}|{index}".encode()
@@ -71,6 +84,63 @@ class Seed:
 
     def rng(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(self.master))
+
+
+# numpy's SeedSequence for an integer entropy of at most 64 bits (two 32-bit
+# words, padded with zeros to the pool of 4) and PCG64's seeding from it.
+# The hash constants advance the same way for every entropy, so each step's
+# pair (constant before, constant after) is tabulated once.
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT = np.uint64(16)
+_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_steps(init: int, mult: int, count: int) -> np.ndarray:
+    """(2, count, 1): the hash constant before and after each of `count` steps."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array([consts[:-1], consts[1:]], dtype=np.uint64)[..., None]
+
+
+_HASHMIX = _hash_steps(0x43B0D7E5, 0x931E8875, 16)   # 4 fill the pool, 12 mix it
+_OUTPUT = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)     # the 8 output words
+
+
+def _hash(words: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """``hashmix`` on 32-bit words held in uint64 (no product overflows)."""
+    words = (words ^ before) * after & _MASK32
+    words ^= words >> _SHIFT
+    return words
+
+
+def _pcg64_states(masters: list[int]) -> list[tuple[int, int]]:
+    """(state, inc) of ``np.random.PCG64(master)`` for each 64-bit master.
+
+    numpy's ``SeedSequence(master).generate_state(4, np.uint64)`` runs over
+    all masters at once, the pool of 4 as one (4, R) array, then PCG64's
+    ``srandom_r`` on each row's (seed, seq): inc = 2·seq + 1 and
+    state = ((inc + seed)·mult + inc) mod 2¹²⁸.
+    """
+    masters = np.array(masters, dtype=np.uint64)
+    pool = np.zeros((4, len(masters)), dtype=np.uint64)
+    pool[0] = masters & _MASK32
+    pool[1] = masters >> np.uint64(32)
+    pool = _hash(pool, *_HASHMIX[:, :4])
+    for src in range(4):    # mix each word into the 3 others
+        dst = [d for d in range(4) if d != src]
+        steps = _HASHMIX[:, 4 + 3 * src:7 + 3 * src]
+        mixed = _MIX_L * pool[dst] - _MIX_R * _hash(pool[src], *steps) & _MASK32
+        pool[dst] = mixed ^ (mixed >> _SHIFT)
+    out = _hash(np.tile(pool, (2, 1)), *_OUTPUT)
+    seed_hi, seed_lo, seq_hi, seq_lo = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        states.append(((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +413,18 @@ class SampleSet:
 
 def sample_block(spec: DistributionSpec, m: int, seeds) -> np.ndarray:
     """One sample of m i.i.d. profiles per seed, as (R, m, n, k) values checked as
-    ``SampleSet`` checks one; row r is ``sample_values(spec, m, seeds[r]).values``."""
+    ``SampleSet`` checks one; row r is ``sample_values(spec, m, seeds[r]).values``.
+    Row r's uniforms are ``seeds[r].rng().random((m, n, k))``, drawn from one
+    local generator set to each seed's state in turn."""
     if m < 1:
         raise AuctionLearnError("m must be >= 1")
     block = np.empty((len(seeds), m, spec.n, spec.k))   # uniforms, mapped to values in place
-    for r, seed in enumerate(seeds):
-        seed.rng().random((m, spec.n, spec.k), out=block[r])
+    bits = np.random.PCG64(0)
+    uniform = np.random.Generator(bits)
+    for r, (state, inc) in enumerate(_pcg64_states([seed.master for seed in seeds])):
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        uniform.random(out=block[r])
     for i in range(spec.n):
         for j in range(spec.k):
             block[..., i, j] = spec.marginals[i][j].ppf(block[..., i, j])

@@ -227,6 +227,22 @@ def test_multi_level_tlevel_grid_is_refused_only_by_its_budget():
     assert est.method == "grid-mc" and 0 < est.value <= 1
 
 
+def test_reserve_grid_optimum_refusal_names_the_draws(monkeypatch):
+    """A reserve rule's optimum is ERM under the default candidate ceiling,
+    which the optimum's caller cannot raise, so the refusal names the draw
+    count instead.  The ceiling is lowered here so that 100 draws at n = 2
+    (200 distinct values in the anonymous pool) hit it; the same refusal
+    comes at about 5·10⁶ draws under the real ceiling."""
+    monkeypatch.setattr(importlib.import_module("auctionlearn.erm"), "DEFAULT_CANDIDATE_CEILING",
+                        100)
+    with pytest.raises(CeilingExceeded, match=r"^anonymous-second-price grid optimum on 100 "
+                       r"draws scores more than the candidate ceiling 100 rows; lower draws "
+                       r"\(optimum_draws\) to run it$"):
+        in_class_optimum(ClassSpec("anonymous-second-price"), U01_PAIR, "grid", draws=100)
+    assert in_class_optimum(ClassSpec("anonymous-second-price"), U01_PAIR, "grid",
+                            draws=50).method == "grid-mc"
+
+
 @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
 @pytest.mark.parametrize("method", ["grid", "auto"])
 def test_optimum_rejects_a_grid_step_that_is_not_positive_and_finite(step, method):

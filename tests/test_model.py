@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from auctionlearn import (AnalyticUnsupported, AuctionLearnError, DimensionMismatch, Discrete,
                           DistributionSpec, InvalidDistribution, SampleFileError,
                           SampleSet, Seed, SingleReserve, TruncatedExponential,
                           Uniform, ValuationProfile, load_samples, sample_values,
                           save_samples, true_revenue)
-from auctionlearn.model import sample_block
+from auctionlearn.model import _pcg64_states, sample_block
 
 U01 = DistributionSpec.iid(Uniform(0, 1))
 
@@ -71,18 +72,32 @@ def reference_sample(spec, m, seed):
 @pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (1, 3), (3, 3)])
 @pytest.mark.parametrize("name", sorted(BLOCK_DISTS))
 def test_sample_block_rows_are_the_per_seed_samples(name, n, k, m):
-    """Drawn in blocks of 4 seeds, 11 seeds give the bits of 11 separate
-    ``sample_values`` calls and of the per-sample reference: the block's ppf
-    and clamp run once on all rows, and ufunc loops must not round a row
-    differently by its position."""
+    """Drawn in blocks of 1, 4 and all 11 seeds, in order or permuted, 11
+    seeds give the bits of 11 separate ``sample_values`` calls and of the
+    per-sample reference, whose uniforms come from ``Seed.rng()``: the
+    block's ppf and clamp run once on all rows, and ufunc loops must not
+    round a row differently by its position."""
     marginal = BLOCK_DISTS[name]
     spec = DistributionSpec.iid(marginal, n, k, value_range=marginal.support)
     seeds = [Seed(17).child(name, i) for i in range(11)]
-    blocks = [sample_block(spec, m, seeds[at:at + 4]) for at in range(0, len(seeds), 4)]
-    assert blocks[0].shape == (4, m, n, k)
     expected = np.stack([sample_values(spec, m, seed).values for seed in seeds])
-    assert np.array_equal(np.concatenate(blocks), expected)
+    for size in (1, 4, 11):
+        blocks = [sample_block(spec, m, seeds[at:at + size]) for at in range(0, len(seeds), size)]
+        assert blocks[0].shape == (size, m, n, k)
+        assert np.array_equal(np.concatenate(blocks), expected)
+    order = np.random.default_rng(m).permutation(len(seeds))
+    assert np.array_equal(sample_block(spec, m, [seeds[i] for i in order]), expected[order])
     assert np.array_equal(expected, np.stack([reference_sample(spec, m, s) for s in seeds]))
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+@example([0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_block_seeding_is_numpys_pcg64_seeding(masters):
+    """(state, inc) of each master is ``np.random.PCG64(master)``'s.  numpy
+    reads one 32-bit entropy word below 2^32 and two from there on, and pads
+    the pool with hashed zeros either way, hence the edge masters."""
+    states = [np.random.PCG64(master).state["state"] for master in masters]
+    assert _pcg64_states(masters) == [(s["state"], s["inc"]) for s in states]
 
 
 def test_uniform_mean_clt():
@@ -113,6 +128,20 @@ def test_sampler_marginals_ks(marginal):
     spec = DistributionSpec.iid(marginal)
     s = sample_values(spec, 100_000, Seed(3))
     assert _ks_distance(s.values[:, 0, 0], marginal) <= 0.01
+
+
+@pytest.mark.parametrize("master", [1.5, 5.0, np.float64(5), "5", None, [5]])
+def test_seed_rejects_a_master_that_is_not_an_integer(master):
+    """A block reads its masters as uint64, which would turn 1.5 into 1;
+    ``Seed`` refuses such a master where ``Seed.rng()`` would refuse it later."""
+    with pytest.raises(AuctionLearnError, match="seed must be an integer"):
+        Seed(master)
+
+
+def test_seed_takes_numpy_integers_as_python_ints():
+    seed = Seed(np.uint64(2**64 - 1))
+    assert type(seed.master) is int and seed == Seed(2**64 - 1)
+    assert Seed(np.int32(5)).child("a", 1) == Seed(5).child("a", 1)
 
 
 def test_seed_children_are_pure_and_distinct():
