@@ -275,6 +275,8 @@ def generalization_chain_check(spec: ClassSpec, dist: DistributionSpec, m: int,
     """
     if replicates < 2:
         raise AuctionLearnError("need at least 2 replicates")
+    if sigma_draws < 2:
+        raise AuctionLearnError("need at least 2 sign draws")
     bound = main_bound(spec, m, dist.n, dist.k,
                        value_range=dist.value_range).expected_gap_bound
     if optimum is not None:

@@ -11,14 +11,16 @@ A reserve rule (every class but t-level and best-of) sets one reserve per
 auction of ``auction_columns`` (per bidder when lazy): ``_reserve_erm``
 shortlists each by a closed form (at n >= 2 ranked by one sort in
 ``_ranked``) and scores only the shortlists' product.
-T-level and best-of score their whole candidate product.  ERM on subsets
-of each sample of a block is ``subset_winners``; ERM is its whole-sample
-case, and split-sample enumeration passes half-size subsets.
+T-level and best-of score their whole candidate product, each chunk by one
+``revenue_matrix`` call shared by every subset.  ERM on subsets of each
+sample of a block is ``subset_winners``; ERM is its whole-sample case, and
+split-sample enumeration passes half-size subsets.
 
 The in-class optimum is the population counterpart: the closed form where
-one exists, else a max on shared Monte Carlo draws.  For a reserve rule that
-is ERM on the draws, exact over the whole class there; multi-bidder t-level
-and best-of score a parameter grid through the candidate model.
+one exists, else a max on shared Monte Carlo draws, the sorted mean of a
+row learned there.  A reserve rule learns by ERM on the draws, exact over
+the whole class there; multi-bidder t-level and best-of learn a parameter
+grid by ``_tied_winners``, the scorer of a reserve rule's near ties.
 
 Determinism rules used throughout:
 
@@ -107,35 +109,8 @@ def _factors(spec: ClassSpec, pools) -> list[np.ndarray]:
 def _product_rows(factors, indices) -> np.ndarray:
     """The candidate parameter rows at the given positions of the ascending
     lexicographic candidate order."""
-    if len(factors) == 1:
-        return factors[0][indices]
     picks = np.unravel_index(indices, [len(f) for f in factors])
     return np.hstack([f[i] for f, i in zip(factors, picks)])
-
-
-def _candidate_rows(spec: ClassSpec, factors, values: np.ndarray, alpha: float):
-    """(start, R) over the candidate product in chunks of at most ``_CHUNK``
-    rows and about ``CELLS`` cells (m x n per row): R[c] is the revenue row
-    of the candidate at position start + c.
-
-    Best-of rows are the max of the two branch matrices, each built once;
-    a chunk pairs whole bundle rows with every item row.
-    """
-    m, n, _ = values.shape
-    chunk = min(_CHUNK, max(1, CELLS // (m * n)))
-    if spec.tag != TAG_BEST:
-        count = math.prod(len(f) for f in factors)
-        for start in range(0, count, chunk):
-            rows = _product_rows(factors, np.arange(start, min(start + chunk, count)))
-            yield start, revenue_matrix(spec, rows, values, alpha)
-        return
-    split = values.shape[1] if spec.per_player else 1     # the bundle factors come first
-    rev_b, rev_i = (np.vstack([R for _, R in _candidate_rows(branch, f, values, alpha)])
-                    for branch, f in zip(spec.branches(), (factors[:split], factors[split:])))
-    step = max(1, chunk // len(rev_i))
-    for b in range(0, len(rev_b), step):
-        pairs = np.maximum(rev_b[b:b + step, None], rev_i[None])   # (bundle, item, profile)
-        yield b * len(rev_i), pairs.reshape(-1, len(values))
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +128,6 @@ def _sorted_mean(rows: np.ndarray) -> np.ndarray:
 def empirical_revenue(h: Hypothesis, S: SampleSet) -> float:
     """Mean revenue of h over the sample (order-independent accumulation)."""
     return float(_sorted_mean(profile_revenues(h, S.values, S.value_range[0])))
-
-
-def _last_argmax(arr: np.ndarray) -> np.ndarray:
-    """The last argmax along axis 0: ties go to the largest parameter."""
-    return len(arr) - 1 - np.argmax(arr[::-1], axis=0)
 
 
 def _near_max(closed: np.ndarray, top: np.ndarray, terms: int, total: np.ndarray) -> np.ndarray:
@@ -231,38 +201,51 @@ def subset_winners(spec: ClassSpec, values: np.ndarray, value_range: tuple[float
 def _joint_winners(spec: ClassSpec, values: np.ndarray, value_range: tuple[float, float],
                    subsets: np.ndarray, ceiling: int) -> np.ndarray:
     """The candidate model is built on the whole (m, n, k) sample and each
-    candidate chunk's revenue rows once; a subset scores them on its own
-    profiles by the sorted mean, with the candidates absent from its pools
-    set to -inf, and keeps the last argmax, carried across chunks with ``>=``."""
+    chunk of its product (at most ``_CHUNK`` rows, about ``CELLS`` cells of
+    m x n) gets revenue rows once, for every subset (``_tied_winners`` would
+    re-run them per subset): a subset scores them on its own profiles by the
+    sorted mean, candidates absent from its pools at -inf, and ``_carry``
+    keeps its last argmax across chunks."""
+    m, n, _ = values.shape
     columns = _columns(spec, values, value_range[1])
     pools = [np.unique(c) for c in columns]
-    _check_ceiling(spec, _count(spec, pools), ceiling)
+    count = _count(spec, pools)
+    _check_ceiling(spec, count, ceiling)
     # occ[f][p, t]: pool value p is in profile t's pool f (beta in every t-level one)
     occ = [np.zeros((len(pool), len(c)), dtype=bool) for c, pool in zip(columns, pools)]
     for o, c, pool in zip(occ, columns, pools):
         o[np.searchsorted(pool, c), np.arange(len(c))[:, None]] = True
     factors = _factors(spec, pools)
-    lengths = [len(f) for f in factors]
     members = [np.searchsorted(p, f) for p, f in zip(pools, factors)]  # factor rows as pool indices
     best_rev = np.full(len(subsets), -np.inf)
     best = np.zeros(len(subsets), dtype=np.intp)
-    for start, R in _candidate_rows(spec, factors, values, value_range[0]):
-        picks = np.unravel_index(np.arange(start, start + len(R)), lengths)
+    chunk = min(_CHUNK, max(1, CELLS // (m * n)))
+    for start in range(0, count, chunk):
+        at = np.arange(start, min(start + chunk, count))
+        R = revenue_matrix(spec, _product_rows(factors, at), values, value_range[0])
+        picks = np.unravel_index(at, [len(f) for f in factors])
         step = max(1, _BLOCK_CELLS // (len(R) * subsets.shape[1]))
-        for at in range(0, len(subsets), step):
-            block = subsets[at:at + step]
+        for first in range(0, len(subsets), step):
+            block = subsets[first:first + step]
             # per factor row and subset: do all of the row's values occur in it
             present = [o[:, block].any(axis=-1)[mem].all(axis=1) for o, mem in zip(occ, members)]
             valid = np.logical_and.reduce([p[i] for p, i in zip(present, picks)])
             revs = np.full(valid.shape, -np.inf)
             revs[valid] = _sorted_mean(R[:, block][valid])   # only where it is a candidate
-            local = _last_argmax(revs)
-            top = revs[local, np.arange(len(block))]
-            span = slice(at, at + len(block))
-            better = top >= best_rev[span]
-            best_rev[span][better] = top[better]
-            best[span][better] = start + local[better]
+            top = revs.max(axis=0)
+            _carry(best_rev, best, np.arange(first, first + len(block)), top,
+                   np.where(revs == top, at[:, None], -1).max(axis=0))
     return _product_rows(factors, np.unique(best))
+
+
+def _carry(best_rev: np.ndarray, best: np.ndarray, owners: np.ndarray, top: np.ndarray,
+           last: np.ndarray) -> None:
+    """Fold one chunk into the running maxima: an owner whose chunk max `top`
+    is at least its best so far takes it at `last`, its last position; in
+    ascending candidate order the ``>=`` keeps the last argmax of all chunks."""
+    better = top >= best_rev[owners]
+    best_rev[owners[better]] = top[better]
+    best[owners[better]] = last[better]
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +301,19 @@ def _reserve_erm(spec: ClassSpec, values: np.ndarray, alpha: float, ceiling: int
     if len(tied):       # each coordinate's kept values first, ascending
         picks = [np.take_along_axis(v[tied], np.argsort(~keep[tied], axis=1, kind="stable"), 1)
                  for (v, _, _), keep in zip(coords, kept)]
-        params[tied] = _tied_winners(spec, picks, counts[:, tied], values[tied], alpha)
+        params[tied] = _tied_winners(spec, [p[..., None] for p in picks], counts[:, tied],
+                                     values[tied], alpha)
     return params
 
 
 def _tied_winners(spec: ClassSpec, picks, counts: np.ndarray, values: np.ndarray,
                   alpha: float) -> np.ndarray:
     """Per sample of a (T, m, n, k) block, the last argmax of the sorted mean
-    over the ascending lexicographic product of its first counts[c] values of
-    each picks[c] (T, L).  Every sample's product is scored in one sequence
+    over the ascending lexicographic product of its first counts[c] rows of
+    each picks[c], a (T, L, w) block of factor rows (w = 1 but for a t-level
+    bidder's s levels).  Every sample's product is scored in one sequence
     of chunks of at most ``_CHUNK`` rows and about ``CELLS`` cells, each
-    candidate on its own sample; the best is carried across chunks with ``>=``."""
+    candidate on its own sample; ``_carry`` keeps the best across chunks."""
     T, m, n, k = values.shape
     sizes = counts.prod(axis=0)
     ends = np.cumsum(sizes)
@@ -339,7 +324,7 @@ def _tied_winners(spec: ClassSpec, picks, counts: np.ndarray, values: np.ndarray
         for pick, count in zip(picks[::-1], counts[::-1]):
             local, d = np.divmod(local, count[owner])
             digits.append(pick[owner, d])
-        return owner, np.column_stack(digits[::-1])
+        return owner, np.hstack(digits[::-1])
 
     best_rev = np.full(T, -np.inf)
     best = np.zeros(T, dtype=np.intp)
@@ -352,10 +337,7 @@ def _tied_winners(spec: ClassSpec, picks, counts: np.ndarray, values: np.ndarray
         top = np.maximum.reduceat(scores, firsts)
         # owners are consecutive: every sample has candidates
         last = np.maximum.reduceat(np.where(scores == top[owner - owner[0]], at, -1), firsts)
-        won = owner[firsts]
-        better = top >= best_rev[won]
-        best_rev[won[better]] = top[better]
-        best[won[better]] = last[better]
+        _carry(best_rev, best, owner[firsts], top, last)
     return rows_at(best)[1]
 
 
@@ -424,7 +406,7 @@ def _ranked(top: np.ndarray, second: np.ndarray, counted: np.ndarray,
 class OptimumEstimate:
     value: float
     std_error: float | None
-    method: str  # "analytic" | "grid-mc" (a max on shared draws, see _grid_optimum)
+    method: str  # "analytic" | "grid-mc" (a max on shared draws, see _grid_optimum) | "provided"
 
 
 def _price_grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -433,42 +415,44 @@ def _price_grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 def _grid_optimum(spec: ClassSpec, dist: DistributionSpec, grid_step: float,
                   draws: int, seed: Seed) -> OptimumEstimate:
-    """Max over the class of mean revenue on one shared draw set.
-
-    A reserve rule (and t-level at n = 1, a posted price on its lowest
-    threshold, learned as a single reserve) is ERM on the draws, whose
-    sample-valued candidates hold the class's exact max there, scored as
-    ``empirical_revenue`` scores.  Multi-bidder t-level and best-of score
-    the grid product of step `grid_step` as ERM scores its candidate
-    product, with the grid as every coordinate's pool.  Either value is a
-    max of correlated means, so it is biased upward.
+    """Max over the class of mean revenue on one shared draw set: the sorted
+    mean of a row learned there.  A reserve rule (and t-level at n = 1, a
+    posted price on its lowest threshold, learned as a single reserve) is
+    ERM on the draws, whose sample-valued candidates hold the class's exact
+    max; multi-bidder t-level and best-of learn the grid product of step
+    `grid_step`, the grid as every coordinate's pool, by ``_tied_winners``.
+    Either value is a max of correlated means, so it is biased upward.
     """
     n, k, tag = dist.n, dist.k, spec.tag
     check_class_dims(spec, n, k)
+    if draws < 1:
+        raise AuctionLearnError(f"draws must be at least 1, got {draws!r}")
     alpha, beta = dist.value_range
     if tag == TAG_BEST and (k != 1 or spec.per_player):
         raise AnalyticUnsupported("joint grid optimum for best-of is limited to anonymous "
                                   "k = 1; the branch classes cover multi-item grids separably")
-    if tag not in _JOINT or (tag == TAG_TLEVEL and n == 1):
-        values = sample_block(dist, draws, [seed])[0]
+    rule = ClassSpec(TAG_SINGLE) if tag == TAG_TLEVEL and n == 1 else spec
+    if rule.tag in _JOINT:
+        # per bidder, or best-of's bundle and item price: at k = 1 both range over [alpha, beta]
+        pools = [_price_grid(alpha, beta, grid_step)] * (n if tag == TAG_TLEVEL else 2)
+        if _count(spec, pools) * draws > _GRID_BUDGET:
+            raise CeilingExceeded(f"{spec.describe()} grid optimum over budget; "
+                                  "increase grid_step or lower draws")
+        factors = _factors(spec, pools)
+        values = sample_block(dist, draws, [seed])
+        row = _tied_winners(spec, [f[None] for f in factors], np.array([[len(f)] for f in factors]),
+                            values, alpha)
+    else:
+        values = sample_block(dist, draws, [seed])
         try:
-            h = erm_block(ClassSpec(TAG_SINGLE) if tag == TAG_TLEVEL else spec, values[None],
-                          dist.value_range, DEFAULT_CANDIDATE_CEILING)[0]
+            _check_pools(rule, values, beta, DEFAULT_CANDIDATE_CEILING)
+            row = _reserve_erm(rule, values, alpha, DEFAULT_CANDIDATE_CEILING)
         except CeilingExceeded as exc:   # the caller's only lever here is the draw count
             raise CeilingExceeded(f"{spec.describe()} grid optimum on {draws} draws scores more "
                                   f"than the candidate ceiling {DEFAULT_CANDIDATE_CEILING} rows; "
                                   "lower draws (optimum_draws) to run it") from exc
-        return OptimumEstimate(float(_sorted_mean(profile_revenues(h, values, alpha))), None,
-                               "grid-mc")
-    grid = _price_grid(alpha, beta, grid_step)
-    pools = [grid] * n if tag == TAG_TLEVEL else [_price_grid(k * alpha, k * beta, grid_step), grid]
-    if _count(spec, pools) * draws > _GRID_BUDGET:
-        raise CeilingExceeded(f"{spec.describe()} grid optimum over budget; "
-                              "increase grid_step or lower draws")
-    values = sample_block(dist, draws, [seed])[0]
-    rows = _candidate_rows(spec, _factors(spec, pools), values, alpha)
-    return OptimumEstimate(float(max(R.sum(axis=1).max() for _, R in rows) / draws), None,
-                           "grid-mc")
+    return OptimumEstimate(float(_sorted_mean(revenue_matrix(rule, row, values[0], alpha))[0]),
+                           None, "grid-mc")
 
 
 def in_class_optimum(spec: ClassSpec, dist: DistributionSpec, method: str = "auto",

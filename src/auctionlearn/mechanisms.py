@@ -166,7 +166,7 @@ class BundlePrice:
     """Sell all items as one bundle against additive bundle values.
 
     Anonymous mode is a second-price auction on bundle totals with one reserve
-    (a posted price when there is a single bidder); per-player mode applies
+    (at one bidder a posted price, charging at least alpha); per-player mode applies
     lazy per-bidder reserves to the bundle totals.
     """
 
@@ -471,9 +471,9 @@ def reserve_revenue(reserve, top, second) -> np.ndarray:
 
 
 def _tlevel_rows(thr: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    # thr (C, n, s), columns (m, n) -> rows (C, m)
+    # thr (C, n, s), columns (m, n) or (C, m, n) -> rows (C, m)
     C, n, s = thr.shape
-    idx = np.sum(columns[None, :, :, None] >= thr[:, None, :, :], axis=3)  # (C, m, n)
+    idx = np.sum(columns[..., None] >= thr[:, None, :, :], axis=3)  # (C, m, n)
     w = np.argmax(idx, axis=2)
     top = np.take_along_axis(idx, w[..., None], axis=2)[..., 0]
     rest = idx
@@ -490,12 +490,11 @@ def revenue_matrix(spec: ClassSpec, params, values, alpha: float = 0.0) -> np.nd
     """Revenue of each parameter row of the class on each profile.
 
     ``params`` is (C, P), row c laid out as its hypothesis's
-    ``param_vector()``; ``values`` is (m, n, k), or for every class but
-    t-level (C, m, n, k), one block of profiles per row.  Entry [c, t] equals
-    ``revenue(h_c, profile_t)`` (of row c's block) bit for bit.  Lazy
-    reserves read the winning bidder's own reserve, and item payments are
-    accumulated per bidder before the bidders are summed, as in
-    ``run_mechanism``.
+    ``param_vector()``; ``values`` is (m, n, k), or (C, m, n, k), one block
+    of profiles per row.  Entry [c, t] equals ``revenue(h_c, profile_t)``
+    (of row c's block) bit for bit.  Lazy reserves read the winning bidder's
+    own reserve, and item payments are accumulated per bidder before the
+    bidders are summed, as in ``run_mechanism``.
     """
     params = np.asarray(params, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -505,7 +504,7 @@ def revenue_matrix(spec: ClassSpec, params, values, alpha: float = 0.0) -> np.nd
         raise DimensionMismatch(
             f"{spec.describe()} needs parameter rows of width {_param_width(spec, n, k)} "
             f"at n = {n}, k = {k}, got an array of shape {params.shape}")
-    if values.ndim != 3 and (values.shape[:-3] != params.shape[:1] or spec.tag == TAG_TLEVEL):
+    if values.ndim != 3 and values.shape[:-3] != params.shape[:1]:
         raise DimensionMismatch(f"{spec.describe()} cannot score values of shape "
                                 f"{values.shape} with {len(params)} parameter rows")
     tag = spec.tag
@@ -516,7 +515,7 @@ def revenue_matrix(spec: ClassSpec, params, values, alpha: float = 0.0) -> np.nd
         return reserve_revenue(params, values[..., 0, 0], -math.inf)
 
     if tag == TAG_TLEVEL:
-        return _tlevel_rows(params.reshape(len(params), n, spec.levels), values[:, :, 0])
+        return _tlevel_rows(params.reshape(len(params), n, spec.levels), values[..., 0])
 
     if tag == TAG_BEST:
         bundle, items = spec.branches()
@@ -619,10 +618,11 @@ class RevenueEstimate:
     std_error: float | None = None
 
 
-def _posted_price_revenue(marginal, price: float) -> float:
-    """price * P(value >= price) for marginals with a closed-form survival."""
+def _posted_price_revenue(marginal, price: float, floor: float) -> float:
+    """max(price, floor) * P(value >= price) for marginals with a closed-form
+    survival; a second-price rule's floor is alpha, a lone bidder's second value."""
     if isinstance(marginal, (Uniform, Discrete)):
-        return float(price) * marginal.survival(float(price))
+        return max(float(price), floor) * marginal.survival(float(price))
     raise AnalyticUnsupported(
         f"no closed form for posted prices under {type(marginal).__name__}"
     )
@@ -700,11 +700,16 @@ def _lazy_reserve_revenue(marginals, reserves) -> float:
     return total
 
 
+_BIDDER_FIELD = {TAG_PLAYER: "prices", TAG_TLEVEL: "thresholds", TAG_BUNDLE: "prices",
+                 TAG_ITEM: "price_matrix"}    # one entry per bidder; None when anonymous
+
+
 def analytic_true_revenue(h: Hypothesis, spec: DistributionSpec) -> float:
     """Closed-form expected revenue: at n = 1 the posted-price shapes under
-    uniform or discrete marginals; at n >= 2 the reserve-rule classes (not
-    t-level or best-of, bundle prices at k = 1) under uniform marginals, by
-    ``_lazy_reserve_revenue`` on each auction of ``auction_columns``."""
+    uniform or discrete marginals (a hypothesis for one bidder); at n >= 2
+    the reserve-rule classes (not t-level or best-of, bundle prices at k = 1)
+    under uniform marginals, by ``_lazy_reserve_revenue`` on each auction of
+    ``auction_columns``."""
     if spec.n != 1:
         cls = _check_dims(h, spec.n, spec.k)
         auctions = _uniform_auctions(cls, spec)
@@ -714,12 +719,17 @@ def analytic_true_revenue(h: Hypothesis, spec: DistributionSpec) -> float:
         return sum(map(_lazy_reserve_revenue, auctions, reserves.T.tolist()))
     tag = h.tag
     marginals = _posted_marginals(tag, spec, "no closed form for {} under this spec")
+    if tag == TAG_ITEM:
+        prices = h.price_matrix[0] if h.per_player else h.prices
+        if len(prices) != len(marginals):
+            raise DimensionMismatch("item prices do not match the spec's item count")
+    rows = getattr(h, _BIDDER_FIELD[tag]) if tag in _BIDDER_FIELD else None
+    if rows is not None and len(rows) != 1:
+        raise DimensionMismatch(f"{tag} parameters for {len(rows)} bidders do not fit n = 1")
+    floor = -math.inf if tag in (TAG_SINGLE, TAG_TLEVEL) else spec.value_range[0]
     if tag != TAG_ITEM:     # one price: bidder 0's reserve or lowest threshold
-        return _posted_price_revenue(marginals[0], h.param_vector()[0])
-    prices = h.price_matrix[0] if h.per_player else h.prices
-    if len(prices) != len(marginals):
-        raise DimensionMismatch("item prices do not match the spec's item count")
-    return sum(map(_posted_price_revenue, marginals, prices))
+        return _posted_price_revenue(marginals[0], h.param_vector()[0], floor)
+    return sum(_posted_price_revenue(m, p, floor) for m, p in zip(marginals, prices))
 
 
 def _posted_optimum(marginal) -> float:

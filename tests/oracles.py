@@ -21,7 +21,7 @@ import auctionlearn
 from auctionlearn import (AnonymousSecondPriceReserve, BestOf, BundlePrice, ClassSpec,
                           ItemPrices, PlayerReserves, SingleReserve, TLevel,
                           ValuationProfile, bidder_utility, candidate_count,
-                          empirical_revenue, erm, profile_revenues)
+                          empirical_revenue, erm)
 from auctionlearn.mechanisms import hypothesis_from_params
 
 FINE_GRID = np.arange(1001) / 1000.0          # step 1e-3 on [0, 1]
@@ -157,9 +157,9 @@ def joint_grid_optimum(spec, dist, grid_step: float, draws: int, seed) -> float:
     """The grid optimum of t-level or anonymous single-item best-of with every
     hypothesis on the grid enumerated (nondecreasing threshold tuples per
     bidder; bundle price on [k*alpha, k*beta] and item price) and scored by
-    its mean revenue over the draws."""
+    its empirical revenue on the draws."""
     alpha, beta = dist.value_range
-    values = auctionlearn.sample_values(dist, draws, seed).values
+    S = auctionlearn.sample_values(dist, draws, seed)
 
     def grid(lo, hi):
         return (lo + np.arange(int(round((hi - lo) / grid_step)) + 1) * grid_step).tolist()
@@ -170,7 +170,7 @@ def joint_grid_optimum(spec, dist, grid_step: float, draws: int, seed) -> float:
     else:
         hyps = (BestOf(BundlePrice(price=b), ItemPrices(prices=(i,)))
                 for b in grid(dist.k * alpha, dist.k * beta) for i in grid(alpha, beta))
-    return max(profile_revenues(h, values, alpha).sum() / draws for h in hyps)
+    return max(empirical_revenue(h, S) for h in hyps)
 
 
 def draw_grid_sample(gen: np.random.Generator, m: int, n: int, k: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Bound algebra, Rademacher estimation, and the generalization chain."""
 
 import dataclasses
+import importlib
 import itertools
 import math
 
@@ -335,6 +336,22 @@ def test_chain_check_rejects_sizes_it_cannot_run(m, replicates, sigma_draws):
     with pytest.raises(AuctionLearnError):
         generalization_chain_check(SINGLE, U01, m=m, replicates=replicates,
                                    sigma_draws=sigma_draws, seed=Seed(1))
+
+
+def test_chain_check_refuses_one_sign_draw_before_drawing(monkeypatch):
+    module = importlib.import_module("auctionlearn.bounds")
+    drawn, sample_block = [], module.sample_block
+
+    def spy(*args):
+        drawn.append(args[1])
+        return sample_block(*args)
+
+    monkeypatch.setattr(module, "sample_block", spy)
+    with pytest.raises(AuctionLearnError, match="^need at least 2 sign draws$"):
+        generalization_chain_check(SINGLE, U01, m=3, replicates=10, sigma_draws=1, seed=Seed(1))
+    assert drawn == []
+    generalization_chain_check(SINGLE, U01, m=3, replicates=2, sigma_draws=8, seed=Seed(1))
+    assert drawn == [3, 3]
 
 
 def test_chain_check_non_analytic_class_uses_monte_carlo():

@@ -219,8 +219,8 @@ def test_tied_samples_of_a_block_are_scored_together(spec, n, k, chunk, monkeypa
     # 91^2 = 8,281 candidates in chunks of 4,096 rows
     (ClassSpec("t-level", levels=2), (12, 2, 1), 45, 4096),
     (ClassSpec("t-level", levels=2), (12, 2, 1), 62, 4096),
-    # 6^6 = 46,656 candidates; a chunk is 3 whole bundle rows x 1,296 item rows
-    (ClassSpec("best-of", per_player=True), (6, 2, 2), 9, 3888),
+    # 6^6 = 46,656 candidates in chunks of 4,096 rows
+    (ClassSpec("best-of", per_player=True), (6, 2, 2), 9, 4096),
 ], ids=["t-level-s2-a", "t-level-s2-b", "best-of-per-player"])
 def test_erm_ties_across_candidate_chunks(spec, shape, seed, chunk):
     """Samples whose maximum is tied in more than one ERM candidate chunk:

@@ -80,9 +80,9 @@ def test_optimum_grid_second_price_sanity():
 U01_PAIR = DistributionSpec.iid(Uniform(0, 1), 2, 1)
 U01_PAIR_2 = DistributionSpec.iid(Uniform(0, 1), 2, 2)
 
-# Optima on 1,000 shared draws: the reserve rules' are ERM's exact maxima on
-# the draws; t-level's and best-of's are maxima over the step-0.05 grid,
-# recorded before the grid branches moved onto the shared revenue kernel.
+# Optima on 1,000 shared draws, each a learned row's sorted mean: the reserve
+# rules' are ERM's exact maxima on the draws; t-level's and best-of's are
+# maxima over the step-0.05 grid.
 GRID_OPTIMA = [
     (ClassSpec("anonymous-second-price"), U01_PAIR, 0.4264609331370766),
     (ClassSpec("player-reserves"), U01_PAIR, 0.4297218629460394),
@@ -90,8 +90,8 @@ GRID_OPTIMA = [
     (ClassSpec("bundle-price", per_player=True), U01_PAIR_2, 0.841562198696916),
     (ClassSpec("item-prices"), U01_PAIR_2, 0.8285029741337511),
     (ClassSpec("item-prices", per_player=True), U01_PAIR_2, 0.8309827698309697),
-    (ClassSpec("t-level", levels=1), U01_PAIR, 0.39935000000000004),
-    (ClassSpec("best-of"), U01_PAIR, 0.516124445569),
+    (ClassSpec("t-level", levels=1), U01_PAIR, 0.3993499999999999),
+    (ClassSpec("best-of"), U01_PAIR, 0.5161244455689998),
 ]
 
 
@@ -225,6 +225,31 @@ def test_multi_level_tlevel_grid_is_refused_only_by_its_budget():
         in_class_optimum(T2, U01_PAIR, "grid")
     est = in_class_optimum(T2, U01_PAIR, "grid", 0.25, 2000, Seed(3))
     assert est.method == "grid-mc" and 0 < est.value <= 1
+
+
+@pytest.mark.parametrize("spec,dist", [(SINGLE, U01), (T1, DistributionSpec.iid(Uniform(0, 1))),
+                                       (T2, U01_PAIR), (BEST, U01_PAIR)],
+                         ids=["single-reserve", "t-level-n1", "t-level-s2", "best-of"])
+def test_grid_optimum_refuses_no_draws(spec, dist):
+    with pytest.raises(AuctionLearnError, match=r"^draws must be at least 1, got 0$"):
+        in_class_optimum(spec, dist, "grid", 0.25, draws=0)
+
+
+def test_joint_grid_budget_refuses_before_drawing(monkeypatch):
+    """The grid's budget (rows x draws) is checked before any value is drawn."""
+    module = importlib.import_module("auctionlearn.erm")
+    drawn, sample_block = [], module.sample_block
+
+    def spy(*args):
+        drawn.append(args[1])
+        return sample_block(*args)
+
+    monkeypatch.setattr(module, "sample_block", spy)
+    with pytest.raises(CeilingExceeded, match="over budget"):
+        in_class_optimum(T2, U01_PAIR, "grid")
+    assert drawn == []
+    in_class_optimum(T2, U01_PAIR, "grid", 0.25, 20, Seed(3))
+    assert drawn == [20]
 
 
 def test_reserve_grid_optimum_refusal_names_the_draws(monkeypatch):

@@ -249,11 +249,8 @@ def test_revenue_matrix_rows_match_scalar_bitwise(spec, data):
     assert np.array_equal(revenue_matrix(spec, params, values, 0.0), scalar)
 
 
-BLOCK_SPECS = [s for s in KERNEL_SPECS if s.tag != "t-level"]
-
-
-@pytest.mark.parametrize("spec", BLOCK_SPECS,
-                         ids=[s.describe().replace(" ", "-") for s in BLOCK_SPECS])
+@pytest.mark.parametrize("spec", KERNEL_SPECS,
+                         ids=[s.describe().replace(" ", "-") for s in KERNEL_SPECS])
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_revenue_matrix_scores_each_row_on_its_own_block(spec, data):
@@ -273,11 +270,11 @@ def test_revenue_matrix_scores_each_row_on_its_own_block(spec, data):
 
 
 def test_revenue_matrix_refuses_blocks_that_do_not_pair_with_rows():
-    """Blocks must number the rows; t-level scores one shared block only."""
+    """Blocks must number the rows."""
     with pytest.raises(DimensionMismatch):
         revenue_matrix(ClassSpec("player-reserves"), np.zeros((3, 2)), np.zeros((2, 4, 2, 1)))
     with pytest.raises(DimensionMismatch):
-        revenue_matrix(ClassSpec("t-level", levels=1), np.zeros((2, 2)), np.zeros((2, 4, 2, 1)))
+        revenue_matrix(ClassSpec("t-level", levels=1), np.zeros((3, 2)), np.zeros((2, 4, 2, 1)))
 
 
 def test_top_two_of_a_pair_matches_the_partition_path():
@@ -508,6 +505,48 @@ def test_item_prices_of_the_wrong_length_have_no_closed_form(h):
     dist = DistributionSpec.iid(UNI, 1, 2)
     with pytest.raises(DimensionMismatch, match="item prices do not match"):
         analytic_true_revenue(h, dist)
+
+
+ABOVE_HALF = DistributionSpec.iid(Uniform(0.5, 1), value_range=(0.5, 1))
+
+
+@pytest.mark.parametrize("h,expected", [
+    (AnonymousSecondPriceReserve(0.1), 0.5), (PlayerReserves((0.1,)), 0.5),
+    (ItemPrices(prices=(0.1,)), 0.5), (ItemPrices(price_matrix=((0.1,),)), 0.5),
+    (BundlePrice(price=0.1), 0.5), (BundlePrice(prices=(0.1,)), 0.5),
+    (SingleReserve(0.1), 0.1), (TLevel(((0.1, 0.7),)), 0.1),
+], ids=["anonymous-second-price", "player-reserves", "item-prices", "item-prices-per-player",
+        "bundle-price", "bundle-price-per-player", "single-reserve", "t-level"])
+def test_single_bidder_closed_form_charges_what_the_mechanism_charges(h, expected):
+    """On [0.5, 1] a lone bidder's second value is alpha = 0.5: a second-price
+    rule with a reserve below it charges 0.5 on every profile, while a posted
+    price (a single reserve, a t-level's lowest threshold) charges itself."""
+    assert analytic_true_revenue(h, ABOVE_HALF) == expected
+    mc = true_revenue(h, ABOVE_HALF, "monte-carlo", draws=1000, seed=Seed(3))
+    assert mc.value == pytest.approx(expected, abs=1e-12)
+
+
+def test_single_bidder_closed_form_charges_alpha_per_item():
+    """One item's price below alpha, the other's above: each item sells by its own rule."""
+    h, dist = ItemPrices(prices=(0.1, 0.7)), DistributionSpec.iid(Uniform(0.5, 1), 1, 2, (0.5, 1))
+    mc = true_revenue(h, dist, "monte-carlo", draws=100_000, seed=Seed(4))
+    assert abs(analytic_true_revenue(h, dist) - mc.value) <= 4 * mc.std_error
+    assert analytic_true_revenue(h, dist) == 0.5 + 0.7 * Uniform(0.5, 1).survival(0.7)
+
+
+@pytest.mark.parametrize("h", [PlayerReserves((0.5, 0.6)), TLevel(((0.2,), (0.3,))),
+                               BundlePrice(prices=(0.5, 0.7)),
+                               ItemPrices(price_matrix=((0.5,), (0.6,)))],
+                         ids=["player-reserves", "t-level", "bundle-price", "item-prices"])
+def test_single_bidder_closed_form_refuses_hypotheses_for_other_bidder_counts(h):
+    """A two-bidder hypothesis has no closed form at n = 1, as it has no Monte Carlo value."""
+    dist = DistributionSpec.iid(UNI)
+    with pytest.raises(DimensionMismatch, match="parameters for 2 bidders do not fit n = 1"):
+        analytic_true_revenue(h, dist)
+    with pytest.raises(DimensionMismatch):
+        true_revenue(h, dist, "auto", draws=10)
+    with pytest.raises(DimensionMismatch):
+        true_revenue(h, dist, "monte-carlo", draws=10)
 
 
 # ---------------------------------------------------------------------------
