@@ -12,15 +12,18 @@ auction of ``auction_columns`` (per bidder when lazy): ``_reserve_erm``
 shortlists each by a closed form (at n >= 2 ranked by one sort in
 ``_ranked``) and scores only the shortlists' product.
 T-level and best-of score their whole candidate product, each chunk by one
-``revenue_matrix`` call shared by every subset.  ERM on subsets of each
-sample of a block is ``subset_winners``; ERM is its whole-sample case, and
-split-sample enumeration passes half-size subsets.
+``revenue_matrix`` call shared by every subset; a block of subsets sums the
+rows on its own profiles in one BLAS product, and only the candidate-subset
+pairs whose sums are near the subset's maximum are gathered and sorted.  ERM
+on subsets of each sample of a block is ``subset_winners``; ERM is its
+whole-sample case, and split-sample enumeration passes half-size subsets.
 
 The in-class optimum is the population counterpart: the closed form where
 one exists, else a max on shared Monte Carlo draws, the sorted mean of a
 row learned there.  A reserve rule learns by ERM on the draws, exact over
 the whole class there; multi-bidder t-level and best-of learn a parameter
-grid by ``_tied_winners``, the scorer of a reserve rule's near ties.
+grid by ``_tied_winners``, the scorer of a reserve rule's near ties, which
+sorts only the rows whose plain sums are near the best so far.
 
 Determinism rules used throughout:
 
@@ -28,7 +31,8 @@ Determinism rules used throughout:
   parameter order; the tie winner is the last argmax in that order
 * every exact score is ``empirical_revenue``'s, the mean of the sorted,
   C-ordered revenue row: neither sample order nor memory layout changes it
-* a closed form only shortlists; it never decides between candidates
+* a closed form (an unsorted sum among them) only shortlists, within
+  ``_near_max``'s margin; it never decides between candidates
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .model import DistributionSpec, SampleSet, Seed, sample_block
 DEFAULT_CANDIDATE_CEILING = 10**7
 _CHUNK = 4096
 CELLS = 2_500_000      # revenue cells (rows x profiles x bidders) built per chunk
-_BLOCK_CELLS = 2**18   # candidate x subset x profile cells gathered per scoring step
+_BLOCK_CELLS = 2**16   # candidate x subset sums per scoring step
 _REPLICATE_CELLS = 2**14  # values of a block of samples drawn, learned or gathered at once
 _GRID_BUDGET = 2 * 10**8  # candidate rows x draws ceiling for joint grid optima
 
@@ -131,12 +135,14 @@ def empirical_revenue(h: Hypothesis, S: SampleSet) -> float:
 
 
 def _near_max(closed: np.ndarray, top: np.ndarray, terms: int, total: np.ndarray) -> np.ndarray:
-    """Mask of the closed forms within (terms+2)*8*2^-52 of `top`, the max of
-    their last axis, relative to `total` (at least that max): a superset of
-    the argmaxes of the exact scores.
+    """Mask of the closed forms within (terms+2)*8*2^-52 of `top`, at least
+    the max of their last axis (and of any closed forms they compete with,
+    as in earlier chunks), relative to `total` (at least `top`): a superset
+    of the argmaxes of the exact scores.
 
-    A closed form (a prefix sum of at most `terms` nonnegative revenues and
-    two roundings) is within gamma_(terms+2)*R of their total R, the exact score
+    A closed form (a sum of at most `terms` nonnegative revenues in any
+    order, or a prefix sum of them and two roundings) is within
+    gamma_(terms+2)*R of their total R, the exact score
     (any summation order, then perhaps a division by a common count) within
     gamma_(terms+1)*R; gamma_j = j*2^-53/(1 - j*2^-53), no value subnormal.
     So the exact max's closed form is within about (2*terms+3)*2^-52 of the
@@ -203,49 +209,104 @@ def _joint_winners(spec: ClassSpec, values: np.ndarray, value_range: tuple[float
     """The candidate model is built on the whole (m, n, k) sample and each
     chunk of its product (at most ``_CHUNK`` rows, about ``CELLS`` cells of
     m x n) gets revenue rows once, for every subset (``_tied_winners`` would
-    re-run them per subset): a subset scores them on its own profiles by the
-    sorted mean, candidates absent from its pools at -inf, and ``_carry``
-    keeps its last argmax across chunks."""
+    re-run them per subset).  A block of subsets sums the rows on its own
+    profiles in one BLAS product with a 0/1 membership matrix, candidates
+    absent from a subset's pools at -inf.  Only the pairs within
+    ``_near_max`` of their subset's maximum so far are gathered, subset-major
+    from the flat rows, and scored by the sorted mean; ``_Argmax`` keeps
+    each subset's last argmax.  A sum of m nonnegative revenues (zeros for
+    the profiles outside the subset) in any order, whatever the BLAS
+    blocking or thread count, is within gamma_m of the exact sum, so no
+    subset's exact argmax leaves the shortlist.  The whole sample (ERM) is
+    one subset in whose pools every candidate lies: its rows are
+    shortlisted by their plain sums, with no membership or validity mask."""
     m, n, _ = values.shape
     columns = _columns(spec, values, value_range[1])
     pools = [np.unique(c) for c in columns]
     count = _count(spec, pools)
     _check_ceiling(spec, count, ceiling)
-    # occ[f][p, t]: pool value p is in profile t's pool f (beta in every t-level one)
-    occ = [np.zeros((len(pool), len(c)), dtype=bool) for c, pool in zip(columns, pools)]
-    for o, c, pool in zip(occ, columns, pools):
-        o[np.searchsorted(pool, c), np.arange(len(c))[:, None]] = True
     factors = _factors(spec, pools)
-    members = [np.searchsorted(p, f) for p, f in zip(pools, factors)]  # factor rows as pool indices
-    best_rev = np.full(len(subsets), -np.inf)
-    best = np.zeros(len(subsets), dtype=np.intp)
+    run = _Argmax(len(subsets))
+    whole = subsets.shape[1] == m
+    if not whole:
+        # occ[f][t, p]: pool value p is in profile t's pool f (beta in every t-level one)
+        occ = [np.zeros((len(c), len(pool)), dtype=bool) for c, pool in zip(columns, pools)]
+        for o, c, pool in zip(occ, columns, pools):
+            o[np.arange(len(c))[:, None], np.searchsorted(pool, c)] = True
+        members = [np.searchsorted(p, f) for p, f in zip(pools, factors)]  # as pool indices
     chunk = min(_CHUNK, max(1, CELLS // (m * n)))
     for start in range(0, count, chunk):
         at = np.arange(start, min(start + chunk, count))
         R = revenue_matrix(spec, _product_rows(factors, at), values, value_range[0])
+        if whole:
+            run.score(np.zeros(len(at), dtype=np.intp), at, R, m)
+            continue
         picks = np.unravel_index(at, [len(f) for f in factors])
-        step = max(1, _BLOCK_CELLS // (len(R) * subsets.shape[1]))
+        step = max(1, _BLOCK_CELLS // len(R))
         for first in range(0, len(subsets), step):
             block = subsets[first:first + step]
-            # per factor row and subset: do all of the row's values occur in it
-            present = [o[:, block].any(axis=-1)[mem].all(axis=1) for o, mem in zip(occ, members)]
-            valid = np.logical_and.reduce([p[i] for p, i in zip(present, picks)])
-            revs = np.full(valid.shape, -np.inf)
-            revs[valid] = _sorted_mean(R[:, block][valid])   # only where it is a candidate
-            top = revs.max(axis=0)
-            _carry(best_rev, best, np.arange(first, first + len(block)), top,
-                   np.where(revs == top, at[:, None], -1).max(axis=0))
-    return _product_rows(factors, np.unique(best))
+            owners = np.arange(first, first + len(block))
+            # per subset and factor row: do all of the row's values occur in it
+            present = [o[block].any(axis=1)[:, mem].all(axis=2) for o, mem in zip(occ, members)]
+            valid = np.logical_and.reduce([p[:, i] for p, i in zip(present, picks)])
+            member = np.zeros((len(block), m))          # 1 where profile t is in subset b
+            member[np.arange(len(block))[:, None], block] = 1.0
+            sums = member @ R.T                         # (subsets, candidates)
+            sums[~valid] = -np.inf
+            top = run.running_top(owners, sums.max(axis=1))[:, None]
+            si, ci = np.nonzero(_near_max(sums, top, m, top))     # subset-major
+            run.fold(owners[si], at[ci], _sorted_mean(R.ravel().take(ci[:, None] * m + block[si])))
+    return _product_rows(factors, np.unique(run.pos))
 
 
-def _carry(best_rev: np.ndarray, best: np.ndarray, owners: np.ndarray, top: np.ndarray,
-           last: np.ndarray) -> None:
-    """Fold one chunk into the running maxima: an owner whose chunk max `top`
-    is at least its best so far takes it at `last`, its last position; in
-    ascending candidate order the ``>=`` keeps the last argmax of all chunks."""
-    better = top >= best_rev[owners]
-    best_rev[owners[better]] = top[better]
-    best[owners[better]] = last[better]
+class _Argmax:
+    """Per owner (a sample or a subset), the last argmax of the sorted mean
+    over candidates folded in ascending position order, one chunk at a time.
+
+    ``near`` is each owner's largest closed form so far, an unsorted sum of
+    its revenues; it starts at 0, below no sum of nonnegative revenues, so a
+    cutoff is never taken from an owner with no candidate yet.  A candidate
+    outside ``_near_max`` of it is not the exact argmax and is never sorted.
+    """
+
+    def __init__(self, owners: int):
+        self.near = np.zeros(owners)
+        self.rev = np.full(owners, -np.inf)
+        self.pos = np.zeros(owners, dtype=np.intp)
+
+    def running_top(self, owners: np.ndarray, tops: np.ndarray) -> np.ndarray:
+        """The owners' closed-form maxima so far, raised to this chunk's `tops`."""
+        top = np.maximum(self.near[owners], tops)
+        self.near[owners] = top
+        return top
+
+    def score(self, owner: np.ndarray, at: np.ndarray, R: np.ndarray, terms: int) -> None:
+        """Fold revenue rows R (owner ascending) shortlisted by their sums."""
+        approx = R.sum(axis=1)
+        firsts, group = _groups(owner)
+        top = self.running_top(owner[firsts], np.maximum.reduceat(approx, firsts))[group]
+        keep = _near_max(approx, top, terms, top)
+        self.fold(owner[keep], at[keep], _sorted_mean(R[keep]))
+
+    def fold(self, owner: np.ndarray, at: np.ndarray, scores: np.ndarray) -> None:
+        """An owner (ascending) whose chunk max is at least its best so far
+        takes it at its last position; with positions ascending across
+        chunks, the ``>=`` keeps the last argmax of all of them."""
+        if len(owner):
+            firsts, group = _groups(owner)
+            top = np.maximum.reduceat(scores, firsts)
+            last = np.maximum.reduceat(np.where(scores == top[group], at, -1), firsts)
+            owners = owner[firsts]
+            better = top >= self.rev[owners]
+            self.rev[owners[better]] = top[better]
+            self.pos[owners[better]] = last[better]
+
+
+def _groups(owner: np.ndarray) -> tuple:
+    """The first position of each run of an ascending owner array, and each
+    entry's run."""
+    new = _firsts(owner[None])[0]
+    return np.flatnonzero(new), new.cumsum() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +374,9 @@ def _tied_winners(spec: ClassSpec, picks, counts: np.ndarray, values: np.ndarray
     each picks[c], a (T, L, w) block of factor rows (w = 1 but for a t-level
     bidder's s levels).  Every sample's product is scored in one sequence
     of chunks of at most ``_CHUNK`` rows and about ``CELLS`` cells, each
-    candidate on its own sample; ``_carry`` keeps the best across chunks."""
+    candidate on its own sample (one shared block when T = 1, not a copy
+    per row); ``_Argmax.score`` sorts only the rows whose plain sums are
+    near their sample's maximum so far and keeps the best across chunks."""
     T, m, n, k = values.shape
     sizes = counts.prod(axis=0)
     ends = np.cumsum(sizes)
@@ -326,19 +389,14 @@ def _tied_winners(spec: ClassSpec, picks, counts: np.ndarray, values: np.ndarray
             digits.append(pick[owner, d])
         return owner, np.hstack(digits[::-1])
 
-    best_rev = np.full(T, -np.inf)
-    best = np.zeros(T, dtype=np.intp)
+    run = _Argmax(T)
     chunk = min(_CHUNK, max(1, CELLS // (m * n * k)))
     for start in range(0, ends[-1], chunk):
         at = np.arange(start, min(start + chunk, ends[-1]))
         owner, rows = rows_at(at)
-        scores = _sorted_mean(revenue_matrix(spec, rows, values[owner], alpha))
-        firsts = np.flatnonzero(np.diff(owner, prepend=-1))     # each sample's first position
-        top = np.maximum.reduceat(scores, firsts)
-        # owners are consecutive: every sample has candidates
-        last = np.maximum.reduceat(np.where(scores == top[owner - owner[0]], at, -1), firsts)
-        _carry(best_rev, best, owner[firsts], top, last)
-    return rows_at(best)[1]
+        R = revenue_matrix(spec, rows, values[0] if T == 1 else values[owner], alpha)
+        run.score(owner, at, R, m)
+    return rows_at(run.pos)[1]
 
 
 def _closed_forms(spec: ClassSpec, values: np.ndarray, alpha: float) -> list:

@@ -98,11 +98,14 @@ def test_subset_ceiling():
     assert space.subsets_examined == 100
 
 
+def half_subsets(m):
+    return list(itertools.combinations(range(m), math.ceil(m / 2)))
+
+
 def per_subset_space(spec, values, value_range):
     """Brute force: one ERM per half-size subset of the sample."""
-    size = math.ceil(len(values) / 2)
     return {erm(spec, SampleSet(values[list(idx)], value_range))
-            for idx in itertools.combinations(range(len(values)), size)}
+            for idx in half_subsets(len(values))}
 
 
 @pytest.mark.parametrize("spec", SPLIT_SPECS, ids=SPLIT_IDS)
@@ -144,9 +147,43 @@ def test_exact_space_is_the_subsets_exhaustive_argmaxes(spec, n, k, m, tenths):
     k = k if spec.tag in ("bundle-price", "item-prices") else 1
     values = np.array(tenths[:m * n * k]).reshape(m, n, k) / 10
     assume(candidate_count(spec, SampleSet(values)) <= 200)
-    size = math.ceil(m / 2)
     expected = {exhaustive_argmax(spec, SampleSet(values[list(idx)]))[0]
-                for idx in itertools.combinations(range(m), size)}
+                for idx in half_subsets(m)}
+    assert set(split_sample_space(spec, SampleSet(values), "exact").hypotheses) == expected
+
+
+JOINT_CLASSES = [spec for spec in SPLIT_SPECS if spec.tag in ("t-level", "best-of")]
+
+
+@pytest.mark.parametrize("spec", JOINT_CLASSES,
+                         ids=[s.describe().replace(" ", "-") for s in JOINT_CLASSES])
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(n=st.integers(1, 2), k=st.integers(1, 2), m=st.integers(1, 6),
+       tenths=st.lists(st.integers(0, 10), min_size=24, max_size=24))
+def test_joint_exact_space_is_the_subsets_exhaustive_argmaxes(spec, n, k, m, tenths):
+    """T-level and best-of score every subset's candidates in bulk, sorting
+    only those whose unsorted sums are near the subset's maximum.  On tenths
+    grids, where many candidates tie, the exact space is the set of the
+    half-size subsets' exhaustive argmaxes (not per-subset ``erm``, which
+    runs the same shortlist)."""
+    k = k if spec.tag == "best-of" else 1
+    values = np.array(tenths[:m * n * k]).reshape(m, n, k) / 10
+    subsets = [SampleSet(values[list(idx)]) for idx in half_subsets(m)]
+    assume(sum(candidate_count(spec, S) for S in subsets) <= 600)
+    expected = {exhaustive_argmax(spec, S)[0] for S in subsets}
+    assert set(split_sample_space(spec, SampleSet(values), "exact").hypotheses) == expected
+
+
+def test_joint_space_across_candidate_chunks():
+    """Per-player best-of at n = k = 2, m = 6 has 6^6 = 46,656 candidates,
+    about 11 chunks of 4,096: a subset has no candidate in some chunks, and
+    its maximum ties across others.  The exact space is still the set of
+    the subsets' exhaustive argmaxes."""
+    spec = ClassSpec("best-of", per_player=True)
+    values = np.random.default_rng(9).random((6, 2, 2))
+    assert candidate_count(spec, SampleSet(values)) == 6**6
+    expected = {exhaustive_argmax(spec, SampleSet(values[list(idx)]))[0]
+                for idx in half_subsets(6)}
     assert set(split_sample_space(spec, SampleSet(values), "exact").hypotheses) == expected
 
 
