@@ -14,6 +14,7 @@ from auctionlearn import (AnonymousSecondPriceReserve, AuctionLearnError, Ceilin
                           ValuationProfile, candidate_count, erm, growth_rate_estimate,
                           rademacher_estimate, sample_values, split_sample_space,
                           theoretical_growth_bound)
+from auctionlearn.erm import subset_winners
 from auctionlearn.splitsample import _posted_subsets, split_sample_block
 from oracles import SPLIT_IDS, SPLIT_SPECS, exhaustive_argmax, split_dims
 
@@ -172,6 +173,28 @@ def test_joint_exact_space_is_the_subsets_exhaustive_argmaxes(spec, n, k, m, ten
     assume(sum(candidate_count(spec, S) for S in subsets) <= 600)
     expected = {exhaustive_argmax(spec, S)[0] for S in subsets}
     assert set(split_sample_space(spec, SampleSet(values), "exact").hypotheses) == expected
+
+
+def test_joint_shortlist_margin_grows_with_the_subset_size():
+    """A subset's shortlist sums come from a BLAS product, which may add its
+    revenues in any order.  Here bidder 0 pays a threshold of 1 on profile
+    0, and bidder 1's bids are 300 of 0.3 ulp then 200 of 0.6 ulp: the best
+    second threshold, 0.3 ulp sold 499 times, beats 0.6 ulp sold 199 times
+    by about 30 ulps, but a blocked kernel rounds away small bids added to
+    the 1, and its sum can read tens of ulps below the other's (OpenBLAS:
+    about 80).  Only a margin that grows with the number of summed
+    revenues keeps it in the shortlist."""
+    spec = ClassSpec("t-level", levels=1)
+    ulp = 2.0**-52
+    values = np.zeros((501, 2, 1))
+    values[0, 0, 0] = 1.0
+    values[1:301, 1, 0] = 0.3 * ulp
+    values[301:, 1, 0] = 0.6 * ulp
+    subset = np.arange(500)
+    won = subset_winners(spec, values[None], (0.0, 1.0), subset[None], 10**7)[0]
+    best = exhaustive_argmax(spec, SampleSet(values[subset]))[0]
+    assert best.param_vector() == (1.0, 0.3 * ulp)
+    assert [tuple(row) for row in won] == [best.param_vector()]
 
 
 def test_joint_space_across_candidate_chunks():
