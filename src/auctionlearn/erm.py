@@ -15,8 +15,9 @@ T-level and best-of score their whole candidate product, each chunk by one
 ``revenue_matrix`` call shared by every subset; a block of subsets sums the
 rows on its own profiles in one BLAS product, and only the candidate-subset
 pairs whose sums are near the subset's maximum are gathered and sorted.  ERM
-on subsets of each sample of a block is ``subset_winners``; ERM is its
-whole-sample case, and split-sample enumeration passes half-size subsets.
+on subsets of each sample of a block is ``subset_winners`` (split-sample
+enumeration passes half-size subsets); ERM itself scores the whole sample,
+whose pools hold every candidate, by plain row sums with no subset masks.
 
 The in-class optimum is the population counterpart: the closed form where
 one exists, else a max on shared Monte Carlo draws, the sorted mean of a
@@ -205,7 +206,7 @@ def subset_winners(spec: ClassSpec, values: np.ndarray, value_range: tuple[float
 
 
 def _joint_winners(spec: ClassSpec, values: np.ndarray, value_range: tuple[float, float],
-                   subsets: np.ndarray, ceiling: int) -> np.ndarray:
+                   subsets: np.ndarray | None, ceiling: int) -> np.ndarray:
     """The candidate model is built on the whole (m, n, k) sample and each
     chunk of its product (at most ``_CHUNK`` rows, about ``CELLS`` cells of
     m x n) gets revenue rows once, for every subset (``_tied_winners`` would
@@ -217,17 +218,18 @@ def _joint_winners(spec: ClassSpec, values: np.ndarray, value_range: tuple[float
     each subset's last argmax.  A sum of m nonnegative revenues (zeros for
     the profiles outside the subset) in any order, whatever the BLAS
     blocking or thread count, is within gamma_m of the exact sum, so no
-    subset's exact argmax leaves the shortlist.  The whole sample (ERM) is
-    one subset in whose pools every candidate lies: its rows are
-    shortlisted by their plain sums, with no membership or validity mask."""
+    subset's exact argmax leaves the shortlist.  ``subsets=None`` is ERM's
+    whole sample, one owner in whose pools every candidate lies: its rows
+    are shortlisted by their plain sums, with no membership or validity
+    mask, and its one winner row is returned."""
     m, n, _ = values.shape
     columns = _columns(spec, values, value_range[1])
     pools = [np.unique(c) for c in columns]
     count = _count(spec, pools)
     _check_ceiling(spec, count, ceiling)
     factors = _factors(spec, pools)
-    run = _Argmax(len(subsets))
-    whole = subsets.shape[1] == m
+    whole = subsets is None
+    run = _Argmax(1 if whole else len(subsets))
     if not whole:
         # occ[f][t, p]: pool value p is in profile t's pool f (beta in every t-level one)
         occ = [np.zeros((len(c), len(pool)), dtype=bool) for c, pool in zip(columns, pools)]
@@ -327,12 +329,13 @@ def erm_block(spec: ClassSpec, values: np.ndarray, value_range: tuple[float, flo
               ceiling: int = DEFAULT_CANDIDATE_CEILING) -> list[Hypothesis]:
     """``erm`` on each sample of an (R, m, n, k) block of checked values; the
     first sample over the ceiling raises.  Reserve-rule classes learn all
-    samples in one ``_reserve_erm`` call."""
-    _, m, n, k = values.shape
+    samples in one ``_reserve_erm`` call, t-level and best-of each sample
+    by ``_joint_winners`` with no subsets."""
+    _, _, n, k = values.shape
     check_class_dims(spec, n, k)
     if spec.tag in _JOINT:
-        rows = np.concatenate(subset_winners(spec, values, value_range, np.arange(m)[None],
-                                             ceiling))
+        rows = np.concatenate([_joint_winners(spec, v, value_range, None, ceiling)
+                               for v in values])
     else:
         _check_pools(spec, values, value_range[1], ceiling)
         rows = _reserve_erm(spec, values, value_range[0], ceiling)

@@ -14,7 +14,7 @@ from auctionlearn import (AnonymousSecondPriceReserve, AuctionLearnError, Ceilin
                           ValuationProfile, candidate_count, erm, growth_rate_estimate,
                           rademacher_estimate, sample_values, split_sample_space,
                           theoretical_growth_bound)
-from auctionlearn.erm import subset_winners
+from auctionlearn.erm import _near_max, subset_winners
 from auctionlearn.splitsample import _posted_subsets, split_sample_block
 from oracles import SPLIT_IDS, SPLIT_SPECS, exhaustive_argmax, split_dims
 
@@ -208,6 +208,47 @@ def test_joint_space_across_candidate_chunks():
     expected = {exhaustive_argmax(spec, SampleSet(values[list(idx)]))[0]
                 for idx in half_subsets(6)}
     assert set(split_sample_space(spec, SampleSet(values), "exact").hypotheses) == expected
+
+
+@pytest.mark.parametrize("m", [1, 2, 17, 500, 10**6])
+def test_near_max_keeps_sums_off_by_gamma_m(m):
+    """The shortlist's margin, whatever order a BLAS sums in: an unsorted
+    sum of m nonnegative revenues is within gamma_m of the exact one, so
+    the exact argmax's sum may read gamma_m low while another candidate's,
+    of the same exact score, reads gamma_m high.  ``_near_max`` with
+    terms = m still keeps it; at large m a margin that does not grow with
+    the number of terms drops it."""
+    gamma = m * 2.0**-53 / (1 - m * 2.0**-53)
+    exact = np.array([0.1, 0.3, 1.0, 7.25, 123.456])
+    low, high = exact * (1 - gamma), exact * (1 + gamma)
+    assert _near_max(low, high, m, high).all()
+    if m >= 500:
+        assert not _near_max(low, high, 0, high).any()
+
+
+@pytest.mark.parametrize("spec", JOINT_CLASSES,
+                         ids=[s.describe().replace(" ", "-") for s in JOINT_CLASSES])
+def test_joint_monte_carlo_on_one_profile_is_the_exact_space(spec):
+    """At m = 1 every drawn subset is the one profile, so every trial count
+    gives the exact space: one row, the whole sample's ERM."""
+    n, k, _ = split_dims(spec)
+    S = SampleSet(np.random.default_rng(4).random((1, n, k)))
+    exact = split_sample_space(spec, S, "exact")
+    assert set(exact.hypotheses) == {erm(spec, S)}
+    for trials in (1, 2, 5):
+        space = split_sample_space(spec, S, "monte-carlo", trials=trials, seed=Seed(3))
+        assert np.array_equal(space.rows, exact.rows)
+
+
+def test_joint_monte_carlo_keeps_only_the_last_argmax():
+    """T-level thresholds (0.6, 0.4) and (0.6, 1) both earn 0.6 on the one
+    profile (0.6, 0.4); the last argmax, (0.6, 1), is the whole space in
+    either mode, however many times the profile is drawn."""
+    spec = ClassSpec("t-level", levels=1)
+    S = SampleSet(np.array([[[0.6], [0.4]]]))
+    for space in (split_sample_space(spec, S, "exact"),
+                  split_sample_space(spec, S, "monte-carlo", trials=4, seed=Seed(1))):
+        assert [h.param_vector() for h in space.hypotheses] == [(0.6, 1.0)]
 
 
 @pytest.mark.parametrize("spec", SPLIT_SPECS, ids=SPLIT_IDS)
