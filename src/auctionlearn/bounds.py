@@ -18,13 +18,15 @@ from functools import lru_cache
 import numpy as np
 
 from .erm import _REPLICATE_CELLS, ClassSpec, erm_block, in_class_optimum
-from .errors import AuctionLearnError, DimensionMismatch
-from .mechanisms import (TAG_ASP, TAG_PLAYER, TAG_SINGLE, _check_dims, revenue_matrix,
-                         true_revenue)
+from .errors import AnalyticUnsupported, AuctionLearnError, DimensionMismatch
+from .mechanisms import (TAG_ASP, TAG_PLAYER, TAG_SINGLE, _check_dims, analytic_true_revenue,
+                         monte_carlo_true_revenue, revenue_matrix)
 from .model import (DEFAULT_RANGE, DistributionSpec, SampleSet, Seed, check_value_range,
                     sample_block)
 from .splitsample import (DEFAULT_SUBSET_CEILING, SplitSampleSpace, split_sample_block,
                           theoretical_growth_bound)
+
+_SIGN_CELLS = 2**14   # space rows x sign vectors per exact Rademacher product
 
 
 def massart_bound(cardinality: int, m: int,
@@ -196,30 +198,47 @@ def rademacher_estimate(S: SampleSet, hypotheses, draws: int,
 
 
 def _rademacher(spec: ClassSpec, rows, values: np.ndarray, alpha: float, draws: int,
-                seed: Seed, *child) -> RademacherEstimate:
-    """``rademacher_estimate`` of parameter rows on (m, n, k) values; sampled
-    signs come from ``seed.child(*child)`` if `child` is given, else `seed`."""
+                seed: Seed) -> RademacherEstimate:
+    """``rademacher_estimate`` of parameter rows on (m, n, k) values."""
     if draws < 2:
         raise AuctionLearnError("need at least 2 sign draws")
     m = len(values)
-    R = revenue_matrix(spec, rows, values, alpha)
     if 2**m <= draws:
-        # sup over sigma plus sup over -sigma is (2/m)(max - min) of R @ sigma
-        X = R @ _half_signs(m).T
-        return RademacherEstimate(float(np.mean((X.max(axis=0) - X.min(axis=0)) / m)),
-                                  0.0, 2**m, len(rows), "exact")
-    rng = (seed.child(*child) if child else seed).rng()
-    signs = rng.integers(0, 2, size=(draws, m)).astype(float) * 2.0 - 1.0
-    sups = (R @ signs.T).max(axis=0) * (2.0 / m)
+        exact = _exact_rademacher_block(spec, [np.asarray(rows, dtype=float)], values[None], alpha)
+        return RademacherEstimate(float(exact[0]), 0.0, 2**m, len(rows), "exact")
+    signs = seed.rng().integers(0, 2, size=(draws, m)).astype(float) * 2.0 - 1.0
+    sups = (revenue_matrix(spec, rows, values, alpha) @ signs.T).max(axis=0) * (2.0 / m)
     return RademacherEstimate(float(sups.mean()),
                               float(sups.std(ddof=1) / math.sqrt(draws)),
                               draws, len(rows), "monte-carlo")
 
 
+def _exact_rademacher_block(spec: ClassSpec, spaces, values: np.ndarray,
+                            alpha: float) -> np.ndarray:
+    """Exact Rademacher averages of spaces' parameter rows, each on its own
+    sample of an (R, m, n, k) block: (2/m)(max - min) of the rows' revenues
+    times each half sign vector, ``_SIGN_CELLS`` product cells a chunk, each
+    space padded with copies of its last row, which cannot change a sup."""
+    R, m = values.shape[:2]
+    sizes = np.array([len(rows) for rows in spaces])
+    flat, first = np.concatenate(spaces), np.cumsum(sizes) - sizes
+    step = max(1, _SIGN_CELLS // (int(sizes.max()) << (m - 1)))
+    out = np.empty(R)
+    for at in range(0, R, step):
+        size = sizes[at:at + step]
+        c = int(size.max())
+        rows = flat[(np.minimum(np.arange(c), size[:, None] - 1)
+                     + first[at:at + step, None]).ravel()]
+        block = values[at] if len(size) == 1 else np.repeat(values[at:at + step], c, axis=0)
+        X = (revenue_matrix(spec, rows, block, alpha) @ _half_signs(m).T).reshape(len(size), c, -1)
+        out[at:at + step] = ((X.max(axis=1) - X.min(axis=1)) / m).mean(axis=1)
+    return out
+
+
 @lru_cache(maxsize=4)      # 2^(m-1) x m floats: 1 MB at m = 14
 def _half_signs(m: int) -> np.ndarray:
     """The 2^(m-1) sign vectors with sigma_1 = +1, one per row; negating
-    them gives the other half."""
+    them gives the other half, so one product scores a chunk of spaces."""
     bits = (np.arange(2 ** (m - 1))[:, None] >> np.arange(m - 1)) & 1
     signs = np.ones((len(bits), m))
     signs[:, 1:] = 1.0 - 2.0 * bits
@@ -267,7 +286,8 @@ def generalization_chain_check(spec: ClassSpec, dist: DistributionSpec, m: int,
     vectors).  The report compares gap <= rademacher <= closed-form bound,
     each link slack by three combined standard errors across replicates.
     Replicates are drawn, learned and enumerated in blocks (``sample_block``,
-    ``erm_block``, ``split_sample_block``), with the bits of one at a time.
+    ``erm_block``, ``split_sample_block``) and exact Rademacher averages
+    scored (``_exact_rademacher_block``), with the bits of one at a time.
 
     When no optimum is supplied it is resolved analytically where possible,
     otherwise through the dense-grid common-draws estimator (whose Monte
@@ -296,12 +316,21 @@ def generalization_chain_check(spec: ClassSpec, dist: DistributionSpec, m: int,
         learned = erm_block(spec, S, dist.value_range)
         spaces = split_sample_block(spec, np.concatenate([S, twin], axis=1), dist.value_range,
                                     subset_ceiling)
-        for j, values, h, rows in zip(index, S, learned, spaces):
-            rd = true_revenue(h, dist, "auto", eval_draws, seed.child("chain-eval", j)).value
-            gaps[j] = optimum - rd
-            rads[j] = _rademacher(spec, rows, values, dist.value_range[0], sigma_draws,
-                                  seed, "chain-sigma", j).estimate
-            massarts[j] = massart_bound(len(rows), m, revenue_range(dist.k, dist.value_range))
+        per_size = {c: massart_bound(c, m, revenue_range(dist.k, dist.value_range))
+                    for c in set(map(len, spaces))}
+        massarts[index] = [per_size[len(rows)] for rows in spaces]
+        if 2**m <= sigma_draws:
+            rads[index] = _exact_rademacher_block(spec, spaces, S, dist.value_range[0])
+        else:
+            rads[index] = [_rademacher(spec, rows, values, dist.value_range[0], sigma_draws,
+                                       seed.child("chain-sigma", j)).estimate
+                           for j, values, rows in zip(index, S, spaces)]
+        for j, h in zip(index, learned):
+            try:
+                gaps[j] = optimum - analytic_true_revenue(h, dist)
+            except AnalyticUnsupported:
+                gaps[j] = optimum - monte_carlo_true_revenue(
+                    h, dist, eval_draws, seed.child("chain-eval", j)).value
 
     gap_mean = float(gaps.mean())
     gap_se = float(gaps.std(ddof=1) / math.sqrt(replicates))

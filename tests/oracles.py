@@ -400,10 +400,15 @@ def misreport_improvement(h, values, grid_points=41):
 # the CLI in a child interpreter
 
 
-def run_cli_process(argv) -> subprocess.CompletedProcess:
-    """``python -m auctionlearn.cli *argv`` in a child interpreter that imports
-    the same package as the tests, whether or not PYTHONPATH names it."""
+def run_python_process(args, **env) -> subprocess.CompletedProcess:
+    """``python *args`` in a child interpreter that imports the same package
+    as the tests, whether or not PYTHONPATH names it, with `env` added."""
     src = str(Path(auctionlearn.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "auctionlearn.cli", *argv],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **env})
+
+
+def run_cli_process(argv) -> subprocess.CompletedProcess:
+    """``python -m auctionlearn.cli *argv`` in a child interpreter."""
+    return run_python_process(["-m", "auctionlearn.cli", *argv])

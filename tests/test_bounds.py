@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import itertools
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -15,7 +16,10 @@ from auctionlearn import (AuctionLearnError, ClassSpec, Discrete, DistributionSp
                           main_bound, massart_bound, rademacher_estimate, revenue,
                           revenue_range, sample_complexity_estimate, split_sample_space,
                           tlevel_epsilon)
-from oracles import SPLIT_IDS, SPLIT_SPECS, draw_eighth_sample, split_dims
+from auctionlearn import bounds as bounds_module
+from auctionlearn.bounds import _exact_rademacher_block, _half_signs
+from auctionlearn.mechanisms import _param_width, revenue_matrix
+from oracles import SPLIT_IDS, SPLIT_SPECS, draw_eighth_sample, run_python_process, split_dims
 
 SINGLE = ClassSpec("single-reserve")
 ASP = ClassSpec("anonymous-second-price")
@@ -397,11 +401,8 @@ def test_chain_check_reports_are_pinned(spec, dist, m, replicates, sigma_draws, 
     assert dataclasses.astuple(report) == expected
 
 
-@pytest.mark.parametrize("m, sigma_draws, derived", [(4, 16, 0), (4, 15, 5)],
-                         ids=["exact", "sampled"])
-def test_chain_derives_sign_seeds_only_for_sampled_signs(m, sigma_draws, derived, monkeypatch):
-    """A replicate's "chain-sigma" seed is derived only when its signs are
-    sampled (2^m > sigma_draws); the exact path never reads it."""
+def spy_seed_labels(monkeypatch) -> list:
+    """Every label passed to ``Seed.child`` from now on, in call order."""
     labels, child = [], Seed.child
 
     def spy(self, label, index=0):
@@ -409,6 +410,106 @@ def test_chain_derives_sign_seeds_only_for_sampled_signs(m, sigma_draws, derived
         return child(self, label, index)
 
     monkeypatch.setattr(Seed, "child", spy)
+    return labels
+
+
+@pytest.mark.parametrize("m, sigma_draws, derived", [(4, 16, 0), (4, 15, 5)],
+                         ids=["exact", "sampled"])
+def test_chain_derives_sign_seeds_only_for_sampled_signs(m, sigma_draws, derived, monkeypatch):
+    """A replicate's "chain-sigma" seed is derived only when its signs are
+    sampled (2^m > sigma_draws); the exact path never reads it."""
+    labels = spy_seed_labels(monkeypatch)
     generalization_chain_check(SINGLE, U01, m=m, replicates=5, sigma_draws=sigma_draws,
                                seed=Seed(3), eval_draws=100)
     assert labels.count("chain-sigma") == derived
+
+
+@pytest.mark.parametrize("spec, dist, optimum, derived", [
+    (SINGLE, U01, None, 0),
+    # best-of has no closed form: every replicate falls back to Monte Carlo
+    (ClassSpec("best-of"), DistributionSpec.iid(Uniform(0, 1), 1, 2), 1.0, 5),
+], ids=["closed-form", "monte-carlo"])
+def test_chain_derives_eval_seeds_only_for_monte_carlo(spec, dist, optimum, derived,
+                                                       monkeypatch):
+    """A replicate's "chain-eval" seed is derived only when its learned
+    hypothesis has no closed-form expected revenue."""
+    labels = spy_seed_labels(monkeypatch)
+    generalization_chain_check(spec, dist, m=3, replicates=5, sigma_draws=8, seed=Seed(3),
+                               optimum=optimum, eval_draws=100)
+    assert labels.count("chain-eval") == derived
+
+
+def one_space_rademacher(spec, rows, values, alpha):
+    """An exact Rademacher average scored one space at a time, as before
+    spaces were scored in blocks: the space's own revenue rows, one product
+    with the half sign vectors, three reductions."""
+    X = revenue_matrix(spec, rows, values, alpha) @ _half_signs(len(values)).T
+    return float(np.mean((X.max(axis=0) - X.min(axis=0)) / len(values)))
+
+
+BLOCK_SPECS = [(SINGLE, 1, 1), (ASP, 2, 1), (PLAYER, 2, 1),
+               (ClassSpec("t-level", levels=1), 2, 1), (ClassSpec("best-of"), 1, 2)]
+
+
+@pytest.mark.parametrize("spec, n, k", BLOCK_SPECS, ids=[s.describe() for s, _, _ in BLOCK_SPECS])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_exact_rademacher_block_has_the_one_space_bits(spec, n, k, data):
+    """Spaces of unequal sizes (one-row spaces too), padded and scored in
+    chunks, give each space's one-at-a-time bits."""
+    m = data.draw(st.integers(1, 10), label="m")
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=6), label="sizes")
+    width = _param_width(spec, n, k)
+    unit = st.floats(0, 1) if data.draw(st.booleans(), label="floats") else \
+        st.integers(0, 10).map(lambda t: t / 10)
+    values = np.array(data.draw(st.lists(unit, min_size=len(sizes) * m * n * k,
+                                         max_size=len(sizes) * m * n * k), label="values"))
+    values = values.reshape(len(sizes), m, n, k)
+    spaces = [np.array(data.draw(st.lists(unit, min_size=c * width, max_size=c * width),
+                                 label="rows")).reshape(c, width) for c in sizes]
+    per_chunk = data.draw(st.integers(1, len(sizes)), label="per_chunk")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds_module, "_SIGN_CELLS", per_chunk * max(sizes) * 2 ** (m - 1))
+        block = _exact_rademacher_block(spec, spaces, values, 0.0)
+    assert block.tolist() == [one_space_rademacher(spec, rows, v, 0.0)
+                              for rows, v in zip(spaces, values)]
+
+
+@pytest.mark.parametrize("spec, n", [(SINGLE, 1), (ASP, 2), (PLAYER, 2)])
+def test_exact_rademacher_block_equals_brute_force_on_dyadic_values(spec, n, monkeypatch):
+    # eighths and the 2/m of m = 4 are binary-exact, so every sum is exact
+    samples = [pooled_space(spec, n, 4, np.random.default_rng(70 + j), eighths=True)
+               for j in range(5)]
+    largest = max(len(space) for _, space in samples)
+    monkeypatch.setattr(bounds_module, "_SIGN_CELLS", 2 * largest * 2**3)   # two spaces a chunk
+    block = _exact_rademacher_block(spec, [space.rows for _, space in samples],
+                                    np.stack([S.values for S, _ in samples]), 0.0)
+    assert block.tolist() == [brute_force_rademacher(S, space.hypotheses)
+                              for S, space in samples]
+
+
+def test_exact_paths_are_blas_thread_independent():
+    """The pinned uniform chain report and an exact t-level s=1 estimate at
+    m = 12 keep their in-process bits under 1 and 2 OpenBLAS threads."""
+    code = textwrap.dedent("""
+        import dataclasses
+        import numpy as np
+        from auctionlearn import (ClassSpec, DistributionSpec, SampleSet, Seed, Uniform,
+                                  generalization_chain_check, rademacher_estimate,
+                                  split_sample_space)
+        spec = ClassSpec("single-reserve")
+        report = generalization_chain_check(spec, DistributionSpec.iid(Uniform(0, 1)), m=4,
+                                            replicates=80, sigma_draws=500, seed=Seed(11),
+                                            eval_draws=4000)
+        S = SampleSet(np.random.default_rng(12).random((12, 2, 1)))
+        space = split_sample_space(ClassSpec("t-level", levels=1), S, "exact")
+        est = rademacher_estimate(S, space, draws=2**12, seed=Seed(1))
+        print(repr((dataclasses.astuple(report), est)))
+    """)
+    here = {}
+    exec(code, {"print": lambda text: here.setdefault("out", text)})
+    assert "'exact'" in here["out"]
+    for threads in ("1", "2"):
+        proc = run_python_process(["-c", code], OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == here["out"]
