@@ -20,7 +20,7 @@ from .experiments import (CurveRow, ExperimentConfig, ExperimentRow, config_fing
 from .mechanisms import (CLASS_TAGS, AnonymousSecondPriceReserve, BestOf,
                          BundlePrice, Hypothesis, ItemPrices, Outcome,
                          PlayerReserves, RevenueEstimate, SingleReserve, TLevel,
-                         analytic_true_revenue, bidder_utility,
+                         analytic_true_revenue, bidder_utility, expected_revenue,
                          hypothesis_from_record, hypothesis_to_record,
                          monte_carlo_true_revenue, profile_revenues, revenue,
                          revenue_matrix, run_mechanism, true_revenue)

@@ -18,9 +18,9 @@ from functools import lru_cache
 import numpy as np
 
 from .erm import _REPLICATE_CELLS, ClassSpec, erm_block, in_class_optimum
-from .errors import AnalyticUnsupported, AuctionLearnError, DimensionMismatch
-from .mechanisms import (TAG_ASP, TAG_PLAYER, TAG_SINGLE, _check_dims, analytic_true_revenue,
-                         monte_carlo_true_revenue, revenue_matrix)
+from .errors import AuctionLearnError, DimensionMismatch
+from .mechanisms import (TAG_ASP, TAG_PLAYER, TAG_SINGLE, _check_dims, revenue_matrix,
+                         true_revenue_block)
 from .model import (DEFAULT_RANGE, DistributionSpec, SampleSet, Seed, check_value_range,
                     sample_block)
 from .splitsample import (DEFAULT_SUBSET_CEILING, SplitSampleSpace, split_sample_block,
@@ -311,7 +311,7 @@ def generalization_chain_check(spec: ClassSpec, dist: DistributionSpec, m: int,
     step = max(1, _REPLICATE_CELLS // (2 * m * dist.n * dist.k))
     for start in range(0, replicates, step):
         index = range(start, min(start + step, replicates))
-        S, twin = (sample_block(dist, m, [seed.child(label, j) for j in index])
+        S, twin = (sample_block(dist, m, seed.child_masters(label, index))
                    for label in ("chain-S", "chain-S-twin"))
         learned = erm_block(spec, S, dist.value_range)
         spaces = split_sample_block(spec, np.concatenate([S, twin], axis=1), dist.value_range,
@@ -325,12 +325,8 @@ def generalization_chain_check(spec: ClassSpec, dist: DistributionSpec, m: int,
             rads[index] = [_rademacher(spec, rows, values, dist.value_range[0], sigma_draws,
                                        seed.child("chain-sigma", j)).estimate
                            for j, values, rows in zip(index, S, spaces)]
-        for j, h in zip(index, learned):
-            try:
-                gaps[j] = optimum - analytic_true_revenue(h, dist)
-            except AnalyticUnsupported:
-                gaps[j] = optimum - monte_carlo_true_revenue(
-                    h, dist, eval_draws, seed.child("chain-eval", j)).value
+        gaps[index] = optimum - true_revenue_block(spec, learned, dist, "auto", eval_draws, seed,
+                                                   "chain-eval", index)
 
     gap_mean = float(gaps.mean())
     gap_se = float(gaps.std(ddof=1) / math.sqrt(replicates))

@@ -47,7 +47,7 @@ import numpy as np
 from .errors import AnalyticUnsupported, AuctionLearnError, CeilingExceeded
 from .mechanisms import (TAG_BEST, TAG_SINGLE, TAG_TLEVEL, ClassSpec, Hypothesis,
                          analytic_optimum, auction_columns, check_class_dims,
-                         hypotheses_from_params, profile_revenues, revenue_matrix, top_two)
+                         hypothesis_from_params, profile_revenues, revenue_matrix, top_two)
 from .model import DistributionSpec, SampleSet, Seed, sample_block
 
 DEFAULT_CANDIDATE_CEILING = 10**7
@@ -322,24 +322,23 @@ def erm(spec: ClassSpec, S: SampleSet,
     Ties are broken toward the lexicographically largest parameter vector;
     the result is a pure function of (spec, S as a multiset).
     """
-    return erm_block(spec, S.values[None], S.value_range, ceiling)[0]
+    row = erm_block(spec, S.values[None], S.value_range, ceiling)[0]
+    return hypothesis_from_params(spec, row, S.n, S.k)
 
 
 def erm_block(spec: ClassSpec, values: np.ndarray, value_range: tuple[float, float],
-              ceiling: int = DEFAULT_CANDIDATE_CEILING) -> list[Hypothesis]:
-    """``erm`` on each sample of an (R, m, n, k) block of checked values; the
-    first sample over the ceiling raises.  Reserve-rule classes learn all
-    samples in one ``_reserve_erm`` call, t-level and best-of each sample
-    by ``_joint_winners`` with no subsets."""
+              ceiling: int = DEFAULT_CANDIDATE_CEILING) -> np.ndarray:
+    """The (R, P) parameter rows of ``erm`` on each sample of an (R, m, n, k)
+    block of checked values; the first sample over the ceiling raises.
+    Reserve-rule classes learn all samples in one ``_reserve_erm`` call,
+    t-level and best-of each sample by ``_joint_winners`` with no subsets."""
     _, _, n, k = values.shape
     check_class_dims(spec, n, k)
     if spec.tag in _JOINT:
-        rows = np.concatenate([_joint_winners(spec, v, value_range, None, ceiling)
+        return np.concatenate([_joint_winners(spec, v, value_range, None, ceiling)
                                for v in values])
-    else:
-        _check_pools(spec, values, value_range[1], ceiling)
-        rows = _reserve_erm(spec, values, value_range[0], ceiling)
-    return hypotheses_from_params(spec, rows, n, k)
+    _check_pools(spec, values, value_range[1], ceiling)
+    return _reserve_erm(spec, values, value_range[0], ceiling)
 
 
 def _reserve_erm(spec: ClassSpec, values: np.ndarray, alpha: float, ceiling: int) -> np.ndarray:
@@ -500,11 +499,11 @@ def _grid_optimum(spec: ClassSpec, dist: DistributionSpec, grid_step: float,
             raise CeilingExceeded(f"{spec.describe()} grid optimum over budget; "
                                   "increase grid_step or lower draws")
         factors = _factors(spec, pools)
-        values = sample_block(dist, draws, [seed])
+        values = sample_block(dist, draws, [seed.master])
         row = _tied_winners(spec, [f[None] for f in factors], np.array([[len(f)] for f in factors]),
                             values, alpha)
     else:
-        values = sample_block(dist, draws, [seed])
+        values = sample_block(dist, draws, [seed.master])
         try:
             _check_pools(rule, values, beta, DEFAULT_CANDIDATE_CEILING)
             row = _reserve_erm(rule, values, alpha, DEFAULT_CANDIDATE_CEILING)

@@ -22,7 +22,7 @@ from .bounds import main_bound, sample_complexity_estimate
 from .erm import (_REPLICATE_CELLS, DEFAULT_CANDIDATE_CEILING, OptimumEstimate, erm_block,
                   in_class_optimum)
 from .errors import AuctionLearnError
-from .mechanisms import TAG_BEST, TAG_PLAYER, ClassSpec, true_revenue
+from .mechanisms import TAG_BEST, TAG_PLAYER, ClassSpec, true_revenue_block
 from .model import DistributionSpec, Seed, sample_block
 
 
@@ -118,18 +118,17 @@ def _row_dict(row) -> dict:
 
 
 def _replicate_revenues(config: ExperimentConfig, m: int) -> np.ndarray:
-    """Learned revenue of each replicate at size m: drawn and learned in blocks
-    of about ``_REPLICATE_CELLS`` values, evaluated one hypothesis at a time."""
+    """Learned revenue of each replicate at size m: drawn, learned and
+    evaluated (``true_revenue_block``; replicate i's Monte Carlo draws, if
+    any, from its "exp-eval" seed) in blocks of about ``_REPLICATE_CELLS`` values."""
     dist, revs = config.dist, np.empty(config.replicates)
     step = max(1, _REPLICATE_CELLS // (m * dist.n * dist.k))
-    seeded = config.eval_method != "analytic"   # a closed form needs no evaluation seeds
     for start in range(0, config.replicates, step):
         index = range(start, min(start + step, config.replicates))
-        values = sample_block(dist, m, [config.seed.child(f"exp-sample-m{m}", i) for i in index])
-        learned = erm_block(config.class_spec, values, dist.value_range, config.candidate_ceiling)
-        for i, h in zip(index, learned):
-            seed = config.seed.child(f"exp-eval-m{m}", i) if seeded else config.seed
-            revs[i] = true_revenue(h, dist, config.eval_method, config.eval_draws, seed).value
+        values = sample_block(dist, m, config.seed.child_masters(f"exp-sample-m{m}", index))
+        rows = erm_block(config.class_spec, values, dist.value_range, config.candidate_ceiling)
+        revs[index] = true_revenue_block(config.class_spec, rows, dist, config.eval_method,
+                                         config.eval_draws, config.seed, f"exp-eval-m{m}", index)
     return revs
 
 

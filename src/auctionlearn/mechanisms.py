@@ -17,10 +17,13 @@ in-class optima and ``profile_revenues`` (its single-row case) all call it.
 It runs a reserve-rule class as its single-item primitive ``reserve_revenue``
 on each single-item auction that ``auction_columns`` names.
 
-Expected revenue and the in-class optimum have closed forms for the
-single-bidder posted-price shapes and, at n >= 2, for the reserve-rule
-classes under uniform marginals (Myerson's virtual surplus on each auction of
-``auction_columns``); ``true_revenue`` falls back to Monte Carlo elsewhere.
+Expected revenue's closed forms are batched the same way: ``expected_revenue``
+scores parameter rows, laid out as for ``revenue_matrix``, under a
+distribution (single-bidder posted-price shapes; at n >= 2 the reserve-rule
+classes under uniform marginals, by Myerson's virtual surplus on each auction
+of ``auction_columns``), and ``analytic_true_revenue`` is its one-row case.
+``true_revenue`` and ``true_revenue_block`` fall back to Monte Carlo elsewhere;
+the in-class optimum has closed forms on the same shapes.
 """
 
 from __future__ import annotations
@@ -409,8 +412,8 @@ def _param_width(spec: ClassSpec, n: int, k: int) -> int:
 
 
 def _check_dims(h: Hypothesis, n: int, k: int) -> ClassSpec:
-    """The dimension check shared by run_mechanism and profile_revenues;
-    returns the class of h."""
+    """The dimension check of a hypothesis, before it runs or is scored as a
+    row (an item count first, then a bidder count); returns the class of h."""
     spec = spec_of(h)
     if isinstance(h, BestOf):
         _check_dims(h.bundle, n, k)
@@ -419,10 +422,23 @@ def _check_dims(h: Hypothesis, n: int, k: int) -> ClassSpec:
     check_class_dims(spec, n, k)
     field, shape = _layout(spec, n, k)
     got = np.shape(getattr(h, field))    # the types keep their nested tuples rectangular
-    if got != shape:
+    if spec.tag == TAG_ITEM and got[-1:] != shape[-1:]:
+        raise DimensionMismatch(f"item prices do not match the spec's item count k = {k}")
+    if got != shape:        # a per-bidder layout's bidder axis
         raise DimensionMismatch(
-            f"{spec.describe()} parameters of shape {got} do not fit n = {n}, k = {k}")
+            f"{spec.describe()} parameters for {got[0]} bidders do not fit n = {n}")
     return spec
+
+
+def _check_rows(spec: ClassSpec, params, n: int, k: int) -> np.ndarray:
+    """The (C, P) float parameter rows of the class at n bidders and k items."""
+    params = np.asarray(params, dtype=float)
+    check_class_dims(spec, n, k)
+    if params.ndim != 2 or params.shape[1] != _param_width(spec, n, k):
+        raise DimensionMismatch(
+            f"{spec.describe()} needs parameter rows of width {_param_width(spec, n, k)} "
+            f"at n = {n}, k = {k}, got an array of shape {params.shape}")
+    return params
 
 
 def revenue(h: Hypothesis, v: ValuationProfile) -> float:
@@ -496,14 +512,9 @@ def revenue_matrix(spec: ClassSpec, params, values, alpha: float = 0.0) -> np.nd
     own reserve, and item payments are accumulated per bidder before the
     bidders are summed, as in ``run_mechanism``.
     """
-    params = np.asarray(params, dtype=float)
     values = np.asarray(values, dtype=float)
     m, n, k = values.shape[-3:]
-    check_class_dims(spec, n, k)
-    if params.ndim != 2 or params.shape[1] != _param_width(spec, n, k):
-        raise DimensionMismatch(
-            f"{spec.describe()} needs parameter rows of width {_param_width(spec, n, k)} "
-            f"at n = {n}, k = {k}, got an array of shape {params.shape}")
+    params = _check_rows(spec, params, n, k)
     if values.ndim != 3 and values.shape[:-3] != params.shape[:1]:
         raise DimensionMismatch(f"{spec.describe()} cannot score values of shape "
                                 f"{values.shape} with {len(params)} parameter rows")
@@ -618,14 +629,12 @@ class RevenueEstimate:
     std_error: float | None = None
 
 
-def _posted_price_revenue(marginal, price: float, floor: float) -> float:
-    """max(price, floor) * P(value >= price) for marginals with a closed-form
-    survival; a second-price rule's floor is alpha, a lone bidder's second value."""
+def _posted_revenue(marginal, prices: np.ndarray, floor: float) -> np.ndarray:
+    """max(price, floor) * P(value >= price) per price, max as Python's (a -0.0
+    price stays); a second-price rule's floor is alpha, a lone bidder's second value."""
     if isinstance(marginal, (Uniform, Discrete)):
-        return max(float(price), floor) * marginal.survival(float(price))
-    raise AnalyticUnsupported(
-        f"no closed form for posted prices under {type(marginal).__name__}"
-    )
+        return np.where(prices < floor, floor, prices) * marginal.survival(prices)
+    raise AnalyticUnsupported(f"no closed form for posted prices under {type(marginal).__name__}")
 
 
 def _bundle_total_distribution(spec: DistributionSpec) -> Discrete:
@@ -642,35 +651,6 @@ def _bundle_total_distribution(spec: DistributionSpec) -> Discrete:
         probs = np.bincount(inverse, weights=new_pr)
     total = probs.sum()
     return Discrete(tuple(points), tuple(probs / total))
-
-
-def _posted_marginals(tag: str, spec: DistributionSpec, unsupported: str) -> tuple:
-    """The marginals a one-bidder class posts one price each to: its value (a
-    reserve or a t-level's lowest threshold is then a posted price), each item,
-    or the bundle total, which at k = 1 is the value.  Other tags raise
-    ``unsupported.format(tag)``."""
-    if tag in (TAG_SINGLE, TAG_ASP, TAG_PLAYER, TAG_TLEVEL):
-        if spec.k != 1:
-            raise AnalyticUnsupported("single-item class on a multi-item spec")
-        return spec.marginals[0]
-    if tag == TAG_ITEM or (tag == TAG_BUNDLE and spec.k == 1):
-        return spec.marginals[0]
-    if tag == TAG_BUNDLE:
-        return (_bundle_total_distribution(spec),)
-    raise AnalyticUnsupported(unsupported.format(tag))
-
-
-def _uniform_auctions(spec: ClassSpec, dist: DistributionSpec) -> list[tuple]:
-    """Per single-item auction of ``auction_columns`` at n >= 2, its bidders'
-    marginals: reserve-rule classes under uniform marginals, a bundle price
-    at k = 1 only (bundle totals of k >= 2 uniforms are not uniform)."""
-    if spec.tag in (TAG_TLEVEL, TAG_BEST) or (spec.tag == TAG_BUNDLE and dist.k != 1):
-        raise AnalyticUnsupported(f"no multi-bidder closed form for {spec.describe()} "
-                                  f"at k = {dist.k}")
-    if not all(isinstance(m, Uniform) for row in dist.marginals for m in row):
-        raise AnalyticUnsupported("multi-bidder closed forms need uniform marginals")
-    check_class_dims(spec, dist.n, dist.k)
-    return list(zip(*dist.marginals))
 
 
 def _lazy_reserve_revenue(marginals, reserves) -> float:
@@ -700,36 +680,58 @@ def _lazy_reserve_revenue(marginals, reserves) -> float:
     return total
 
 
-_BIDDER_FIELD = {TAG_PLAYER: "prices", TAG_TLEVEL: "thresholds", TAG_BUNDLE: "prices",
-                 TAG_ITEM: "price_matrix"}    # one entry per bidder; None when anonymous
+def _closed_form(spec: ClassSpec, dist: DistributionSpec,
+                 unsupported: str = "no closed form for {} under this spec") -> list:
+    """The marginals the class's closed forms read.  At n >= 2, each auction's
+    (``auction_columns``) under uniform marginals, a bundle price at k = 1
+    only (bundle totals of k >= 2 uniforms are not uniform).  At n = 1, one
+    per posted price: the value (a reserve or a t-level's lowest threshold is
+    then a posted price), each item, or the bundle total; best-of raises
+    ``unsupported.format(tag)``."""
+    if dist.n != 1:
+        if spec.tag in (TAG_TLEVEL, TAG_BEST) or (spec.tag == TAG_BUNDLE and dist.k != 1):
+            raise AnalyticUnsupported(f"no multi-bidder closed form for {spec.describe()} "
+                                      f"at k = {dist.k}")
+        if not all(isinstance(m, Uniform) for row in dist.marginals for m in row):
+            raise AnalyticUnsupported("multi-bidder closed forms need uniform marginals")
+        check_class_dims(spec, dist.n, dist.k)
+        return list(zip(*dist.marginals))
+    if spec.tag in (TAG_SINGLE, TAG_ASP, TAG_PLAYER, TAG_TLEVEL) and dist.k != 1:
+        raise AnalyticUnsupported("single-item class on a multi-item spec")
+    if spec.tag == TAG_BUNDLE and dist.k != 1:
+        return [_bundle_total_distribution(dist)]
+    if spec.tag != TAG_BEST:
+        return dist.marginals[0]
+    raise AnalyticUnsupported(unsupported.format(spec.tag))
+
+
+def expected_revenue(spec: ClassSpec, rows, dist: DistributionSpec) -> np.ndarray:
+    """Closed-form expected revenue of each parameter row of the class under
+    dist, the expectation counterpart of ``revenue_matrix`` (rows laid out as
+    there): at n = 1 ``_posted_revenue`` of each posted price, item prices
+    summed left to right; at n >= 2 ``_lazy_reserve_revenue`` of each row on
+    each auction.  ``_closed_form`` names the shapes it covers."""
+    marginals = _closed_form(spec, dist)
+    rows = _check_rows(spec, rows, dist.n, dist.k)
+    if dist.n != 1:
+        # reserves[c, i, j]: row c's reserve for bidder i in auction j
+        reserves = (rows.reshape(len(rows), dist.n, rows.shape[1] // dist.n) if spec.per_bidder
+                    else np.repeat(rows[:, None], dist.n, axis=1))
+        return np.array([sum(map(_lazy_reserve_revenue, marginals, r.T.tolist()))
+                         for r in reserves])
+    floor = -math.inf if spec.tag in (TAG_SINGLE, TAG_TLEVEL) else dist.value_range[0]
+    if spec.tag != TAG_ITEM:     # one price: bidder 0's reserve or lowest threshold
+        return _posted_revenue(marginals[0], rows[:, 0], floor)
+    return sum(_posted_revenue(m, p, floor) for m, p in zip(marginals, rows.T))
 
 
 def analytic_true_revenue(h: Hypothesis, spec: DistributionSpec) -> float:
-    """Closed-form expected revenue: at n = 1 the posted-price shapes under
-    uniform or discrete marginals (a hypothesis for one bidder); at n >= 2
-    the reserve-rule classes (not t-level or best-of, bundle prices at k = 1)
-    under uniform marginals, by ``_lazy_reserve_revenue`` on each auction of
-    ``auction_columns``."""
-    if spec.n != 1:
-        cls = _check_dims(h, spec.n, spec.k)
-        auctions = _uniform_auctions(cls, spec)
-        params = np.asarray(h.param_vector(), dtype=float)
-        # reserves[i, j]: bidder i's reserve in auction j
-        reserves = params.reshape(spec.n, -1) if cls.per_bidder else np.tile(params, (spec.n, 1))
-        return sum(map(_lazy_reserve_revenue, auctions, reserves.T.tolist()))
-    tag = h.tag
-    marginals = _posted_marginals(tag, spec, "no closed form for {} under this spec")
-    if tag == TAG_ITEM:
-        prices = h.price_matrix[0] if h.per_player else h.prices
-        if len(prices) != len(marginals):
-            raise DimensionMismatch("item prices do not match the spec's item count")
-    rows = getattr(h, _BIDDER_FIELD[tag]) if tag in _BIDDER_FIELD else None
-    if rows is not None and len(rows) != 1:
-        raise DimensionMismatch(f"{tag} parameters for {len(rows)} bidders do not fit n = 1")
-    floor = -math.inf if tag in (TAG_SINGLE, TAG_TLEVEL) else spec.value_range[0]
-    if tag != TAG_ITEM:     # one price: bidder 0's reserve or lowest threshold
-        return _posted_price_revenue(marginals[0], h.param_vector()[0], floor)
-    return sum(_posted_price_revenue(m, p, floor) for m, p in zip(marginals, prices))
+    """``expected_revenue`` of one hypothesis; a shape with no closed form is
+    refused before h's dimensions are checked."""
+    cls = spec_of(h)
+    _closed_form(cls, spec)
+    _check_dims(h, spec.n, spec.k)
+    return float(expected_revenue(cls, [h.param_vector()], spec)[0])
 
 
 def _posted_optimum(marginal) -> float:
@@ -750,38 +752,51 @@ def analytic_optimum(spec: ClassSpec, dist: DistributionSpec) -> float:
     r_i = max(a_i, b_i / 2), where its virtual value turns nonnegative; an
     anonymous class shares that reserve only when each auction's marginals
     are identical, and raises AnalyticUnsupported otherwise."""
-    if dist.n != 1:
-        auctions = _uniform_auctions(spec, dist)
-        if not spec.per_bidder and any(len(set(a)) > 1 for a in auctions):
-            raise AnalyticUnsupported("anonymous closed-form optima need identical "
-                                      "marginals in each auction")
-        return sum(_lazy_reserve_revenue(a, [max(m.low, m.high / 2) for m in a])
-                   for a in auctions)
-    marginals = _posted_marginals(spec.tag, dist, "no closed-form optimum for {}")
-    return sum(map(_posted_optimum, marginals))
+    marginals = _closed_form(spec, dist, "no closed-form optimum for {}")
+    if dist.n == 1:
+        return float(sum(map(_posted_optimum, marginals)))
+    if not spec.per_bidder and any(len(set(a)) > 1 for a in marginals):
+        raise AnalyticUnsupported("anonymous closed-form optima need identical "
+                                  "marginals in each auction")
+    return sum(_lazy_reserve_revenue(a, [max(m.low, m.high / 2) for m in a]) for a in marginals)
 
 
 def monte_carlo_true_revenue(h: Hypothesis, spec: DistributionSpec, draws: int,
                              seed: Seed) -> RevenueEstimate:
     if draws < 2:
         raise AuctionLearnError("monte carlo needs at least 2 draws")
-    values = sample_block(spec, draws, [seed])[0]
+    values = sample_block(spec, draws, [seed.master])[0]
     revs = profile_revenues(h, values, spec.value_range[0])
     return RevenueEstimate(float(revs.mean()),
                            float(revs.std(ddof=1) / math.sqrt(draws)))
+
+
+def true_revenue_block(spec: ClassSpec, rows, dist: DistributionSpec, method: str, draws: int,
+                       seed: Seed, label: str, index) -> np.ndarray:
+    """``true_revenue`` of each parameter row of the class, row r's Monte Carlo
+    draws from ``seed.child(label, index[r])``: one ``expected_revenue`` call,
+    unless the method is 'monte-carlo' or, under 'auto', the shape has no
+    closed form; only then are the rows made hypotheses and seeds derived."""
+    if method != "monte-carlo":
+        try:
+            return expected_revenue(spec, rows, dist)
+        except AnalyticUnsupported:
+            if method == "analytic":
+                raise
+    hyps = hypotheses_from_params(spec, rows, dist.n, dist.k)
+    return np.array([monte_carlo_true_revenue(h, dist, draws, seed.child(label, i)).value
+                     for h, i in zip(hyps, index)])
 
 
 def true_revenue(h: Hypothesis, spec: DistributionSpec, method: str = "analytic",
                  draws: int = 100_000, seed: Seed = Seed(0)) -> RevenueEstimate:
     """Expected revenue of h under the spec.
 
-    ``method='analytic'`` uses the closed form (single-bidder posted-price
-    classes under uniform or discrete marginals; at n >= 2 anonymous second
-    price, player reserves, item prices and bundle prices at k = 1 under
-    uniform marginals) and raises AnalyticUnsupported otherwise;
-    ``method='monte-carlo'`` estimates from fresh draws and reports a
-    standard error; ``method='auto'`` takes the closed form where there is
-    one and Monte Carlo otherwise.
+    ``method='analytic'`` uses the closed form of ``expected_revenue`` and
+    raises AnalyticUnsupported where there is none; ``method='monte-carlo'``
+    estimates from fresh draws and reports a standard error;
+    ``method='auto'`` takes the closed form where there is one and Monte
+    Carlo otherwise.
     """
     if method not in ("auto", "analytic", "monte-carlo"):
         raise ValueError(f"unknown method {method!r}")

@@ -78,9 +78,13 @@ class Seed:
         object.__setattr__(self, "master", master)
 
     def child(self, label: str, index: int = 0) -> "Seed":
-        key = f"{self.master}|{label}|{index}".encode()
-        digest = hashlib.blake2b(key, digest_size=8).digest()
-        return Seed(int.from_bytes(digest, "big"))
+        return Seed(self.child_masters(label, [index])[0])
+
+    def child_masters(self, label: str, indices) -> list[int]:
+        """``child(label, i).master`` for each i of indices, building no seeds."""
+        prefix = f"{self.master}|{label}|"
+        return [int.from_bytes(hashlib.blake2b(f"{prefix}{i}".encode(), digest_size=8).digest(),
+                               "big") for i in indices]
 
     def rng(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(self.master))
@@ -168,9 +172,9 @@ class Uniform:
     def cdf(self, x: np.ndarray) -> np.ndarray:
         return np.clip((np.asarray(x, dtype=float) - self.low) / (self.high - self.low), 0.0, 1.0)
 
-    def survival(self, price: float) -> float:
+    def survival(self, price: np.ndarray) -> np.ndarray:
         """P(value >= price); piecewise linear."""
-        return min(max((self.high - price) / (self.high - self.low), 0.0), 1.0)
+        return np.clip((self.high - price) / (self.high - self.low), 0.0, 1.0)
 
     def to_dict(self) -> dict:
         return {"type": "uniform", "low": self.low, "high": self.high}
@@ -227,9 +231,12 @@ class Discrete:
         order = np.argsort(pts, kind="stable")
         object.__setattr__(self, "points", tuple(pts[i] for i in order))
         object.__setattr__(self, "probs", tuple(pr[i] for i in order))
-        # what ppf and cdf read, built once (not fields): P(value <= points[i - 1]) at i
+        # what ppf, cdf and survival read, built once (not fields): at i,
+        # P(value <= points[i - 1]) and P(value >= points[i]), summed left to right
         object.__setattr__(self, "_pts", np.asarray(self.points))
         object.__setattr__(self, "_cum", np.concatenate([[0.0], np.cumsum(self.probs)]))
+        tail = [sum(self.probs[i:]) for i in range(len(pr) + 1)]
+        object.__setattr__(self, "_tail", np.array(tail, dtype=float))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -247,9 +254,9 @@ class Discrete:
         """P(value < x); differs from cdf at the atoms."""
         return self._cum[np.searchsorted(self._pts, np.asarray(x, dtype=float), side="left")]
 
-    def survival(self, price: float) -> float:
+    def survival(self, price: np.ndarray) -> np.ndarray:
         """P(value >= price)."""
-        return float(sum(p for x, p in zip(self.points, self.probs) if x >= price))
+        return self._tail[np.searchsorted(self._pts, price, side="left")]
 
     def to_dict(self) -> dict:
         return {"type": "discrete", "points": list(self.points), "probs": list(self.probs)}
@@ -411,17 +418,17 @@ class SampleSet:
         return self.values.shape[2]
 
 
-def sample_block(spec: DistributionSpec, m: int, seeds) -> np.ndarray:
-    """One sample of m i.i.d. profiles per seed, as (R, m, n, k) values checked as
-    ``SampleSet`` checks one; row r is ``sample_values(spec, m, seeds[r]).values``.
-    Row r's uniforms are ``seeds[r].rng().random((m, n, k))``, drawn from one
-    local generator set to each seed's state in turn."""
+def sample_block(spec: DistributionSpec, m: int, masters) -> np.ndarray:
+    """One sample of m i.i.d. profiles per 64-bit master, as (R, m, n, k) values
+    checked as ``SampleSet`` checks one; row r is ``sample_values(spec, m,
+    Seed(masters[r])).values``, its uniforms ``Seed(masters[r]).rng()``'s,
+    drawn from one local generator set to each master's state in turn."""
     if m < 1:
         raise AuctionLearnError("m must be >= 1")
-    block = np.empty((len(seeds), m, spec.n, spec.k))   # uniforms, mapped to values in place
+    block = np.empty((len(masters), m, spec.n, spec.k))   # uniforms, mapped to values in place
     bits = np.random.PCG64(0)
     uniform = np.random.Generator(bits)
-    for r, (state, inc) in enumerate(_pcg64_states([seed.master for seed in seeds])):
+    for r, (state, inc) in enumerate(_pcg64_states(masters)):
         bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                       "has_uint32": 0, "uinteger": 0}
         uniform.random(out=block[r])
@@ -435,7 +442,7 @@ def sample_block(spec: DistributionSpec, m: int, seeds) -> np.ndarray:
 
 def sample_values(spec: DistributionSpec, m: int, seed: Seed) -> SampleSet:
     """Draw m i.i.d. profiles from the spec.  Bit-identical for identical inputs."""
-    return SampleSet(sample_block(spec, m, [seed])[0], spec.value_range,
+    return SampleSet(sample_block(spec, m, [seed.master])[0], spec.value_range,
                      provenance=f"sampled(seed={seed.master}, m={m})")
 
 

@@ -193,11 +193,11 @@ def growth_rate_estimate(spec: ClassSpec, m: int, dist: DistributionSpec,
     if draws < 1:
         raise AuctionLearnError("draws must be >= 1")
     bound = theoretical_growth_bound(spec, m, dist.n, dist.k)
-    seeds = [seed.child("growth-draw", i) for i in range(draws)]
+    masters = seed.child_masters("growth-draw", range(draws))
     step = max(1, _REPLICATE_CELLS // (m * dist.n * dist.k))
-    observed = max(len(rows) for at in range(0, draws, step)
-                   for rows in split_sample_block(spec, sample_block(dist, m, seeds[at:at + step]),
-                                                  dist.value_range, subset_ceiling))
+    blocks = (sample_block(dist, m, masters[at:at + step]) for at in range(0, draws, step))
+    observed = max(len(rows) for values in blocks
+                   for rows in split_sample_block(spec, values, dist.value_range, subset_ceiling))
     return GrowthEstimate(spec.tag, m, dist.n, dist.k, spec.levels, draws, observed, bound)
 
 

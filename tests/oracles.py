@@ -19,10 +19,11 @@ from scipy import integrate
 
 import auctionlearn
 from auctionlearn import (AnonymousSecondPriceReserve, BestOf, BundlePrice, ClassSpec,
-                          ItemPrices, PlayerReserves, SingleReserve, TLevel,
+                          ItemPrices, PlayerReserves, Seed, SingleReserve, TLevel, Uniform,
                           ValuationProfile, bidder_utility, candidate_count,
                           empirical_revenue, erm)
-from auctionlearn.mechanisms import hypothesis_from_params
+from auctionlearn.mechanisms import (_bundle_total_distribution, _lazy_reserve_revenue,
+                                     hypothesis_from_params)
 
 FINE_GRID = np.arange(1001) / 1000.0          # step 1e-3 on [0, 1]
 
@@ -334,6 +335,85 @@ def lazy_reserve_revenue_quad(supports, reserves) -> float:
         if max(r, a) < b:
             total += quad(share, max(r, a), b)
     return total
+
+
+def survival_reference(marginal, price: float) -> float:
+    """P(value >= price) in Python floats: a uniform's clipped line, or a
+    discrete marginal's atoms at or above the price, summed left to right."""
+    if isinstance(marginal, Uniform):
+        return min(max((marginal.high - price) / (marginal.high - marginal.low), 0.0), 1.0)
+    return float(sum(p for x, p in zip(marginal.points, marginal.probs) if x >= price))
+
+
+def expected_revenue_reference(h, dist) -> float:
+    """Closed-form expected revenue of one hypothesis, one Python float at a
+    time, by ``run_mechanism``'s rules.
+
+    One bidder: a price p sells iff the value clears it, with probability
+    ``survival_reference``.  A single reserve and a t-level (its lowest
+    threshold) charge p, as no second bid exists; a second-price rule
+    charges max(p, alpha), alpha being a lone bidder's second value.  Items
+    sell one by one, their revenues summed in item order; a bundle price
+    posts to the bundle total.  Several bidders: each single-item auction
+    (the value, an item, or the bundle total at k = 1) runs lazy reserves,
+    bidder i's own or the one anonymous price, and its closed form is
+    ``_lazy_reserve_revenue``, summed in auction order."""
+    n, k, alpha = dist.n, dist.k, dist.value_range[0]
+    if n == 1:
+        marginals = dist.marginals[0]
+        if isinstance(h, (SingleReserve, TLevel)):
+            p = h.price if isinstance(h, SingleReserve) else h.thresholds[0][0]
+            return p * survival_reference(marginals[0], p)
+        lazy = getattr(h, "prices", None)     # a reserve or bundle price per bidder
+        if isinstance(h, ItemPrices):
+            prices = h.price_matrix[0] if h.per_player else h.prices
+        else:
+            prices = [h.price if lazy is None else lazy[0]]
+        if isinstance(h, BundlePrice) and k > 1:
+            marginals = [_bundle_total_distribution(dist)]
+        return sum(max(p, alpha) * survival_reference(m, p) for m, p in zip(marginals, prices))
+    if isinstance(h, ItemPrices):
+        reserves = [[h.price_matrix[i][j] if h.per_player else h.prices[j] for i in range(n)]
+                    for j in range(k)]
+    else:
+        lazy = getattr(h, "prices", None)
+        reserves = [[h.price] * n if lazy is None else list(lazy)]
+    return sum(_lazy_reserve_revenue(auction, r)
+               for auction, r in zip(zip(*dist.marginals), reserves))
+
+
+# ---------------------------------------------------------------------------
+# spies on the package's seed derivation and hypothesis building
+
+
+def spy_seed_labels(monkeypatch) -> list:
+    """The label of every seed derived from now on, once per index, in call
+    order: ``Seed.child`` derives through ``Seed.child_masters``."""
+    labels, child_masters = [], Seed.child_masters
+
+    def spy(self, label, indices):
+        indices = list(indices)
+        labels.extend([label] * len(indices))
+        return child_masters(self, label, indices)
+
+    monkeypatch.setattr(Seed, "child_masters", spy)
+    return labels
+
+
+def spy_hypothesis_building(monkeypatch) -> list:
+    """The row count of every ``hypotheses_from_params`` call from now on,
+    under each name a package module binds it to."""
+    built, build = [], auctionlearn.mechanisms.hypotheses_from_params
+
+    def spy(spec, rows, n, k):
+        built.append(len(rows))
+        return build(spec, rows, n, k)
+
+    for module in ("mechanisms", "erm", "splitsample", "bounds", "experiments"):
+        module = getattr(auctionlearn, module)
+        if hasattr(module, "hypotheses_from_params"):
+            monkeypatch.setattr(module, "hypotheses_from_params", spy)
+    return built
 
 
 # ---------------------------------------------------------------------------

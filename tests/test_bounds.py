@@ -19,7 +19,8 @@ from auctionlearn import (AuctionLearnError, ClassSpec, Discrete, DistributionSp
 from auctionlearn import bounds as bounds_module
 from auctionlearn.bounds import _exact_rademacher_block, _half_signs
 from auctionlearn.mechanisms import _param_width, revenue_matrix
-from oracles import SPLIT_IDS, SPLIT_SPECS, draw_eighth_sample, run_python_process, split_dims
+from oracles import (SPLIT_IDS, SPLIT_SPECS, draw_eighth_sample, run_python_process, split_dims,
+                     spy_hypothesis_building, spy_seed_labels)
 
 SINGLE = ClassSpec("single-reserve")
 ASP = ClassSpec("anonymous-second-price")
@@ -401,18 +402,6 @@ def test_chain_check_reports_are_pinned(spec, dist, m, replicates, sigma_draws, 
     assert dataclasses.astuple(report) == expected
 
 
-def spy_seed_labels(monkeypatch) -> list:
-    """Every label passed to ``Seed.child`` from now on, in call order."""
-    labels, child = [], Seed.child
-
-    def spy(self, label, index=0):
-        labels.append(label)
-        return child(self, label, index)
-
-    monkeypatch.setattr(Seed, "child", spy)
-    return labels
-
-
 @pytest.mark.parametrize("m, sigma_draws, derived", [(4, 16, 0), (4, 15, 5)],
                          ids=["exact", "sampled"])
 def test_chain_derives_sign_seeds_only_for_sampled_signs(m, sigma_draws, derived, monkeypatch):
@@ -437,6 +426,21 @@ def test_chain_derives_eval_seeds_only_for_monte_carlo(spec, dist, optimum, deri
     generalization_chain_check(spec, dist, m=3, replicates=5, sigma_draws=8, seed=Seed(3),
                                optimum=optimum, eval_draws=100)
     assert labels.count("chain-eval") == derived
+
+
+@pytest.mark.parametrize("spec, dist, optimum, m, sigma_draws, monte_carlo", [
+    (SINGLE, U01, None, 3, 8, False),
+    (SINGLE, U01, None, 4, 15, False),
+    (ClassSpec("best-of"), DistributionSpec.iid(Uniform(0, 1), 1, 2), 1.0, 3, 8, True),
+], ids=["closed-form-exact-signs", "closed-form-sampled-signs", "monte-carlo"])
+def test_chain_builds_hypotheses_only_for_monte_carlo(spec, dist, optimum, m, sigma_draws,
+                                                      monte_carlo, monkeypatch):
+    """The chain learns, enumerates and scores parameter rows; only rows
+    evaluated by Monte Carlo become hypothesis objects."""
+    built = spy_hypothesis_building(monkeypatch)
+    generalization_chain_check(spec, dist, m=m, replicates=5, sigma_draws=sigma_draws,
+                               seed=Seed(3), optimum=optimum, eval_draws=100)
+    assert bool(built) == monte_carlo
 
 
 def one_space_rademacher(spec, rows, values, alpha):

@@ -210,7 +210,7 @@ def test_tied_samples_of_a_block_are_scored_together(spec, n, k, chunk, monkeypa
     gen = np.random.default_rng(zlib.crc32(spec.describe().encode()))
     samples = [SampleSet(gen.integers(0, 5, (6, n, k)) / 4) for _ in range(16)]
     learned = erm_block(spec, np.stack([S.values for S in samples]), (0.0, 1.0))
-    assert learned == [erm(spec, S) for S in samples]
+    assert learned.tolist() == [list(erm(spec, S).param_vector()) for S in samples]
     for S in samples:
         assert_exhaustive_argmax(spec, S)
 
@@ -302,11 +302,11 @@ def test_posted_price_near_ties_are_scored_exactly(values, monkeypatch):
 
 
 def assert_block_is_per_sample_erm(samples, ceiling=DEFAULT_CANDIDATE_CEILING):
-    """``erm_block`` on the stacked samples returns each sample's own ERM,
-    which the exhaustive argmax confirms."""
+    """``erm_block`` on the stacked samples returns each sample's own ERM
+    row, which the exhaustive argmax confirms."""
     block = np.stack([S.values for S in samples])
-    assert erm_block(SINGLE, block, samples[0].value_range, ceiling) == \
-        [erm(SINGLE, S, ceiling) for S in samples]
+    assert erm_block(SINGLE, block, samples[0].value_range, ceiling).tolist() == \
+        [[erm(SINGLE, S, ceiling).price] for S in samples]
     for S in samples:
         assert_exhaustive_argmax(SINGLE, S)
 

@@ -301,6 +301,11 @@ def test_analytic_evaluation_needs_no_eval_draws():
     assert small_config(eval_draws=1).eval_draws == 1
 
 
+# t-level at n = 2 has no closed form: "auto" falls back to Monte Carlo
+TLEVEL_PAIR = dict(class_spec=ClassSpec("t-level", levels=1),
+                   dist=DistributionSpec.iid(Uniform(0, 1), 2, 1), eval_draws=50)
+
+
 def replicate_loop(config: ExperimentConfig, m: int) -> np.ndarray:
     """The harness's reference: draw, learn and evaluate one replicate at a time."""
     revs = []
@@ -322,12 +327,32 @@ def replicate_loop(config: ExperimentConfig, m: int) -> np.ndarray:
     (5, small_config(class_spec=ClassSpec("player-reserves"),
                      dist=DistributionSpec.iid(Uniform(0, 1), 2, 1), replicates=1638 + 2,
                      eval_method="monte-carlo", eval_draws=50)),
-], ids=["single-m1", "single-m400", "discrete-auto", "player-mc"])
+    (3, small_config(eval_method="auto", replicates=9, **TLEVEL_PAIR)),
+], ids=["single-m1", "single-m400", "discrete-auto", "player-mc", "t-level-auto-mc"])
 def test_blocked_replicates_match_the_replicate_loop(m, config):
     """Replicates drawn and learned in blocks, including a last partial
     block, give the loop's revenues bit for bit."""
     module = importlib.import_module("auctionlearn.experiments")
     assert np.array_equal(module._replicate_revenues(config, m), replicate_loop(config, m))
+
+
+@pytest.mark.parametrize("config, monte_carlo", [
+    (small_config(eval_method="auto", replicates=5), False),
+    (small_config(eval_method="analytic", replicates=5), False),
+    (small_config(eval_method="auto", replicates=5, **TLEVEL_PAIR), True),
+    (small_config(eval_method="monte-carlo", replicates=5), True),
+], ids=["single-auto", "single-analytic", "t-level-auto", "single-monte-carlo"])
+def test_replicates_derive_eval_seeds_only_for_monte_carlo(config, monte_carlo, monkeypatch):
+    """A replicate's "exp-eval" seed is derived, and its learned row made a
+    hypothesis, only when its revenue is estimated by Monte Carlo; a closed
+    form scores the block's rows as they are."""
+    module = importlib.import_module("auctionlearn.experiments")
+    labels = oracles.spy_seed_labels(monkeypatch)
+    built = oracles.spy_hypothesis_building(monkeypatch)
+    module._replicate_revenues(config, 6)
+    assert labels.count("exp-sample-m6") == 5
+    assert labels.count("exp-eval-m6") == (5 if monte_carlo else 0)
+    assert bool(built) == monte_carlo
 
 
 def test_replicate_blocks_stay_under_the_cell_budget(monkeypatch):

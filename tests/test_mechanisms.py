@@ -6,15 +6,16 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (ALL_TAGS, TRUTHFUL_TAGS, draw_eighth_sample, draw_grid_sample,
-                     lazy_reserve_revenue_quad, misreport_improvement, random_hypothesis,
-                     random_instance)
+                     expected_revenue_reference, lazy_reserve_revenue_quad,
+                     misreport_improvement, random_hypothesis, random_instance)
 import pytest
 
 from auctionlearn import (AnalyticUnsupported, AnonymousSecondPriceReserve, BestOf,
                           BundlePrice, ClassSpec, DimensionMismatch, Discrete,
                           DistributionSpec, ItemPrices, PlayerReserves, Seed, SingleReserve,
                           TLevel, TruncatedExponential, Uniform, ValuationProfile,
-                          analytic_true_revenue, bidder_utility, hypothesis_from_record,
+                          analytic_true_revenue, bidder_utility, expected_revenue,
+                          hypothesis_from_record,
                           hypothesis_to_record, in_class_optimum, monte_carlo_true_revenue,
                           profile_revenues, revenue, revenue_matrix, run_mechanism,
                           true_revenue)
@@ -628,3 +629,65 @@ def test_no_hypothesis_beats_the_closed_form_optimum(data):
     best = in_class_optimum(spec, dist)
     assert best.method == "analytic"
     assert true_revenue(h, dist).value <= best.value + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the batched closed form over parameter rows
+
+
+def price_draw(dist):
+    """A ``grid_param_rows`` draw of prices: uniform on [0, beta], 0 and the
+    range's ends, and each discrete marginal's atoms and the midpoints
+    between them."""
+    alpha, beta = dist.value_range
+    atoms = sorted({x for row in dist.marginals for m in row for x in getattr(m, "points", ())})
+    fixed = [0.0, alpha, beta, *atoms, *((a + b) / 2 for a, b in zip(atoms, atoms[1:]))]
+
+    def draw(gen, *shape):
+        return gen.choice(np.concatenate([fixed, gen.uniform(0, beta, 16)]), size=shape)
+
+    return draw
+
+
+ONE_BIDDER_SPECS = [s for s in KERNEL_SPECS if s.tag != "best-of"]
+U_ABOVE_HALF = (Uniform(0.5, 1), (0.5, 1))
+EXPECTED_REVENUE_CASES = [
+    # one bidder: every class but best-of, on [0, 1], on [0.5, 1] (alpha = 0.5) and discrete
+    *[(spec, DistributionSpec.iid(marginal, 1, 1, value_range))
+      for marginal, value_range in ((UNI, (0, 1)), U_ABOVE_HALF, (DISC, (0, 1)))
+      for spec in ONE_BIDDER_SPECS],
+    # item prices in both modes at k = 2, bundle prices at k = 2 on discrete marginals
+    *[(ClassSpec("item-prices", per_player=pp), DistributionSpec(((marginal, DISC),), (0, 1)))
+      for pp in (False, True) for marginal in (UNI, U29)],
+    (ClassSpec("item-prices"), DistributionSpec.iid(U_ABOVE_HALF[0], 1, 2, U_ABOVE_HALF[1])),
+    *[(ClassSpec("bundle-price", per_player=pp), DistributionSpec.iid(DISC, 1, 2))
+      for pp in (False, True)],
+    # several bidders: the reserve rules under non-identical uniforms
+    *[(spec_of(h), dist) for h, dist in MULTI_BIDDER_CLOSED_FORMS],
+    (ClassSpec("player-reserves"), DistributionSpec(((U_LOW,), (U_HIGH,)))),
+]
+
+
+@pytest.mark.parametrize("spec,dist", EXPECTED_REVENUE_CASES,
+                         ids=[f"{s.describe()}-n{d.n}-k{d.k}-{i}".replace(" ", "-")
+                              for i, (s, d) in enumerate(EXPECTED_REVENUE_CASES)])
+def test_expected_revenue_rows_match_the_scalar_reference(spec, dist):
+    """Each of 60 rows (prices on and between atoms, at the range's ends and
+    below alpha) has the bits of ``expected_revenue_reference``, the closed
+    form written from ``run_mechanism``'s rules one float at a time, and of
+    ``analytic_true_revenue`` of its hypothesis."""
+    gen = np.random.default_rng(zlib.crc32(f"{spec.describe()}{dist}".encode()))
+    rows = grid_param_rows(spec, price_draw(dist), gen, 60, dist.n, dist.k)
+    hyps = [hypothesis_from_params(spec, row, dist.n, dist.k) for row in rows]
+    expected = [expected_revenue_reference(h, dist) for h in hyps]
+    assert expected_revenue(spec, rows, dist).tolist() == expected
+    assert [analytic_true_revenue(h, dist) for h in hyps] == expected
+    assert expected_revenue(spec, rows[:0], dist).shape == (0,)
+
+
+def test_expected_revenue_refuses_rows_of_the_wrong_width():
+    with pytest.raises(DimensionMismatch, match="needs parameter rows of width 2"):
+        expected_revenue(ClassSpec("player-reserves"), np.zeros((3, 3)),
+                         DistributionSpec.iid(UNI, 2, 1))
+    with pytest.raises(AnalyticUnsupported, match="no closed form for best-of"):
+        expected_revenue(ClassSpec("best-of"), np.zeros((3, 2)), DistributionSpec.iid(UNI))

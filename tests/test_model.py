@@ -79,14 +79,16 @@ def test_sample_block_rows_are_the_per_seed_samples(name, n, k, m):
     round a row differently by its position."""
     marginal = BLOCK_DISTS[name]
     spec = DistributionSpec.iid(marginal, n, k, value_range=marginal.support)
-    seeds = [Seed(17).child(name, i) for i in range(11)]
+    masters = Seed(17).child_masters(name, range(11))
+    seeds = [Seed(master) for master in masters]
     expected = np.stack([sample_values(spec, m, seed).values for seed in seeds])
     for size in (1, 4, 11):
-        blocks = [sample_block(spec, m, seeds[at:at + size]) for at in range(0, len(seeds), size)]
+        blocks = [sample_block(spec, m, masters[at:at + size])
+                  for at in range(0, len(masters), size)]
         assert blocks[0].shape == (size, m, n, k)
         assert np.array_equal(np.concatenate(blocks), expected)
-    order = np.random.default_rng(m).permutation(len(seeds))
-    assert np.array_equal(sample_block(spec, m, [seeds[i] for i in order]), expected[order])
+    order = np.random.default_rng(m).permutation(len(masters))
+    assert np.array_equal(sample_block(spec, m, [masters[i] for i in order]), expected[order])
     assert np.array_equal(expected, np.stack([reference_sample(spec, m, s) for s in seeds]))
 
 
@@ -118,6 +120,31 @@ def _ks_distance(draws: np.ndarray, marginal) -> float:
                np.abs(ecdf_lo - cdf_left(ux)).max())
 
 
+@pytest.mark.parametrize("probs", [(0.25, 0.5, 0.25), (0.7, 0.2, 0.1), (0.1, 0.2, 0.7),
+                                   (0.1, 0.2, 0.3, 0.4), (1.0,)])
+def test_discrete_survival_is_the_per_call_sum(probs):
+    """survival reads a tail-sum table built once: at, between and outside
+    the atoms, each entry is the left-to-right sum of the probabilities at
+    or above the price, as it once was on every call; an array of prices
+    reads the table entry by entry."""
+    d = Discrete(tuple(np.linspace(0.9, 0.1, len(probs))), probs)
+    pts = np.asarray(d.points)
+    prices = np.concatenate([pts, (pts[1:] + pts[:-1]) / 2, np.nextafter(pts, 2.0),
+                             np.nextafter(pts, -1.0), [-1.0, 0.0, 1.0, 2.0]])
+    per_call = [float(sum(p for x, p in zip(d.points, d.probs) if x >= price))
+                for price in prices.tolist()]
+    assert d.survival(prices).tolist() == per_call
+    assert [float(d.survival(price)) for price in prices.tolist()] == per_call
+
+
+def test_uniform_survival_is_the_clipped_line():
+    u = Uniform(0.2, 0.9)
+    prices = np.concatenate([np.linspace(-0.5, 1.5, 81), [0.2, 0.9, np.nextafter(0.9, 0)]])
+    expected = [min(max((0.9 - p) / 0.7, 0.0), 1.0) for p in prices.tolist()]
+    assert u.survival(prices).tolist() == expected
+    assert [float(u.survival(p)) for p in prices.tolist()] == expected
+
+
 @pytest.mark.parametrize("marginal", [
     Uniform(0, 1),
     Uniform(0.2, 0.9),
@@ -142,6 +169,20 @@ def test_seed_takes_numpy_integers_as_python_ints():
     seed = Seed(np.uint64(2**64 - 1))
     assert type(seed.master) is int and seed == Seed(2**64 - 1)
     assert Seed(np.int32(5)).child("a", 1) == Seed(5).child("a", 1)
+
+
+@pytest.mark.parametrize("master", [0, 123, 2**64 - 1], ids=["0", "123", "2^64-1"])
+@pytest.mark.parametrize("indices", [range(7), range(3, 9, 2), [], np.arange(4),
+                                     [np.int64(5), np.uint8(2), np.int32(0)]],
+                         ids=["range", "stepped-range", "empty", "numpy-array", "numpy-ints"])
+def test_child_masters_are_the_children_masters(master, indices):
+    """One derivation: ``child_masters`` is ``child(label, i).master`` for each i,
+    and a numpy integer index derives what the int of its value derives."""
+    seed = Seed(master)
+    masters = seed.child_masters("exp-sample-m50", indices)
+    assert masters == [seed.child("exp-sample-m50", i).master for i in indices]
+    assert masters == [seed.child("exp-sample-m50", int(i)).master for i in indices]
+    assert all(type(x) is int and 0 <= x < 2**64 for x in masters)
 
 
 def test_seed_children_are_pure_and_distinct():
