@@ -132,7 +132,7 @@ def sample_complexity_estimate(spec: ClassSpec, epsilon: float, n: int = 1, k: i
 
     Doubling finds a feasible m; binary search then exploits that the bound
     is decreasing from m = 2 on.  epsilon at or above the m = 1 bound
-    trivially returns 1.
+    trivially returns 1; one the bound does not reach by m = 2^62 raises.
     """
     if not epsilon > 0:
         raise AuctionLearnError("epsilon must be positive")
@@ -146,7 +146,7 @@ def sample_complexity_estimate(spec: ClassSpec, epsilon: float, n: int = 1, k: i
     while bound(hi) > epsilon:
         hi *= 2
         if hi > 2**62:
-            raise RuntimeError("bound does not reach epsilon at any feasible m")
+            raise AuctionLearnError(f"epsilon {epsilon!r} is below the bound at every m up to 2^62")
     lo = max(2, hi // 2)
     if bound(lo) <= epsilon:
         return lo

@@ -16,8 +16,8 @@ T-level and best-of score their whole candidate product, each chunk by one
 rows on its own profiles in one BLAS product, and only the candidate-subset
 pairs whose sums are near the subset's maximum are gathered and sorted.  ERM
 on subsets of each sample of a block is ``subset_winners`` (split-sample
-enumeration passes half-size subsets); ERM itself scores the whole sample,
-whose pools hold every candidate, by plain row sums with no subset masks.
+enumeration passes half-size subsets), and ERM is its one-subset case, the
+whole sample.
 
 The in-class optimum is the population counterpart: the closed form where
 one exists, else a max on shared Monte Carlo draws, the sorted mean of a
@@ -206,7 +206,7 @@ def subset_winners(spec: ClassSpec, values: np.ndarray, value_range: tuple[float
 
 
 def _joint_winners(spec: ClassSpec, values: np.ndarray, value_range: tuple[float, float],
-                   subsets: np.ndarray | None, ceiling: int) -> np.ndarray:
+                   subsets: np.ndarray, ceiling: int) -> np.ndarray:
     """The candidate model is built on the whole (m, n, k) sample and each
     chunk of its product (at most ``_CHUNK`` rows, about ``CELLS`` cells of
     m x n) gets revenue rows once, for every subset (``_tied_winners`` would
@@ -218,31 +218,23 @@ def _joint_winners(spec: ClassSpec, values: np.ndarray, value_range: tuple[float
     each subset's last argmax.  A sum of m nonnegative revenues (zeros for
     the profiles outside the subset) in any order, whatever the BLAS
     blocking or thread count, is within gamma_m of the exact sum, so no
-    subset's exact argmax leaves the shortlist.  ``subsets=None`` is ERM's
-    whole sample, one owner in whose pools every candidate lies: its rows
-    are shortlisted by their plain sums, with no membership or validity
-    mask, and its one winner row is returned."""
+    subset's exact argmax leaves the shortlist."""
     m, n, _ = values.shape
     columns = _columns(spec, values, value_range[1])
     pools = [np.unique(c) for c in columns]
     count = _count(spec, pools)
     _check_ceiling(spec, count, ceiling)
     factors = _factors(spec, pools)
-    whole = subsets is None
-    run = _Argmax(1 if whole else len(subsets))
-    if not whole:
-        # occ[f][t, p]: pool value p is in profile t's pool f (beta in every t-level one)
-        occ = [np.zeros((len(c), len(pool)), dtype=bool) for c, pool in zip(columns, pools)]
-        for o, c, pool in zip(occ, columns, pools):
-            o[np.arange(len(c))[:, None], np.searchsorted(pool, c)] = True
-        members = [np.searchsorted(p, f) for p, f in zip(pools, factors)]  # as pool indices
+    run = _Argmax(len(subsets))
+    # occ[f][t, p]: pool value p is in profile t's pool f (beta in every t-level one)
+    occ = [np.zeros((len(c), len(pool)), dtype=bool) for c, pool in zip(columns, pools)]
+    for o, c, pool in zip(occ, columns, pools):
+        o[np.arange(len(c))[:, None], np.searchsorted(pool, c)] = True
+    members = [np.searchsorted(p, f) for p, f in zip(pools, factors)]  # as pool indices
     chunk = min(_CHUNK, max(1, CELLS // (m * n)))
     for start in range(0, count, chunk):
         at = np.arange(start, min(start + chunk, count))
         R = revenue_matrix(spec, _product_rows(factors, at), values, value_range[0])
-        if whole:
-            run.score(np.zeros(len(at), dtype=np.intp), at, R, m)
-            continue
         picks = np.unravel_index(at, [len(f) for f in factors])
         step = max(1, _BLOCK_CELLS // len(R))
         for first in range(0, len(subsets), step):
@@ -330,13 +322,13 @@ def erm_block(spec: ClassSpec, values: np.ndarray, value_range: tuple[float, flo
               ceiling: int = DEFAULT_CANDIDATE_CEILING) -> np.ndarray:
     """The (R, P) parameter rows of ``erm`` on each sample of an (R, m, n, k)
     block of checked values; the first sample over the ceiling raises.
-    Reserve-rule classes learn all samples in one ``_reserve_erm`` call,
-    t-level and best-of each sample by ``_joint_winners`` with no subsets."""
-    _, _, n, k = values.shape
+    Reserve-rule classes learn all samples in one ``_reserve_erm`` call;
+    t-level and best-of learn each whole sample as its one subset."""
+    _, m, n, k = values.shape
     check_class_dims(spec, n, k)
     if spec.tag in _JOINT:
-        return np.concatenate([_joint_winners(spec, v, value_range, None, ceiling)
-                               for v in values])
+        return np.concatenate(subset_winners(spec, values, value_range, np.arange(m)[None],
+                                             ceiling))
     _check_pools(spec, values, value_range[1], ceiling)
     return _reserve_erm(spec, values, value_range[0], ceiling)
 
@@ -496,8 +488,8 @@ def _grid_optimum(spec: ClassSpec, dist: DistributionSpec, grid_step: float,
         # per bidder, or best-of's bundle and item price: at k = 1 both range over [alpha, beta]
         pools = [_price_grid(alpha, beta, grid_step)] * (n if tag == TAG_TLEVEL else 2)
         if _count(spec, pools) * draws > _GRID_BUDGET:
-            raise CeilingExceeded(f"{spec.describe()} grid optimum over budget; "
-                                  "increase grid_step or lower draws")
+            raise CeilingExceeded(f"{spec.describe()} grid optimum over budget; raise the grid "
+                                  "step (optimum_grid_step) or lower draws (optimum_draws)")
         factors = _factors(spec, pools)
         values = sample_block(dist, draws, [seed.master])
         row = _tied_winners(spec, [f[None] for f in factors], np.array([[len(f)] for f in factors]),
@@ -505,8 +497,7 @@ def _grid_optimum(spec: ClassSpec, dist: DistributionSpec, grid_step: float,
     else:
         values = sample_block(dist, draws, [seed.master])
         try:
-            _check_pools(rule, values, beta, DEFAULT_CANDIDATE_CEILING)
-            row = _reserve_erm(rule, values, alpha, DEFAULT_CANDIDATE_CEILING)
+            row = erm_block(rule, values, dist.value_range, DEFAULT_CANDIDATE_CEILING)
         except CeilingExceeded as exc:   # the caller's only lever here is the draw count
             raise CeilingExceeded(f"{spec.describe()} grid optimum on {draws} draws scores more "
                                   f"than the candidate ceiling {DEFAULT_CANDIDATE_CEILING} rows; "

@@ -172,16 +172,14 @@ class CurveRow:
 def sample_complexity_curve(config: ExperimentConfig,
                             eps_grid) -> tuple[list[ExperimentRow], list[CurveRow]]:
     """Bound-implied m(eps) next to the smallest experiment-grid m whose
-    measured gap is already within eps."""
+    measured gap is already within eps.  The bound's m's come first, so an
+    eps the bound refuses costs no replicates."""
+    dist = config.dist
+    m_bounds = [(eps, sample_complexity_estimate(config.class_spec, eps, dist.n, dist.k,
+                                                 dist.value_range)) for eps in eps_grid]
     rows = generalization_experiment(config)
-    curve = []
-    for eps in eps_grid:
-        m_bound = sample_complexity_estimate(config.class_spec, eps,
-                                             config.dist.n, config.dist.k,
-                                             config.dist.value_range)
-        hit = [r.m for r in rows if r.gap <= eps]
-        curve.append(CurveRow(float(eps), m_bound, min(hit) if hit else None))
-    return rows, curve
+    return rows, [CurveRow(float(eps), m_bound, min((r.m for r in rows if r.gap <= eps),
+                                                    default=None)) for eps, m_bound in m_bounds]
 
 
 # ---------------------------------------------------------------------------

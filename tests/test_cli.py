@@ -248,11 +248,13 @@ UNIT_SAMPLE_FILE = '{"n": 1, "k": 1, "alpha": 0.0, "beta": 1.0}\n[[0.5]]\n[[0.2]
     ["erm", "--class", "single-reserve", "--in", "{header-k-bool}"],
     ["experiment", "--class", "player-reserves", "--n", "2", "--dist", "uniform:0,1",
      "--m-grid", "5", "--replicates", "3", "--eval-draws", "1"],
+    ["curve", "--class", "single-reserve", "--dist", "uniform:0,1", "--m-grid", "5",
+     "--replicates", "2", "--eps", "1e-10"],
 ], ids=["values", "range", "delta", "m", "bound-shape", "config", "trials", "draws", "m-grid",
         "eps", "config-value", "config-grid-step", "bound-range", "range-nan", "split-ceiling",
         "split-mc-ceiling", "range-file", "eps-nan", "dist-no-marginals", "dist-no-high", "dist-low-text",
         "config-list", "header-n-text", "record-text", "header-n-float", "header-k-bool",
-        "eval-draws"])
+        "eval-draws", "eps-tiny"])
 def test_input_errors_are_one_line_messages(argv, tmp_path):
     uniform = {"type": "uniform", "low": 0}
     files = {"{config}": json.dumps({"replicates": "many"}),

@@ -201,11 +201,15 @@ def test_a_tied_product_is_scored_across_chunks_and_bounded_by_the_ceiling():
 @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
 @pytest.mark.parametrize("spec,n,k", [(ClassSpec("player-reserves"), 2, 1),
                                       (ClassSpec("item-prices"), 1, 2),
-                                      (ClassSpec("bundle-price", per_player=True), 2, 2)])
+                                      (ClassSpec("bundle-price", per_player=True), 2, 2),
+                                      (ClassSpec("t-level", levels=1), 2, 1),
+                                      (ClassSpec("t-level", levels=2), 2, 1),
+                                      (ClassSpec("best-of"), 1, 2)])
 def test_tied_samples_of_a_block_are_scored_together(spec, n, k, chunk, monkeypatch):
-    """A block of quarter-grid samples, 14 of 48 tied with products of 2 to
-    4 rows, learns each sample's exhaustive argmax, wherever the chunks split
-    the samples' candidates."""
+    """A block of quarter-grid samples learns each sample's exhaustive
+    argmax, wherever the chunks split the samples' candidates: for the
+    reserve rules 14 of 48 samples are tied with products of 2 to 4 rows;
+    t-level and best-of carry each sample's last argmax across chunks."""
     monkeypatch.setattr(importlib.import_module("auctionlearn.erm"), "_CHUNK", chunk)
     gen = np.random.default_rng(zlib.crc32(spec.describe().encode()))
     samples = [SampleSet(gen.integers(0, 5, (6, n, k)) / 4) for _ in range(16)]
@@ -355,6 +359,27 @@ def test_posted_erm_block_refuses_as_its_first_sample_over_the_ceiling():
         erm_block(SINGLE, block, (0.0, 1.0), ceiling=4)
     assert str(blocked.value) == str(alone.value) and "scores 5 candidate rows" in str(alone.value)
     assert_block_is_per_sample_erm(samples, ceiling=6)
+
+
+def test_joint_erm_block_refuses_as_its_first_sample_over_the_ceiling():
+    """One-bidder t-level samples with 4, 6 and 7 candidate thresholds (the
+    distinct values and the no-sale sentinel 1.0) under a ceiling of 5: the
+    block raises the message the 6-row sample raises alone; a ceiling of 7
+    admits them all."""
+    tlevel = ClassSpec("t-level", levels=1)
+    samples = [sample(row) for row in ([0.1, 0.2, 0.3, 0.3, 0.3, 0.3],
+                                       [0.1, 0.2, 0.3, 0.4, 0.5, 0.5],
+                                       [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])]
+    with pytest.raises(CeilingExceeded) as alone:
+        erm(tlevel, samples[1], ceiling=5)
+    block = np.stack([S.values for S in samples])
+    with pytest.raises(CeilingExceeded) as blocked:
+        erm_block(tlevel, block, (0.0, 1.0), ceiling=5)
+    assert str(blocked.value) == str(alone.value) and "scores 6 candidate rows" in str(alone.value)
+    assert erm_block(tlevel, block, (0.0, 1.0), ceiling=7).tolist() == \
+        [list(erm(tlevel, S, ceiling=7).param_vector()) for S in samples]
+    for S in samples:
+        assert_exhaustive_argmax(tlevel, S)
 
 
 def test_erm_ceiling_error():

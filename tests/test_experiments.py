@@ -245,7 +245,8 @@ def test_joint_grid_budget_refuses_before_drawing(monkeypatch):
         return sample_block(*args)
 
     monkeypatch.setattr(module, "sample_block", spy)
-    with pytest.raises(CeilingExceeded, match="over budget"):
+    with pytest.raises(CeilingExceeded, match=r"^t-level s=2 grid optimum over budget; raise "
+                       r"the grid step \(optimum_grid_step\) or lower draws \(optimum_draws\)$"):
         in_class_optimum(T2, U01_PAIR, "grid")
     assert drawn == []
     in_class_optimum(T2, U01_PAIR, "grid", 0.25, 20, Seed(3))

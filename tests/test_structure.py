@@ -38,3 +38,42 @@ def test_no_import_inside_a_function(path):
               for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
               for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not nested
+
+
+def _defined(node):
+    """The names a module-level statement defines: a function, a class or
+    the constants it assigns."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return set()
+    return {name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)}
+
+
+def _reads(node):
+    """The names a node reads, as a name, an attribute or an import alias; a
+    docstring is a string constant, so it reads none."""
+    return ({sub.id for sub in ast.walk(node)
+             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            | {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+            | {sub.name for sub in ast.walk(node) if isinstance(sub, ast.alias)})
+
+
+def test_every_private_helper_is_used():
+    """A private module-level function, class or constant of the package is
+    read somewhere in the package outside its own definition: code that
+    nothing in src/ uses is deleted, not left for a reviewer to notice."""
+    private, used = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            names = _defined(node)
+            private |= {name for name in names
+                        if name.startswith("_") and not name.startswith("__")}
+            used |= _reads(node) - names        # a recursive call does not count
+    assert len(private) > 50
+    assert sorted(private - used) == []
