@@ -1,8 +1,8 @@
 """Command-line surface binding the toolkit into reproducible runs.
 
 Option precedence everywhere: explicit flags override values from a JSON
-``--config`` file, which override built-in defaults.  Numeric output is
-printed with 6 significant digits; files carry full precision.
+``--config`` file, which override the subcommand's defaults in ``_COMMANDS``.
+Numeric output is printed with 6 significant digits; files carry full precision.
 """
 
 from __future__ import annotations
@@ -61,69 +61,108 @@ def parse_values(text: str, value_range) -> SampleSet:
     return SampleSet(values, value_range, provenance="cli:--values")
 
 
-def _convert(kind, name: str, raw):
+# ---------------------------------------------------------------------------
+# options, each declared once: dest -> (flag, type, help), the flag None for a
+# config-only key.  A type is int, float, a list of either (comma text or a JSON
+# list; [float, float] takes exactly two), str (--dist also takes a JSON object),
+# bool (a switch; a config file gives JSON true or false) or a tuple of choices.
+
+_OPTIONS = {
+    "config": ("--config", str, "JSON config file; flags override its values"),
+    "seed": ("--seed", int, "master seed, 64-bit unsigned"),
+    "range": ("--range", [float, float], "value range 'alpha,beta'"),
+    "klass": ("--class", CLASS_TAGS, "hypothesis class tag"),
+    "levels": ("--levels", int, "t-level only: thresholds per bidder (count)"),
+    "per_player": ("--per-player", bool, "per-player reserves for pricing classes"),
+    "dist": ("--dist", str, "marginal: uniform:a,b | texp:rate,cap | discrete:x@p,..."),
+    "n": ("--n", int, "bidders"),
+    "k": ("--k", int, "items"),
+    "values": ("--values", str, "inline sample: profiles ',', bidders ';', items '/'"),
+    "infile": ("--in", str, "sample file path"),
+    "m": ("--m", int, "sample size: profiles per sample"),
+    "out": ("--out", str, "output path (experiment and curve: a file prefix)"),
+    "ceiling": ("--ceiling", int, "ceiling on candidate rows scored"),
+    "mode": ("--mode", ("exact", "monte-carlo"), "subset enumeration mode"),
+    "trials": ("--trials", int, "monte-carlo subset draws"),
+    "subset_ceiling": ("--subset-ceiling", int, "ceiling on subsets scored"),
+    "draws": ("--draws", int, "draws: samples for growth, sign vectors for rademacher"),
+    "delta": ("--delta", float, "failure probability in (0, 1)"),
+    "m_grid": ("--m-grid", [int], "comma list of sample sizes"),
+    "replicates": ("--replicates", int, "replicates per m"),
+    "eval_draws": ("--eval-draws", int, "Monte Carlo draws per revenue evaluation"),
+    "eval_method": ("--eval-method", ("auto", "analytic", "monte-carlo"), "revenue evaluation"),
+    "threads": ("--threads", int, "accepted and ignored; replicates run in one thread"),
+    "svg": ("--svg", bool, "also write a gap-vs-bound SVG chart"),
+    "eps": ("--eps", [float], "comma list of accuracy targets"),
+    "optimum_grid_step": (None, float, "grid step of the estimated in-class optimum"),
+    "optimum_draws": (None, int, "draws of the estimated in-class optimum"),
+}
+
+
+def _convert(name: str, raw, kind=None):
+    """Flag text, a config value or a default as option `name`'s type."""
+    flag, declared, _ = _OPTIONS[name]
+    kind, label = kind or declared, flag or name
+    if kind is bool and not isinstance(raw, bool):
+        raise AuctionLearnError(f"{label} needs a JSON true or false, got {raw!r}")
+    if isinstance(kind, list):
+        items = raw.split(",") if isinstance(raw, str) else raw
+        try:
+            values = tuple(_convert(name, x, kind[0]) for x in items)
+        except TypeError as exc:
+            raise AuctionLearnError(f"{label} needs a list, got {raw!r}") from exc
+        if len(kind) > 1 and len(values) != len(kind):
+            raise AuctionLearnError(f"{label} needs {len(kind)} values, got {raw!r}")
+        return values
+    if kind not in (int, float):
+        return raw      # a switch, text or a choice (the library checks choices)
     try:
         return kind(raw)
     except (TypeError, ValueError, OverflowError) as exc:
         what = "an integer" if kind is int else "a number"
-        raise AuctionLearnError(f"--{name.replace('_', '-')} needs {what}, got {raw!r}") from exc
+        raise AuctionLearnError(f"{label} needs {what}, got {raw!r}") from exc
+
+
+def _read_config(path) -> dict:
+    """The JSON object in `path`, every key of which names an option."""
+    if not path:
+        return {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise AuctionLearnError(f"cannot read config {path!r}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise AuctionLearnError(f"config {path!r} must hold a JSON object, "
+                                f"got {type(config).__name__}")
+    unknown = [key for key in config if key not in _OPTIONS]
+    if unknown:
+        raise AuctionLearnError(f"config {path!r}: {unknown[0]!r} names no option")
+    return config
 
 
 class Options:
     """Flag > config-file > default resolution for one subcommand run."""
 
     def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = {}
-        path = getattr(args, "config", None)
-        if path:
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    self.config = json.load(fh)
-            except (OSError, ValueError) as exc:
-                raise AuctionLearnError(f"cannot read config {path!r}: {exc}") from exc
-            if not isinstance(self.config, dict):
-                raise AuctionLearnError(f"config {path!r} must hold a JSON object, "
-                                        f"got {type(self.config).__name__}")
+        options = _COMMANDS[args.command][2]
+        flags = {name: getattr(args, name, None) for name in options}
+        self.given = {**_read_config(args.config),
+                      **{name: raw for name, raw in flags.items() if raw is not None}}
+        # a config null is converted too: it unsets a text or choice option, and
+        # the other types refuse it
+        raw = {**{name: v for name, v in options.items() if v is not None}, **self.given}
+        self.values = {name: _convert(name, value) for name, value in raw.items()}
 
-    def get(self, name: str, default=None):
-        flag = getattr(self.args, name, None)
-        if flag is not None:
-            return flag
-        if name in self.config:
-            return self.config[name]
-        return default
-
-    def number(self, kind, name: str, default=None):
-        """Option `name` converted by `kind` (int or float); None stays None."""
-        raw = self.get(name, default)
-        return None if raw is None else _convert(kind, name, raw)
-
-    def numbers(self, kind, name: str, default: str) -> tuple:
-        """A comma list (or a config-file list) of numbers."""
-        raw = self.get(name, default)
-        if isinstance(raw, str):
-            raw = raw.split(",")
-        try:
-            return tuple(_convert(kind, name, x) for x in raw)
-        except TypeError as exc:
-            raise AuctionLearnError(f"--{name.replace('_', '-')} needs a list, "
-                                    f"got {raw!r}") from exc
+    def get(self, name: str):
+        """Option `name`: its flag, else its config value, else the default."""
+        return self.values.get(name)
 
     def class_spec(self) -> ClassSpec:
         tag = self.get("klass")
         if tag is None:
             raise AuctionLearnError("--class is required")
-        per_player = bool(self.get("per_player", False))
-        return ClassSpec(tag, levels=self.number(int, "levels"), per_player=per_player)
-
-    def value_range(self) -> tuple[float, float]:
-        raw = self.get("range", "0,1")
-        try:
-            a, b = (float(x) for x in (raw.split(",") if isinstance(raw, str) else raw))
-        except (TypeError, ValueError) as exc:
-            raise AuctionLearnError(f"cannot parse range {raw!r}: {exc}") from exc
-        return (a, b)
+        return ClassSpec(tag, levels=self.get("levels"), per_player=self.get("per_player"))
 
     def dist(self) -> DistributionSpec:
         raw = self.get("dist")
@@ -132,19 +171,16 @@ class Options:
         if isinstance(raw, dict):
             return DistributionSpec.from_dict(raw)
         marginal = parse_marginal(raw)
-        return DistributionSpec.iid(marginal, self.number(int, "n", 1),
-                                    self.number(int, "k", 1), self.value_range())
-
-    def seed(self) -> Seed:
-        return Seed(self.number(int, "seed", 0))
+        return DistributionSpec.iid(marginal, self.get("n"), self.get("k"),
+                                    self.get("range"))
 
     def sample(self) -> SampleSet:
         values = self.get("values")
         if values is not None:
-            return parse_values(values, self.value_range())
+            return parse_values(values, self.get("range"))
         path = self.get("infile")
         if path is not None:   # a declared range must match the file's header
-            declared = None if self.get("range") is None else self.value_range()
+            declared = self.get("range") if "range" in self.given else None
             return load_samples(path, value_range=declared)
         raise AuctionLearnError("provide a sample via --values or --in")
 
@@ -153,11 +189,19 @@ class Options:
 # subcommands
 
 
-def cmd_sample(args) -> int:
-    opt = Options(args)
-    spec = opt.dist()
-    m = opt.number(int, "m", 100)
-    sample = sample_values(spec, m, opt.seed())
+def _write_row(out, header: str, row) -> None:
+    """One CSV row under `header`, to the file `out` or, when None, to stdout."""
+    text = header + "\n" + ",".join(str(x) for x in row) + "\n"
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"wrote {out}")
+    else:
+        print(text, end="")
+
+
+def cmd_sample(opt: Options) -> int:
+    sample = sample_values(opt.dist(), opt.get("m"), Seed(opt.get("seed")))
     out = opt.get("out")
     if out:
         save_samples(sample, out)
@@ -168,27 +212,22 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def cmd_erm(args) -> int:
-    opt = Options(args)
+def cmd_erm(opt: Options) -> int:
     spec = opt.class_spec()
     S = opt.sample()
-    ceiling = opt.number(int, "ceiling", DEFAULT_CANDIDATE_CEILING)
-    h = erm(spec, S, ceiling)
+    h = erm(spec, S, opt.get("ceiling"))
     rev = empirical_revenue(h, S)
     print(json.dumps(hypothesis_to_record(h)))
     print(f"empirical revenue: {_fmt(rev)}")
     return 0
 
 
-def cmd_split_sample(args) -> int:
-    opt = Options(args)
+def cmd_split_sample(opt: Options) -> int:
     spec = opt.class_spec()
     S = opt.sample()
-    mode = opt.get("mode", "exact")
     space = split_mod.split_sample_space(
-        spec, S, mode, trials=opt.number(int, "trials"), seed=opt.seed(),
-        subset_ceiling=opt.number(int, "subset_ceiling", split_mod.DEFAULT_SUBSET_CEILING),
-        candidate_ceiling=opt.number(int, "ceiling", DEFAULT_CANDIDATE_CEILING))
+        spec, S, opt.get("mode"), trials=opt.get("trials"), seed=Seed(opt.get("seed")),
+        subset_ceiling=opt.get("subset_ceiling"), candidate_ceiling=opt.get("ceiling"))
     print(f"{len(space)} distinct hypotheses over {space.subsets_examined} "
           f"subsets of size {space.subset_size}")
     for h in space.hypotheses:
@@ -196,39 +235,25 @@ def cmd_split_sample(args) -> int:
     return 0
 
 
-def cmd_growth(args) -> int:
-    opt = Options(args)
+def cmd_growth(opt: Options) -> int:
     spec = opt.class_spec()
     dist = opt.dist()
     est = split_mod.growth_rate_estimate(
-        spec, opt.number(int, "m", 8), dist, opt.number(int, "draws", 20), opt.seed(),
-        subset_ceiling=opt.number(int, "subset_ceiling", split_mod.DEFAULT_SUBSET_CEILING))
-    header = "class,m,n,k,s,draws,observed_max,log_bound"
-    row = ",".join(str(x) for x in split_mod.growth_csv_row(est))
-    out = opt.get("out")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n" + row + "\n")
-        print(f"wrote {out}")
-    else:
-        print(header)
-        print(row)
+        spec, opt.get("m"), dist, opt.get("draws"), Seed(opt.get("seed")),
+        subset_ceiling=opt.get("subset_ceiling"))
+    _write_row(opt.get("out"), "class,m,n,k,s,draws,observed_max,log_bound",
+               split_mod.growth_csv_row(est))
     return 0
 
 
-def cmd_bound(args) -> int:
-    opt = Options(args)
+def cmd_bound(opt: Options) -> int:
     spec = opt.class_spec()
-    report = bounds_mod.main_bound(
-        spec, opt.number(int, "m", 100), opt.number(int, "n", 1), opt.number(int, "k", 1),
-        delta=opt.number(float, "delta"), value_range=opt.value_range())
+    report = bounds_mod.main_bound(spec, opt.get("m"), opt.get("n"), opt.get("k"),
+                                   delta=opt.get("delta"), value_range=opt.get("range"))
     out = opt.get("out")
     if out:
-        header = "class,m,n,k,s,delta,log_tau_2m,bound,hp_bound,vacuous_flag"
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            fh.write(",".join(str(x) for x in report.csv_row()) + "\n")
-        print(f"wrote {out}")
+        _write_row(out, "class,m,n,k,s,delta,log_tau_2m,bound,hp_bound,vacuous_flag",
+                   report.csv_row())
         return 0
     print(_fmt(report.expected_gap_bound))
     if report.high_prob_bound is not None:
@@ -238,14 +263,12 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def cmd_rademacher(args) -> int:
-    opt = Options(args)
+def cmd_rademacher(opt: Options) -> int:
     spec = opt.class_spec()
     S = opt.sample()
-    space = split_mod.split_sample_space(
-        spec, S, "exact",
-        subset_ceiling=opt.number(int, "subset_ceiling", split_mod.DEFAULT_SUBSET_CEILING))
-    est = bounds_mod.rademacher_estimate(S, space, opt.number(int, "draws", 10000), opt.seed())
+    space = split_mod.split_sample_space(spec, S, "exact",
+                                         subset_ceiling=opt.get("subset_ceiling"))
+    est = bounds_mod.rademacher_estimate(S, space, opt.get("draws"), Seed(opt.get("seed")))
     path = (f"exact over {est.draws} sign vectors" if est.method == "exact"
             else f"monte-carlo over {est.draws} sign draws")
     print(f"rademacher estimate: {_fmt(est.estimate)} +/- {_fmt(est.std_error)} "
@@ -257,19 +280,11 @@ def cmd_rademacher(args) -> int:
 
 
 def _experiment_config(opt: Options) -> exp_mod.ExperimentConfig:
+    same_name = ("m_grid", "replicates", "delta", "eval_draws", "eval_method",
+                 "optimum_grid_step", "optimum_draws")
     return exp_mod.ExperimentConfig(
-        class_spec=opt.class_spec(),
-        dist=opt.dist(),
-        m_grid=opt.numbers(int, "m_grid", "50,100,200"),
-        replicates=opt.number(int, "replicates", 1000),
-        delta=opt.number(float, "delta", 0.1),
-        seed=opt.seed(),
-        eval_draws=opt.number(int, "eval_draws", 100_000),
-        eval_method=opt.get("eval_method", "auto"),
-        candidate_ceiling=opt.number(int, "ceiling", DEFAULT_CANDIDATE_CEILING),
-        optimum_grid_step=opt.number(float, "optimum_grid_step", 1e-3),
-        optimum_draws=opt.number(int, "optimum_draws", 10**6),
-    )
+        class_spec=opt.class_spec(), dist=opt.dist(), seed=Seed(opt.get("seed")),
+        candidate_ceiling=opt.get("ceiling"), **{name: opt.get(name) for name in same_name})
 
 
 def _print_rows(rows) -> None:
@@ -280,8 +295,7 @@ def _print_rows(rows) -> None:
               f"{_fmt(r.hp_violation_fraction)}")
 
 
-def cmd_experiment(args) -> int:
-    opt = Options(args)
+def cmd_experiment(opt: Options) -> int:
     config = _experiment_config(opt)
     rows = exp_mod.generalization_experiment(config)
     _print_rows(rows)
@@ -297,11 +311,9 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def cmd_curve(args) -> int:
-    opt = Options(args)
+def cmd_curve(opt: Options) -> int:
     config = _experiment_config(opt)
-    eps_grid = opt.numbers(float, "eps", "0.5,0.2,0.1")
-    rows, curve = exp_mod.sample_complexity_curve(config, eps_grid)
+    rows, curve = exp_mod.sample_complexity_curve(config, opt.get("eps"))
     _print_rows(rows)
     print("epsilon m_bound m_empirical")
     for c in curve:
@@ -316,48 +328,38 @@ def cmd_curve(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# subcommands: name -> (handler, help, {option: default}); None is no default
 
+_COMMON = {"config": None, "seed": 0, "range": "0,1"}
+_CLASS = {"klass": None, "levels": None, "per_player": False}
+_DIST = {"dist": None, "n": 1, "k": 1}
+_SAMPLE = {"values": None, "infile": None}
+_EXPERIMENT = {**_COMMON, **_CLASS, **_DIST, "m_grid": "50,100,200", "replicates": 1000,
+               "delta": 0.1, "eval_draws": 100_000, "eval_method": "auto", "threads": None,
+               "ceiling": DEFAULT_CANDIDATE_CEILING, "out": None,
+               "optimum_grid_step": 1e-3, "optimum_draws": 10**6}
+_SUBSETS = {"subset_ceiling": split_mod.DEFAULT_SUBSET_CEILING}
 
-def _add_common(sub: argparse.ArgumentParser, *, klass=False, dist=False,
-                sample=False) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--seed", type=int, help="master seed, 64-bit unsigned (default 0)")
-    sub.add_argument("--range", dest="range",
-                     help="value range 'alpha,beta' (default 0,1)")
-    if klass:
-        sub.add_argument("--class", dest="klass", choices=CLASS_TAGS,
-                         help="hypothesis class tag")
-        sub.add_argument("--levels", type=int,
-                         help="t-level only: thresholds per bidder (count)")
-        sub.add_argument("--per-player", dest="per_player", action="store_const",
-                         const=True, help="per-player reserves for pricing classes")
-    if dist:
-        sub.add_argument("--dist",
-                         help="marginal: uniform:a,b | texp:rate,cap | discrete:x@p,...")
-        sub.add_argument("--n", type=int, help="bidders (default 1)")
-        sub.add_argument("--k", type=int, help="items (default 1)")
-    if sample:
-        sub.add_argument("--values",
-                         help="inline sample: profiles ',', bidders ';', items '/'")
-        sub.add_argument("--in", dest="infile", help="sample file path")
-
-
-def _add_experiment(sub: argparse.ArgumentParser) -> None:
-    """The flags that `experiment` and `curve` share."""
-    _add_common(sub, klass=True, dist=True)
-    sub.add_argument("--m-grid", dest="m_grid", help="comma list of sample sizes")
-    sub.add_argument("--replicates", type=int, help="replicates per m (default 1000)")
-    sub.add_argument("--delta", type=float, help="failure probability (default 0.1)")
-    sub.add_argument("--eval-draws", dest="eval_draws", type=int,
-                     help="Monte Carlo draws per revenue evaluation (default 100000)")
-    sub.add_argument("--eval-method", dest="eval_method",
-                     choices=("auto", "analytic", "monte-carlo"),
-                     help="revenue evaluation method (default auto)")
-    sub.add_argument("--threads", type=int,
-                     help="accepted and ignored; replicates run in one thread")
-    sub.add_argument("--ceiling", type=int, help="ceiling on candidate rows scored")
-    sub.add_argument("--out", help="output file prefix")
+_COMMANDS = {
+    "sample": (cmd_sample, "draw i.i.d. profiles and write a sample file",
+               {**_COMMON, **_DIST, "m": 100, "out": None}),
+    "erm": (cmd_erm, "empirical revenue maximizer on a sample",
+            {**_COMMON, **_CLASS, **_SAMPLE, "ceiling": DEFAULT_CANDIDATE_CEILING}),
+    "split-sample": (cmd_split_sample, "distinct ERM outputs over half-size subsets",
+                     {**_COMMON, **_CLASS, **_SAMPLE, "mode": "exact", "trials": None,
+                      **_SUBSETS, "ceiling": DEFAULT_CANDIDATE_CEILING}),
+    "growth": (cmd_growth, "observed split-sample growth vs the bound",
+               {**_COMMON, **_CLASS, **_DIST, "m": 8, "draws": 20, **_SUBSETS, "out": None}),
+    "bound": (cmd_bound, "expected-gap and high-probability bounds",
+              {**_COMMON, **_CLASS, "m": 100, "n": 1, "k": 1, "delta": None, "out": None}),
+    "rademacher": (cmd_rademacher, "Rademacher average on the sample's split-sample space: "
+                                   "exact when 2^m <= draws, else Monte Carlo",
+                   {**_COMMON, **_CLASS, **_SAMPLE, "draws": 10000, **_SUBSETS}),
+    "experiment": (cmd_experiment, "generalization gap vs bound over an m grid",
+                   {**_EXPERIMENT, "svg": False}),
+    "curve": (cmd_curve, "bound-based and empirical sample complexity",
+              {**_EXPERIMENT, "eps": "0.5,0.2,0.1"}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,77 +368,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sample-based revenue maximization for simple auction classes, "
                     "with split-sample growth rates and bound certification.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("sample", help="draw i.i.d. profiles and write a sample file")
-    _add_common(p, dist=True)
-    p.add_argument("--m", type=int, help="number of profiles (default 100)")
-    p.add_argument("--out", help="output sample file (prints records when omitted)")
-    p.set_defaults(func=cmd_sample)
-
-    p = subs.add_parser("erm", help="empirical revenue maximizer on a sample")
-    _add_common(p, klass=True, sample=True)
-    p.add_argument("--ceiling", type=int,
-                   help=f"ceiling on candidate rows scored (default {DEFAULT_CANDIDATE_CEILING})")
-    p.set_defaults(func=cmd_erm)
-
-    p = subs.add_parser("split-sample",
-                        help="distinct ERM outputs over half-size subsets")
-    _add_common(p, klass=True, sample=True)
-    p.add_argument("--mode", choices=("exact", "monte-carlo"),
-                   help="subset enumeration mode (default exact)")
-    p.add_argument("--trials", type=int, help="monte-carlo subset draws")
-    p.add_argument("--subset-ceiling", dest="subset_ceiling", type=int,
-                   help=f"ceiling on subsets scored (default {split_mod.DEFAULT_SUBSET_CEILING})")
-    p.add_argument("--ceiling", type=int, help="ceiling on candidate rows scored")
-    p.set_defaults(func=cmd_split_sample)
-
-    p = subs.add_parser("growth", help="observed split-sample growth vs the bound")
-    _add_common(p, klass=True, dist=True)
-    p.add_argument("--m", type=int, help="sample size per draw (default 8)")
-    p.add_argument("--draws", type=int, help="independent sample draws (default 20)")
-    p.add_argument("--subset-ceiling", dest="subset_ceiling", type=int,
-                   help="ceiling on subsets scored")
-    p.add_argument("--out", help="CSV output path")
-    p.set_defaults(func=cmd_growth)
-
-    p = subs.add_parser("bound", help="expected-gap and high-probability bounds")
-    _add_common(p, klass=True)
-    p.add_argument("--m", type=int, help="sample size (default 100)")
-    p.add_argument("--n", type=int, help="bidders (default 1)")
-    p.add_argument("--k", type=int, help="items (default 1)")
-    p.add_argument("--delta", type=float, help="failure probability in (0, 1)")
-    p.add_argument("--out", help="CSV output path")
-    p.set_defaults(func=cmd_bound)
-
-    p = subs.add_parser("rademacher",
-                        help="Rademacher average on the sample's split-sample space: "
-                             "exact when 2^m <= draws, else Monte Carlo")
-    _add_common(p, klass=True, sample=True)
-    p.add_argument("--draws", type=int, help="sign draws (default 10000): exact when "
-                                             "2^m <= draws, else Monte Carlo")
-    p.add_argument("--subset-ceiling", dest="subset_ceiling", type=int,
-                   help="ceiling on subsets scored")
-    p.set_defaults(func=cmd_rademacher)
-
-    p = subs.add_parser("experiment", help="generalization gap vs bound over an m grid")
-    _add_experiment(p)
-    p.add_argument("--svg", action="store_const", const=True,
-                   help="also write a gap-vs-bound SVG chart")
-    p.set_defaults(func=cmd_experiment)
-
-    p = subs.add_parser("curve", help="bound-based and empirical sample complexity")
-    _add_experiment(p)
-    p.add_argument("--eps", help="comma list of accuracy targets (default 0.5,0.2,0.1)")
-    p.set_defaults(func=cmd_curve)
-
+    for command, (_, help_text, defaults) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        for name, default in defaults.items():
+            flag, kind, text = _OPTIONS[name]
+            if flag is None:
+                continue
+            if default is not None:
+                text += f" (default {default})"
+            how = ({"action": "store_const", "const": True} if kind is bool
+                   else {"choices": kind if isinstance(kind, tuple) else None})
+            sub.add_argument(flag, dest=name, help=text, **how)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][0](Options(args))
     except AuctionLearnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,12 +1,16 @@
 """Command-line surface: spec'd outputs, precedence, reproducibility."""
 
+import dataclasses
 import importlib
 import json
+import re
 
 import pytest
 
-from auctionlearn import load_samples
-from auctionlearn.cli import main, parse_marginal, parse_values
+from auctionlearn import ClassSpec, DistributionSpec, Seed, Uniform, load_samples
+from auctionlearn.cli import (_COMMANDS, _OPTIONS, Options, build_parser, main,
+                              parse_marginal, parse_values)
+from auctionlearn.experiments import ExperimentConfig
 from oracles import run_cli_process
 
 
@@ -197,6 +201,34 @@ def test_config_file_precedence(capsys, tmp_path):
     assert float(out.strip()) == pytest.approx(0.244775, abs=1e-6)
 
 
+def test_config_file_sets_every_experiment_field(capsys, tmp_path, monkeypatch):
+    """Each ExperimentConfig field the CLI reads comes from the config file,
+    and a flag overrides each one that has a flag."""
+    built = []
+    monkeypatch.setattr(importlib.import_module("auctionlearn.experiments"),
+                        "generalization_experiment", lambda config: built.append(config) or [])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "klass": "single-reserve", "dist": "uniform:0,1", "m_grid": [10, 20], "replicates": 7,
+        "delta": 0.3, "seed": 5, "eval_draws": 500, "eval_method": "monte-carlo",
+        "ceiling": 1000, "optimum_grid_step": 0.01, "optimum_draws": 300}))
+    expected = ExperimentConfig(
+        ClassSpec("single-reserve"), DistributionSpec.iid(Uniform(0.0, 1.0)), m_grid=(10, 20),
+        replicates=7, delta=0.3, seed=Seed(5), eval_draws=500, eval_method="monte-carlo",
+        candidate_ceiling=1000, optimum_grid_step=0.01, optimum_draws=300)
+    assert run_cli(capsys, "experiment", "--config", str(config))[0] == 0
+    flags = ["--m-grid", "30", "--replicates", "9", "--delta", "0.2", "--seed", "6",
+             "--eval-draws", "600", "--eval-method", "analytic", "--ceiling", "2000"]
+    assert run_cli(capsys, "experiment", "--config", str(config), *flags)[0] == 0
+    assert built == [expected, dataclasses.replace(
+        expected, m_grid=(30,), replicates=9, delta=0.2, seed=Seed(6), eval_draws=600,
+        eval_method="analytic", candidate_ceiling=2000)]
+    # a key that names no option is refused by name
+    config.write_text(json.dumps({"klass": "single-reserve", "replicate": 5}))
+    code, _, err = run_cli(capsys, "experiment", "--config", str(config))
+    assert code == 1 and "'replicate'" in err and len(built) == 2
+
+
 def test_invalid_input_exits_nonzero(capsys):
     code, _, err = run_cli(capsys, "erm", "--class", "single-reserve",
                            "--values", "1.5")
@@ -250,11 +282,14 @@ UNIT_SAMPLE_FILE = '{"n": 1, "k": 1, "alpha": 0.0, "beta": 1.0}\n[[0.5]]\n[[0.2]
      "--m-grid", "5", "--replicates", "3", "--eval-draws", "1"],
     ["curve", "--class", "single-reserve", "--dist", "uniform:0,1", "--m-grid", "5",
      "--replicates", "2", "--eps", "1e-10"],
+    ["bound", "--m", "100", "--n", "2", "--k", "2", "--config", "{per-player-text}"],
+    ["bound", "--config", "{unknown-key}"],
+    ["bound", "--class", "single-reserve", "--m", "x"],
 ], ids=["values", "range", "delta", "m", "bound-shape", "config", "trials", "draws", "m-grid",
         "eps", "config-value", "config-grid-step", "bound-range", "range-nan", "split-ceiling",
         "split-mc-ceiling", "range-file", "eps-nan", "dist-no-marginals", "dist-no-high", "dist-low-text",
         "config-list", "header-n-text", "record-text", "header-n-float", "header-k-bool",
-        "eval-draws", "eps-tiny"])
+        "eval-draws", "eps-tiny", "config-switch-text", "config-unknown-key", "m-text"])
 def test_input_errors_are_one_line_messages(argv, tmp_path):
     uniform = {"type": "uniform", "low": 0}
     files = {"{config}": json.dumps({"replicates": "many"}),
@@ -268,7 +303,9 @@ def test_input_errors_are_one_line_messages(argv, tmp_path):
              "{header-n-text}": UNIT_SAMPLE_FILE.replace('"n": 1', '"n": "x"'),
              "{record-text}": UNIT_SAMPLE_FILE.replace("[[0.2]]", '[["a"]]'),
              "{header-n-float}": UNIT_SAMPLE_FILE.replace('"n": 1', '"n": 1.7'),
-             "{header-k-bool}": UNIT_SAMPLE_FILE.replace('"k": 1', '"k": true')}
+             "{header-k-bool}": UNIT_SAMPLE_FILE.replace('"k": 1', '"k": true'),
+             "{per-player-text}": json.dumps({"klass": "item-prices", "per_player": "false"}),
+             "{unknown-key}": json.dumps({"klass": "single-reserve", "replicate": 5, "m": 100})}
 
     def write(placeholder):
         path = tmp_path / "input"
@@ -316,8 +353,25 @@ def test_console_entry_point():
 
 
 def test_subcommand_help_lists_flags():
+    """Each subcommand's help shows every default the code uses, as text that,
+    given back as the flag, resolves to the value used without it."""
+    parser = build_parser()
     for sub in ("sample", "erm", "split-sample", "growth", "bound",
                 "rademacher", "experiment", "curve"):
         proc = run_cli_process([sub, "--help"])
         assert proc.returncode == 0
         assert "--seed" in proc.stdout
+        shown = " ".join(proc.stdout.split())
+        unset = Options(parser.parse_args([sub]))
+        for name in _COMMANDS[sub][2]:
+            flag, kind, text = _OPTIONS[name]
+            if flag is None or unset.get(name) is None:
+                continue
+            match = re.search(f"{re.escape(flag)}(?: \\S+)? {re.escape(text)} "
+                              r"\(default (\S+)\)", shown)
+            assert match, f"{sub} {flag} shows no default"
+            if kind is bool:
+                assert match[1] == "False" and unset.get(name) is False
+            else:
+                given = Options(parser.parse_args([sub, flag, match[1]]))
+                assert given.get(name) == unset.get(name), (sub, flag)
