@@ -116,10 +116,13 @@ def _convert(name: str, raw, kind=None):
         return values
     if kind not in (int, float):
         return raw      # a switch, text or a choice (the library checks choices)
+    what = "an integer" if kind is int else "a number"
+    # JSON true reads as 1 and int(200.9) as 200: refuse both, as the flag's text is
+    if isinstance(raw, bool) or (kind is int and isinstance(raw, float)):
+        raise AuctionLearnError(f"{label} needs {what}, got {raw!r}")
     try:
         return kind(raw)
     except (TypeError, ValueError, OverflowError) as exc:
-        what = "an integer" if kind is int else "a number"
         raise AuctionLearnError(f"{label} needs {what}, got {raw!r}") from exc
 
 

@@ -10,14 +10,16 @@ largest parameter vector.
 A reserve rule (every class but t-level and best-of) sets one reserve per
 auction of ``auction_columns`` (per bidder when lazy): ``_reserve_erm``
 shortlists each by a closed form (at n >= 2 ranked by one sort in
-``_ranked``) and scores only the shortlists' product.
-T-level and best-of score their whole candidate product, each chunk by one
-``revenue_matrix`` call shared by every subset; a block of subsets sums the
-rows on its own profiles in one BLAS product, and only the candidate-subset
-pairs whose sums are near the subset's maximum are gathered and sorted.  ERM
-on subsets of each sample of a block is ``subset_winners`` (split-sample
-enumeration passes half-size subsets), and ERM is its one-subset case, the
-whole sample.
+``_ranked``) and scores only the shortlists' product.  ERM on subsets of
+each sample of a block is ``subset_winners`` (split-sample enumeration
+passes half-size subsets).  A subset's candidates are among its sample's
+values, so revenue rows are built once on the whole sample and every
+subset sums them on its own profiles in one BLAS product with a 0/1
+membership matrix: a reserve rule's per coordinate (``_reserve_winners``),
+t-level's and best-of's per chunk of their candidate product
+(``_joint_winners``, whose ERM is the one-subset case, the whole sample).
+Only near-maximal sums are sorted.  A posted price keeps ``_reserve_erm`` on
+the values of its few dominating subsets, gathered.
 
 The in-class optimum is the population counterpart: the closed form where
 one exists, else a max on shared Monte Carlo draws, the sorted mean of a
@@ -47,13 +49,15 @@ import numpy as np
 from .errors import AnalyticUnsupported, AuctionLearnError, CeilingExceeded
 from .mechanisms import (TAG_BEST, TAG_SINGLE, TAG_TLEVEL, ClassSpec, Hypothesis,
                          analytic_optimum, auction_columns, check_class_dims,
-                         hypothesis_from_params, profile_revenues, revenue_matrix, top_two)
+                         hypothesis_from_params, profile_revenues, reserve_revenue,
+                         revenue_matrix, top_two)
 from .model import DistributionSpec, SampleSet, Seed, sample_block
 
 DEFAULT_CANDIDATE_CEILING = 10**7
 _CHUNK = 4096
 CELLS = 2_500_000      # revenue cells (rows x profiles x bidders) built per chunk
 _BLOCK_CELLS = 2**16   # candidate x subset sums per scoring step
+_SUBSET_CELLS = 2**14  # a reserve rule's closed forms (coordinates x pool x subsets) per step
 _REPLICATE_CELLS = 2**14  # values of a block of samples drawn, learned or gathered at once
 _GRID_BUDGET = 2 * 10**8  # candidate rows x draws ceiling for joint grid optima
 
@@ -177,32 +181,91 @@ def subset_winners(spec: ClassSpec, values: np.ndarray, value_range: tuple[float
     parameter rows over its subsets, ascending.
 
     ``subsets`` is an (N, size) array of profile indices, one subset a row,
-    the same for every sample.  Reserve-rule classes gather about
+    the same for every sample.  Every class but the posted price builds
+    revenue rows once on each whole sample.  A posted price gathers about
     ``_REPLICATE_CELLS`` subset values per ``_reserve_erm`` call (several
-    samples a call, or a sample's subsets in parts) and sort and dedupe each
-    sample's winners.  T-level and best-of build revenue rows once on each
-    whole sample.  ``ceiling`` bounds the rows scored on each whole sample
-    and a reserve rule's near-tie product on each subset, as in ``erm``.
+    samples a call, or a sample's subsets in parts) and sorts and dedupes
+    each sample's winners: its dominating subsets are few, and the gather
+    scores a block of them across samples at once.  ``ceiling`` bounds the
+    rows scored on each whole sample and a reserve rule's near-tie product
+    on each subset, as in ``erm``.
     """
-    R, _, n, k = values.shape
     if spec.tag in _JOINT:
         return [_joint_winners(spec, v, value_range, subsets, ceiling) for v in values]
     _check_pools(spec, values, value_range[1], ceiling)
-    N, size = subsets.shape
-    step = max(1, _REPLICATE_CELLS // (subsets.size * n * k))
-    part = max(1, _REPLICATE_CELLS // (size * n * k))
+    if spec.tag != TAG_SINGLE:
+        return [_reserve_winners(spec, v, value_range[0], subsets, ceiling) for v in values]
+    N, size = subsets.shape         # a posted price: n = k = 1
+    step = max(1, _REPLICATE_CELLS // subsets.size)
+    part = max(1, _REPLICATE_CELLS // size)
     winners = []
-    for at in range(0, R, step):
+    for at in range(0, len(values), step):
         block = values[at:at + step]
         won = np.concatenate([_reserve_erm(spec, block[:, subsets[s:s + part]]
-                                           .reshape(-1, size, n, k), value_range[0], ceiling)
+                                           .reshape(-1, size, 1, 1), value_range[0], ceiling)
                               for s in range(0, N, part)])
-        won = won.reshape(len(block), N, -1)       # each sample's rows, lexicographically:
-        won = won[np.arange(len(block))[:, None], np.lexsort(won.T[::-1].swapaxes(1, 2), axis=-1)]
-        fresh = np.ones(won.shape[:2], dtype=bool)
-        fresh[:, 1:] = (won[:, 1:] != won[:, :-1]).any(axis=2)
-        winners += [w[f] for w, f in zip(won, fresh)]
+        won = np.sort(won.reshape(len(block), N), axis=1, kind="stable")
+        fresh = np.ones(won.shape, dtype=bool)
+        fresh[:, 1:] = won[:, 1:] != won[:, :-1]
+        winners += [w[f, None] for w, f in zip(won, fresh)]
     return winners
+
+
+def _membership(subsets: np.ndarray, m: int) -> np.ndarray:
+    """The (N, m) 0/1 matrix whose row b is 1 at the profiles of subset b."""
+    member = np.zeros((len(subsets), m))
+    member.reshape(-1)[(np.arange(0, member.size, m)[:, None] + subsets).ravel()] = 1.0
+    return member
+
+
+def _reserve_winners(spec: ClassSpec, values: np.ndarray, alpha: float, subsets: np.ndarray,
+                     ceiling: int) -> np.ndarray:
+    """A reserve rule's distinct ERM rows, ascending, over the subsets of one
+    (m, n, k) sample.  Each coordinate's values (``_coordinates``) are sorted
+    into a pool and each pool value's revenues built once on the counted
+    profiles; one product with a chunk's membership gives every subset's
+    closed forms.  A value is valid on a subset only as one of the closed
+    form's candidates there (a counted top or the coordinate's largest value
+    in it; repeats at their first position), else -inf.  Then, as in
+    ``_reserve_erm``, ``_near_max`` (terms = m: the product adds m revenues,
+    zeros too) keeps the values near each coordinate's max, a lone kept
+    value wins, and ``_tied_winners`` scores the product of the kept values
+    of the other subsets."""
+    m = len(values)
+    x, counted, top, second = map(np.array, zip(*_coordinates(spec, values, alpha)))  # (C, m)
+    C, N = len(x), len(subsets)
+    pools = np.sort(x, axis=1) + 0.0        # + 0.0: a -0.0 value's candidate is 0.0
+    first = np.array([np.searchsorted(p, v) for p, v in zip(pools, x)])   # pool positions
+    # per pool position and profile: the closed form's revenue, and whether the
+    # profile's counted top is the pool value there (at its first position)
+    rev = reserve_revenue(pools[:, :, None], np.where(counted, top, -np.inf)[:, None],
+                          second[:, None]).reshape(-1, m)
+    offer = ((first[:, None] == np.arange(m)[:, None]) & counted[:, None]).reshape(-1, m) * 1.0
+    won = np.empty((C, N), dtype=np.intp)
+    step = max(1, _SUBSET_CELLS // (C * m))
+    for at in range(0, N, step):
+        block = subsets[at:at + step]
+        member = _membership(block, m).T
+        valid = (offer @ member).reshape(C, m, -1) > 0
+        valid |= np.arange(m)[:, None] == np.take(first, block.T, axis=1).max(axis=1)[:, None]
+        sums = (rev @ member).reshape(C, m, -1)
+        sums[~valid] = -np.inf
+        tops = sums.max(axis=1)
+        kept = _near_max(sums, tops[:, None], m * C, tops.sum(axis=0))
+        counts = kept.sum(axis=1)
+        won[:, at:at + len(block)] = kept.argmax(axis=1)    # a lone kept value's position
+        sizes = counts.prod(axis=0, dtype=float)
+        _check_ceiling(spec, math.prod(map(int, counts[:, sizes.argmax()])), ceiling)
+        tied = np.flatnonzero(sizes > 1)
+        if len(tied):       # each coordinate's kept values first, ascending
+            picks = [p[np.argsort(~keep[:, tied].T, axis=1, kind="stable")][..., None]
+                     for p, keep in zip(pools, kept)]
+            best = _tied_winners(spec, picks, counts[:, tied], values[block[tied]], alpha)
+            won[:, at + tied] = [np.searchsorted(p, r) for p, r in zip(pools, best.T)]
+    key = won[0]            # each subset's rank among the distinct prefixes, then the next
+    for w in won[1:]:
+        key = np.unique(key, return_inverse=True)[1] * m + w
+    return np.take_along_axis(pools, won[:, np.unique(key, return_index=True)[1]], axis=1).T
 
 
 def _joint_winners(spec: ClassSpec, values: np.ndarray, value_range: tuple[float, float],
@@ -231,6 +294,7 @@ def _joint_winners(spec: ClassSpec, values: np.ndarray, value_range: tuple[float
     for o, c, pool in zip(occ, columns, pools):
         o[np.arange(len(c))[:, None], np.searchsorted(pool, c)] = True
     members = [np.searchsorted(p, f) for p, f in zip(pools, factors)]  # as pool indices
+    member = _membership(subsets, m)
     chunk = min(_CHUNK, max(1, CELLS // (m * n)))
     for start in range(0, count, chunk):
         at = np.arange(start, min(start + chunk, count))
@@ -243,9 +307,7 @@ def _joint_winners(spec: ClassSpec, values: np.ndarray, value_range: tuple[float
             # per subset and factor row: do all of the row's values occur in it
             present = [o[block].any(axis=1)[:, mem].all(axis=2) for o, mem in zip(occ, members)]
             valid = np.logical_and.reduce([p[:, i] for p, i in zip(present, picks)])
-            member = np.zeros((len(block), m))          # 1 where profile t is in subset b
-            member[np.arange(len(block))[:, None], block] = 1.0
-            sums = member @ R.T                         # (subsets, candidates)
+            sums = member[first:first + step] @ R.T     # (subsets, candidates)
             sums[~valid] = -np.inf
             top = run.running_top(owners, sums.max(axis=1))[:, None]
             si, ci = np.nonzero(_near_max(sums, top, m, top))     # subset-major
@@ -402,17 +464,24 @@ def _closed_forms(spec: ClassSpec, values: np.ndarray, alpha: float) -> list:
     r*#{second < r <= top} + sum{second >= r} second on its counted profiles
     (its bidder's wins if lazy); a value no counted top equals loses to the
     next larger, so the candidates are those tops and the largest value."""
-    R, m, n, _ = values.shape
-    auctions = auction_columns(spec, values)
+    m, n = values.shape[1:3]
     if n == 1:      # i values lie below first position i; a repeat's closed form is no more
-        return [(v, v * np.arange(m, 0, -1.0) / m, _firsts(v))
-                for v in (np.sort(columns[..., 0], axis=1) for columns in auctions)]
+        return [(v, v * np.arange(m, 0, -1.0) / m, _firsts(v)) for v in
+                (np.sort(columns[..., 0], axis=1) for columns in auction_columns(spec, values))]
+    return [_ranked(top, second, counted, x.max(axis=1, keepdims=True))
+            for x, counted, top, second in _coordinates(spec, values, alpha)]
+
+
+def _coordinates(spec: ClassSpec, values: np.ndarray, alpha: float) -> list:
+    """Per coordinate of a reserve rule (an auction, per bidder if lazy,
+    bidder-major) on (..., m, n, k) values: (x, counted, top, second), x the
+    values its reserve is drawn from (the tops, or the lazy bidder's own)."""
+    auctions = auction_columns(spec, values)
     rules = [top_two(columns, alpha) for columns in auctions]
     if not spec.per_bidder:
-        return [_ranked(top, second, np.ones((R, m), dtype=bool), top.max(axis=1, keepdims=True))
-                for _, top, second in rules]
-    return [_ranked(top, second, w == i, col[..., i].max(axis=1, keepdims=True))
-            for i in range(n) for col, (w, top, second) in zip(auctions, rules)]  # bidder-major
+        return [(top, np.ones(top.shape, dtype=bool), top, second) for _, top, second in rules]
+    return [(col[..., i], w == i, top, second)
+            for i in range(values.shape[-2]) for col, (w, top, second) in zip(auctions, rules)]
 
 
 def _firsts(v: np.ndarray) -> np.ndarray:

@@ -8,10 +8,11 @@ generalization bounds consume; the true supremum is not computable, so
 the closed-form per-class bound, never conflating the two.
 
 A posted price's space is the ERM prices of its few dominating subsets
-(``_posted_subsets``); every reserve rule's subsets are ranked in closed
-form by ``erm._reserve_erm``.  ``split_sample_block`` enumerates the exact
-spaces of a block of samples, and ``split_sample_space`` is its one-sample
-case.
+(``_posted_subsets``), learned on their gathered values by
+``erm._reserve_erm``; every other class scores all its subsets from revenue
+rows built once on the whole sample (``erm.subset_winners``).
+``split_sample_block`` enumerates the exact spaces of a block of samples,
+and ``split_sample_space`` is its one-sample case.
 """
 
 from __future__ import annotations

@@ -285,11 +285,17 @@ UNIT_SAMPLE_FILE = '{"n": 1, "k": 1, "alpha": 0.0, "beta": 1.0}\n[[0.5]]\n[[0.2]
     ["bound", "--m", "100", "--n", "2", "--k", "2", "--config", "{per-player-text}"],
     ["bound", "--config", "{unknown-key}"],
     ["bound", "--class", "single-reserve", "--m", "x"],
+    ["bound", "--config", "{float-int}"],
+    ["bound", "--config", "{bool-int}"],
+    ["bound", "--class", "single-reserve", "--config", "{bool-float}"],
+    ["experiment", "--class", "single-reserve", "--dist", "uniform:0,1",
+     "--config", "{float-int-list}"],
 ], ids=["values", "range", "delta", "m", "bound-shape", "config", "trials", "draws", "m-grid",
         "eps", "config-value", "config-grid-step", "bound-range", "range-nan", "split-ceiling",
         "split-mc-ceiling", "range-file", "eps-nan", "dist-no-marginals", "dist-no-high", "dist-low-text",
         "config-list", "header-n-text", "record-text", "header-n-float", "header-k-bool",
-        "eval-draws", "eps-tiny", "config-switch-text", "config-unknown-key", "m-text"])
+        "eval-draws", "eps-tiny", "config-switch-text", "config-unknown-key", "m-text",
+        "config-float-int", "config-bool-int", "config-bool-float", "config-float-int-list"])
 def test_input_errors_are_one_line_messages(argv, tmp_path):
     uniform = {"type": "uniform", "low": 0}
     files = {"{config}": json.dumps({"replicates": "many"}),
@@ -305,7 +311,11 @@ def test_input_errors_are_one_line_messages(argv, tmp_path):
              "{header-n-float}": UNIT_SAMPLE_FILE.replace('"n": 1', '"n": 1.7'),
              "{header-k-bool}": UNIT_SAMPLE_FILE.replace('"k": 1', '"k": true'),
              "{per-player-text}": json.dumps({"klass": "item-prices", "per_player": "false"}),
-             "{unknown-key}": json.dumps({"klass": "single-reserve", "replicate": 5, "m": 100})}
+             "{unknown-key}": json.dumps({"klass": "single-reserve", "replicate": 5, "m": 100}),
+             "{float-int}": json.dumps({"klass": "single-reserve", "m": 200.9}),
+             "{bool-int}": json.dumps({"klass": "single-reserve", "m": True}),
+             "{bool-float}": json.dumps({"m": 100, "delta": True}),
+             "{float-int-list}": json.dumps({"m_grid": [50, 100.5], "replicates": 2})}
 
     def write(placeholder):
         path = tmp_path / "input"
@@ -318,6 +328,24 @@ def test_input_errors_are_one_line_messages(argv, tmp_path):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"m": 200.9}, "--m needs an integer, got 200.9"),
+    ({"m": 200.0}, "--m needs an integer, got 200.0"),
+    ({"m": True}, "--m needs an integer, got True"),
+    ({"m": 100, "delta": False}, "--delta needs a number, got False"),
+], ids=["fraction", "whole-float", "bool-int", "bool-float"])
+def test_config_numbers_are_refused_as_their_flags_are(capsys, tmp_path, config, message):
+    """A JSON float for an integer option and a boolean for a number are
+    refused with the flag's message, not truncated or read as 1 or 0."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"klass": "single-reserve", **config}))
+    code, out, err = run_cli(capsys, "bound", "--config", str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    path.write_text(json.dumps({"klass": "single-reserve", "m": 200, "range": [0, 1]}))
+    code, out, _ = run_cli(capsys, "bound", "--config", str(path))    # integers are numbers
+    assert code == 0 and float(out) == pytest.approx(0.244775, abs=1e-6)
 
 
 def test_sample_file_range_is_checked_only_when_declared(capsys, tmp_path):

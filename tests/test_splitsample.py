@@ -1,5 +1,6 @@
 """Split-sample space enumeration, growth estimates, and count bounds."""
 
+import contextlib
 import importlib
 import itertools
 import math
@@ -15,6 +16,7 @@ from auctionlearn import (AnonymousSecondPriceReserve, AuctionLearnError, Ceilin
                           rademacher_estimate, sample_values, split_sample_space,
                           theoretical_growth_bound)
 from auctionlearn.erm import _near_max, subset_winners
+from auctionlearn.mechanisms import _param_width, hypothesis_from_params
 from auctionlearn.splitsample import _posted_subsets, split_sample_block
 from oracles import SPLIT_IDS, SPLIT_SPECS, exhaustive_argmax, split_dims
 
@@ -151,6 +153,102 @@ def test_exact_space_is_the_subsets_exhaustive_argmaxes(spec, n, k, m, tenths):
     expected = {exhaustive_argmax(spec, SampleSet(values[list(idx)]))[0]
                 for idx in half_subsets(m)}
     assert set(split_sample_space(spec, SampleSet(values), "exact").hypotheses) == expected
+
+
+# reserve rules scored from the whole sample at n = 2, with their item counts
+BULK_RESERVES = [(ClassSpec("anonymous-second-price"), 1), (ClassSpec("player-reserves"), 1),
+                 (ClassSpec("bundle-price", per_player=True), 2), (ClassSpec("item-prices"), 2)]
+BULK_IDS = [spec.describe().replace(" ", "-") for spec, _ in BULK_RESERVES]
+erm_module = importlib.import_module("auctionlearn.erm")
+
+
+@contextlib.contextmanager
+def chunked(spec, k, m, subsets_per_chunk):
+    """The scoring-step constant patched so that the whole-sample reserve
+    scorer takes `subsets_per_chunk` subsets of an (m, 2, k) sample at a
+    time (its sums hold one row per coordinate and pool value)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(erm_module, "_SUBSET_CELLS", subsets_per_chunk * _param_width(spec, 2, k) * m)
+        yield
+
+
+def tenths_block(tenths, shape):
+    return np.array(tenths[:math.prod(shape)]).reshape(shape) / 10
+
+
+@pytest.mark.parametrize("spec,k", BULK_RESERVES, ids=BULK_IDS)
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 8), tenths=st.lists(st.integers(0, 10), min_size=32, max_size=32))
+def test_bulk_reserve_space_is_the_subsets_argmaxes_in_any_chunking(spec, k, m, tenths):
+    """On tenths grids, at n = 2, the exact space scored from the whole
+    sample is the set of the half-size subsets' exhaustive argmaxes, and
+    the same rows whether a chunk holds 1, 2, 3 or all subsets."""
+    values = tenths_block(tenths, (m, 2, k))
+    expected = {exhaustive_argmax(spec, SampleSet(values[list(idx)]))[0]
+                for idx in half_subsets(m)}
+    spaces = []
+    for size in (1, 2, 3, 10**6):
+        with chunked(spec, k, m, size):
+            spaces.append(split_sample_space(spec, SampleSet(values), "exact").rows)
+    assert {hypothesis_from_params(spec, row, 2, k) for row in spaces[0]} == expected
+    assert all(np.array_equal(rows, spaces[0]) for rows in spaces)
+
+
+@pytest.mark.parametrize("spec,k", BULK_RESERVES, ids=BULK_IDS)
+@settings(max_examples=25, deadline=None)
+@given(samples=st.integers(2, 4), m=st.integers(1, 8), size=st.sampled_from([1, 2, 3, 10**6]),
+       tenths=st.lists(st.integers(0, 10), min_size=128, max_size=128))
+def test_bulk_reserve_block_is_per_sample_space(spec, k, samples, m, size, tenths):
+    """Each sample of a block of tenths-grid samples gets the rows its exact
+    space has alone, however the subsets are chunked."""
+    values = tenths_block(tenths, (samples, m, 2, k))
+    with chunked(spec, k, m, size):
+        block = split_sample_block(spec, values, (0.0, 1.0))
+    alone = [split_sample_space(spec, SampleSet(v), "exact").rows for v in values]
+    assert len(block) == samples
+    assert all(np.array_equal(b, a) for b, a in zip(block, alone))
+
+
+@pytest.mark.parametrize("spec,k", BULK_RESERVES, ids=BULK_IDS)
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 8), trials=st.integers(1, 12),
+       tenths=st.lists(st.integers(0, 10), min_size=32, max_size=32))
+def test_bulk_reserve_monte_carlo_is_per_subset_erm(spec, k, m, trials, tenths):
+    """Monte Carlo mode scores its drawn subsets, repeats among them, from
+    the whole sample: the space is the set of one ``erm`` per drawn subset."""
+    values = tenths_block(tenths, (m, 2, k))
+    space = split_sample_space(spec, SampleSet(values), "monte-carlo", trials=trials,
+                               seed=Seed(7))
+    rng = Seed(7).rng()    # the same draws
+    expected = {erm(spec, SampleSet(values[np.sort(rng.choice(m, size=math.ceil(m / 2),
+                                                              replace=False))]))
+                for _ in range(trials)}
+    assert set(space.hypotheses) == expected
+    assert list(space.hypotheses) == sorted(space.hypotheses, key=lambda h: h.param_vector())
+
+
+@pytest.mark.parametrize("m", [12, 14])
+def test_subsets_without_a_lazy_bidders_win_do_not_tie(m, monkeypatch):
+    """Bidder 0 wins 2 of m continuous profiles, so most half-size subsets
+    hold none of its wins: every reserve of bidder 0 earns 0 there, and only
+    the subset's largest bidder-0 value is a candidate.  No subset has a
+    near tie to score exactly, and the space is per-subset ``erm``'s."""
+    gen = np.random.default_rng(29)
+    values = np.sort(gen.random((m, 2)), axis=1)[..., None]   # bidder 1 wins each profile
+    values[[3, 8]] = values[[3, 8], ::-1]                      # but these two
+    spec = ClassSpec("player-reserves")
+    scored = []
+    tied_winners = erm_module._tied_winners
+
+    def spy(spec, picks, counts, values, alpha):
+        scored.append(int(counts.prod(axis=0).sum()))
+        return tied_winners(spec, picks, counts, values, alpha)
+
+    monkeypatch.setattr(erm_module, "_tied_winners", spy)
+    space = split_sample_space(spec, SampleSet(values), "exact")
+    monkeypatch.undo()
+    assert sum(scored) == 0
+    assert set(space.hypotheses) == per_subset_space(spec, values, (0.0, 1.0))
 
 
 JOINT_CLASSES = [spec for spec in SPLIT_SPECS if spec.tag in ("t-level", "best-of")]
