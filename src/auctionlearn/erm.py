@@ -13,13 +13,15 @@ shortlists each by a closed form (at n >= 2 ranked by one sort in
 ``_ranked``) and scores only the shortlists' product.  ERM on subsets of
 each sample of a block is ``subset_winners`` (split-sample enumeration
 passes half-size subsets).  A subset's candidates are among its sample's
-values, so revenue rows are built once on the whole sample and every
+values, so revenue rows can be built once on the whole sample and every
 subset sums them on its own profiles in one BLAS product with a 0/1
-membership matrix: a reserve rule's per coordinate (``_reserve_winners``),
-t-level's and best-of's per chunk of their candidate product
-(``_joint_winners``, whose ERM is the one-subset case, the whole sample).
-Only near-maximal sums are sorted.  A posted price keeps ``_reserve_erm`` on
-the values of its few dominating subsets, gathered.
+membership matrix: t-level's and best-of's per chunk of their candidate
+product (``_joint_winners``, whose ERM is the one-subset case, the whole
+sample), and a reserve rule's per coordinate (``_reserve_winners``) where
+the sample is small and its subsets many (``_scores_whole_sample``).
+Only near-maximal sums are sorted.  Other reserve-rule subsets, a posted
+price's few dominating ones among them, are learned by ``_reserve_erm`` on
+their gathered values.
 
 The in-class optimum is the population counterpart: the closed form where
 one exists, else a max on shared Monte Carlo draws, the sorted mean of a
@@ -181,34 +183,48 @@ def subset_winners(spec: ClassSpec, values: np.ndarray, value_range: tuple[float
     parameter rows over its subsets, ascending.
 
     ``subsets`` is an (N, size) array of profile indices, one subset a row,
-    the same for every sample.  Every class but the posted price builds
-    revenue rows once on each whole sample.  A posted price gathers about
-    ``_REPLICATE_CELLS`` subset values per ``_reserve_erm`` call (several
-    samples a call, or a sample's subsets in parts) and sorts and dedupes
-    each sample's winners: its dominating subsets are few, and the gather
-    scores a block of them across samples at once.  ``ceiling`` bounds the
-    rows scored on each whole sample and a reserve rule's near-tie product
-    on each subset, as in ``erm``.
+    the same for every sample.  T-level and best-of build revenue rows once
+    on each whole sample, and so do reserve rules where that pays
+    (``_scores_whole_sample``).  Other reserve-rule subsets are gathered,
+    about ``_REPLICATE_CELLS`` values per ``_reserve_erm`` call (several
+    samples a call, or a sample's subsets in parts), and each sample's
+    winners sorted and deduped.  ``ceiling`` bounds the rows scored on each
+    whole sample and a reserve rule's near-tie product on each subset, as
+    in ``erm``.
     """
+    R, m, n, k = values.shape
     if spec.tag in _JOINT:
         return [_joint_winners(spec, v, value_range, subsets, ceiling) for v in values]
     _check_pools(spec, values, value_range[1], ceiling)
-    if spec.tag != TAG_SINGLE:
+    N, size = subsets.shape
+    if _scores_whole_sample(m, N):
         return [_reserve_winners(spec, v, value_range[0], subsets, ceiling) for v in values]
-    N, size = subsets.shape         # a posted price: n = k = 1
-    step = max(1, _REPLICATE_CELLS // subsets.size)
-    part = max(1, _REPLICATE_CELLS // size)
+    step = max(1, _REPLICATE_CELLS // (subsets.size * n * k))
+    part = max(1, _REPLICATE_CELLS // (size * n * k))
     winners = []
-    for at in range(0, len(values), step):
+    for at in range(0, R, step):
         block = values[at:at + step]
         won = np.concatenate([_reserve_erm(spec, block[:, subsets[s:s + part]]
-                                           .reshape(-1, size, 1, 1), value_range[0], ceiling)
+                                           .reshape(-1, size, n, k), value_range[0], ceiling)
                               for s in range(0, N, part)])
-        won = np.sort(won.reshape(len(block), N), axis=1, kind="stable")
-        fresh = np.ones(won.shape, dtype=bool)
-        fresh[:, 1:] = won[:, 1:] != won[:, :-1]
-        winners += [w[f, None] for w, f in zip(won, fresh)]
+        won = won.reshape(len(block), N, -1)       # each sample's rows, lexicographically:
+        won = won[np.arange(len(block))[:, None], np.lexsort(won.T[::-1].swapaxes(1, 2), axis=-1)]
+        fresh = np.ones(won.shape[:2], dtype=bool)
+        fresh[:, 1:] = (won[:, 1:] != won[:, :-1]).any(axis=2)
+        winners += [w[f] for w, f in zip(won, fresh)]
     return winners
+
+
+def _scores_whole_sample(m: int, subsets: int) -> bool:
+    """Whether a reserve rule's `subsets` of each m-profile sample are scored
+    from whole-sample rows (``_reserve_winners``) rather than gathered.  Per
+    subset and coordinate the product adds m revenues for each of m pool
+    values, where gathering ranks about m/2 values in some 30 numpy passes,
+    so it pays only up to m = 128 or so; and building a sample's rows (m^2
+    per coordinate, about 0.1 ms of numpy calls) pays only on at least
+    2 m^2 subsets.  Exact mode so scores m >= 10 from whole-sample rows; a
+    posted price's at most m^2 dominating subsets are gathered."""
+    return m <= 128 and subsets >= 2 * m * m
 
 
 def _membership(subsets: np.ndarray, m: int) -> np.ndarray:

@@ -9,8 +9,9 @@ the closed-form per-class bound, never conflating the two.
 
 A posted price's space is the ERM prices of its few dominating subsets
 (``_posted_subsets``), learned on their gathered values by
-``erm._reserve_erm``; every other class scores all its subsets from revenue
-rows built once on the whole sample (``erm.subset_winners``).
+``erm._reserve_erm``; every other class scores all its subsets, from
+revenue rows built once on the whole sample where that pays and else
+gathered as a posted price's (``erm.subset_winners``).
 ``split_sample_block`` enumerates the exact spaces of a block of samples,
 and ``split_sample_space`` is its one-sample case.
 """

@@ -163,11 +163,12 @@ erm_module = importlib.import_module("auctionlearn.erm")
 
 
 @contextlib.contextmanager
-def chunked(spec, k, m, subsets_per_chunk):
-    """The scoring-step constant patched so that the whole-sample reserve
-    scorer takes `subsets_per_chunk` subsets of an (m, 2, k) sample at a
-    time (its sums hold one row per coordinate and pool value)."""
+def whole_sample(spec, k, m, subsets_per_chunk=10**6):
+    """Every reserve-rule subset scored from whole-sample rows, whatever the
+    shape, `subsets_per_chunk` subsets of an (m, 2, k) sample at a time (a
+    chunk's sums hold one row per coordinate and pool value)."""
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(erm_module, "_scores_whole_sample", lambda m, subsets: True)
         patch.setattr(erm_module, "_SUBSET_CELLS", subsets_per_chunk * _param_width(spec, 2, k) * m)
         yield
 
@@ -188,7 +189,7 @@ def test_bulk_reserve_space_is_the_subsets_argmaxes_in_any_chunking(spec, k, m, 
                 for idx in half_subsets(m)}
     spaces = []
     for size in (1, 2, 3, 10**6):
-        with chunked(spec, k, m, size):
+        with whole_sample(spec, k, m, size):
             spaces.append(split_sample_space(spec, SampleSet(values), "exact").rows)
     assert {hypothesis_from_params(spec, row, 2, k) for row in spaces[0]} == expected
     assert all(np.array_equal(rows, spaces[0]) for rows in spaces)
@@ -202,7 +203,7 @@ def test_bulk_reserve_block_is_per_sample_space(spec, k, samples, m, size, tenth
     """Each sample of a block of tenths-grid samples gets the rows its exact
     space has alone, however the subsets are chunked."""
     values = tenths_block(tenths, (samples, m, 2, k))
-    with chunked(spec, k, m, size):
+    with whole_sample(spec, k, m, size):
         block = split_sample_block(spec, values, (0.0, 1.0))
     alone = [split_sample_space(spec, SampleSet(v), "exact").rows for v in values]
     assert len(block) == samples
@@ -217,8 +218,9 @@ def test_bulk_reserve_monte_carlo_is_per_subset_erm(spec, k, m, trials, tenths):
     """Monte Carlo mode scores its drawn subsets, repeats among them, from
     the whole sample: the space is the set of one ``erm`` per drawn subset."""
     values = tenths_block(tenths, (m, 2, k))
-    space = split_sample_space(spec, SampleSet(values), "monte-carlo", trials=trials,
-                               seed=Seed(7))
+    with whole_sample(spec, k, m):
+        space = split_sample_space(spec, SampleSet(values), "monte-carlo", trials=trials,
+                                   seed=Seed(7))
     rng = Seed(7).rng()    # the same draws
     expected = {erm(spec, SampleSet(values[np.sort(rng.choice(m, size=math.ceil(m / 2),
                                                               replace=False))]))
@@ -237,6 +239,7 @@ def test_subsets_without_a_lazy_bidders_win_do_not_tie(m, monkeypatch):
     values = np.sort(gen.random((m, 2)), axis=1)[..., None]   # bidder 1 wins each profile
     values[[3, 8]] = values[[3, 8], ::-1]                      # but these two
     spec = ClassSpec("player-reserves")
+    assert erm_module._scores_whole_sample(m, math.comb(m, m // 2))
     scored = []
     tied_winners = erm_module._tied_winners
 
@@ -249,6 +252,27 @@ def test_subsets_without_a_lazy_bidders_win_do_not_tie(m, monkeypatch):
     monkeypatch.undo()
     assert sum(scored) == 0
     assert set(space.hypotheses) == per_subset_space(spec, values, (0.0, 1.0))
+
+
+def test_monte_carlo_subsets_of_a_large_sample_are_gathered(monkeypatch):
+    """Whole-sample rows of m = 20,000 profiles would hold m^2 revenues per
+    coordinate: a few drawn subsets are learned on their gathered values,
+    and the space is the set of one ``erm`` per drawn subset."""
+    m, trials = 20_000, 3
+    values = np.random.default_rng(4).random((m, 2, 1))
+    spec = ClassSpec("player-reserves")
+
+    def refuse(*args):
+        raise AssertionError("whole-sample rows built for a large sample")
+
+    monkeypatch.setattr(erm_module, "_reserve_winners", refuse)
+    space = split_sample_space(spec, SampleSet(values), "monte-carlo", trials=trials,
+                               seed=Seed(5))
+    monkeypatch.undo()
+    rng = Seed(5).rng()    # the same draws
+    expected = {erm(spec, SampleSet(values[np.sort(rng.choice(m, size=m // 2, replace=False))]))
+                for _ in range(trials)}
+    assert set(space.hypotheses) == expected
 
 
 JOINT_CLASSES = [spec for spec in SPLIT_SPECS if spec.tag in ("t-level", "best-of")]
@@ -355,7 +379,8 @@ def test_joint_monte_carlo_keeps_only_the_last_argmax():
 def test_split_sample_block_is_per_sample_space(spec, data):
     """Each sample of a block gets the rows its exact space has alone, with
     the block learned a few samples, or a part of one sample's subsets, at a
-    time, so chunks end inside it."""
+    time, so chunks end inside it; reserve rules both gathered and scored
+    from whole-sample rows, a chunk of those as many closed forms."""
     max_n, max_k, max_m = split_dims(spec)
     n = data.draw(st.integers(1, max_n), label="n")
     k = data.draw(st.integers(1, max_k), label="k")
@@ -372,9 +397,12 @@ def test_split_sample_block_is_per_sample_space(spec, data):
     value_range = (low, low + width)
     # from one subset per call to three samples' subsets
     cells = data.draw(st.integers(1, 3 * _posted_subsets(m, math.ceil(m / 2)).size),
-                      label="gathered values per call")
+                      label="gathered values or closed forms per call")
+    whole = data.draw(st.booleans(), label="whole-sample rows")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(importlib.import_module("auctionlearn.erm"), "_REPLICATE_CELLS", cells)
+        patch.setattr(erm_module, "_REPLICATE_CELLS", cells)
+        patch.setattr(erm_module, "_SUBSET_CELLS", cells)
+        patch.setattr(erm_module, "_scores_whole_sample", lambda m, subsets: whole)
         block = split_sample_block(spec, values, value_range)
     alone = [split_sample_space(spec, SampleSet(v, value_range), "exact").rows for v in values]
     assert len(block) == len(alone)
