@@ -8,20 +8,20 @@ sentinel so a bidder can be priced out entirely).  ERM returns the argmax of
 largest parameter vector.
 
 A reserve rule (every class but t-level and best-of) sets one reserve per
-auction of ``auction_columns`` (per bidder when lazy): ``_reserve_erm``
-shortlists each by a closed form (at n >= 2 ranked by one sort in
-``_ranked``) and scores only the shortlists' product.  ERM on subsets of
-each sample of a block is ``subset_winners`` (split-sample enumeration
-passes half-size subsets).  A subset's candidates are among its sample's
-values, so revenue rows can be built once on the whole sample and every
-subset sums them on its own profiles in one BLAS product with a 0/1
-membership matrix: t-level's and best-of's per chunk of their candidate
-product (``_joint_winners``, whose ERM is the one-subset case, the whole
-sample), and a reserve rule's per coordinate (``_reserve_winners``) where
-the sample is small and its subsets many (``_scores_whole_sample``).
-Only near-maximal sums are sorted.  Other reserve-rule subsets, a posted
-price's few dominating ones among them, are learned by ``_reserve_erm`` on
-their gathered values.
+auction of ``auction_columns`` (per bidder when lazy); ``_shortlist`` alone
+keeps each one's candidates near the max of a closed form
+(``_closed_forms``, at n >= 2 one sort in ``_ranked``) and scores only their
+product.  ERM on subsets of each sample of a block is ``subset_winners``
+(split-sample enumeration passes half-size subsets).  A subset's candidates
+are among its sample's values, so revenue rows can be built once on the
+whole sample and every subset sums them on its own profiles in one BLAS
+product with a 0/1 membership matrix: t-level's and best-of's per chunk of
+their candidate product (``_joint_winners``, whose ERM is the one-subset
+case, the whole sample), and a reserve rule's closed forms per coordinate
+(``_reserve_winners``) where the sample is small and its subsets many
+(``_scores_whole_sample``).  Only near-maximal sums are sorted.  Other
+reserve-rule subsets, a posted price's few dominating ones among them, are
+gathered and learned as samples; ``_distinct`` dedupes both paths' rows.
 
 The in-class optimum is the population counterpart: the closed form where
 one exists, else a max on shared Monte Carlo draws, the sorted mean of a
@@ -185,34 +185,42 @@ def subset_winners(spec: ClassSpec, values: np.ndarray, value_range: tuple[float
     ``subsets`` is an (N, size) array of profile indices, one subset a row,
     the same for every sample.  T-level and best-of build revenue rows once
     on each whole sample, and so do reserve rules where that pays
-    (``_scores_whole_sample``).  Other reserve-rule subsets are gathered,
-    about ``_REPLICATE_CELLS`` values per ``_reserve_erm`` call (several
-    samples a call, or a sample's subsets in parts), and each sample's
-    winners sorted and deduped.  ``ceiling`` bounds the rows scored on each
-    whole sample and a reserve rule's near-tie product on each subset, as
-    in ``erm``.
+    (``_scores_whole_sample``).  Other reserve-rule subsets are gathered
+    and learned by ``erm_block``, about ``_REPLICATE_CELLS`` values a call
+    (several samples a call, or a sample's subsets in parts); ``_distinct``
+    dedupes each sample's winners on either path.  ``ceiling`` bounds the
+    rows scored on each whole sample and a reserve rule's near-tie product
+    on each subset, as in ``erm``.
     """
     R, m, n, k = values.shape
     if spec.tag in _JOINT:
         return [_joint_winners(spec, v, value_range, subsets, ceiling) for v in values]
     _check_pools(spec, values, value_range[1], ceiling)
     N, size = subsets.shape
-    if _scores_whole_sample(m, N):
-        return [_reserve_winners(spec, v, value_range[0], subsets, ceiling) for v in values]
-    step = max(1, _REPLICATE_CELLS // (subsets.size * n * k))
+    whole = _scores_whole_sample(m, N)
+    step = 1 if whole else max(1, _REPLICATE_CELLS // (subsets.size * n * k))
     part = max(1, _REPLICATE_CELLS // (size * n * k))
     winners = []
     for at in range(0, R, step):
         block = values[at:at + step]
-        won = np.concatenate([_reserve_erm(spec, block[:, subsets[s:s + part]]
-                                           .reshape(-1, size, n, k), value_range[0], ceiling)
-                              for s in range(0, N, part)])
-        won = won.reshape(len(block), N, -1)       # each sample's rows, lexicographically:
-        won = won[np.arange(len(block))[:, None], np.lexsort(won.T[::-1].swapaxes(1, 2), axis=-1)]
-        fresh = np.ones(won.shape[:2], dtype=bool)
-        fresh[:, 1:] = (won[:, 1:] != won[:, :-1]).any(axis=2)
-        winners += [w[f] for w, f in zip(won, fresh)]
+        if whole:
+            won = _reserve_winners(spec, block[0], value_range[0], subsets, ceiling)
+        else:
+            won = np.concatenate([erm_block(spec, block[:, subsets[s:s + part]]
+                                            .reshape(-1, size, n, k), value_range, ceiling)
+                                  for s in range(0, N, part)])
+        winners += _distinct(won.reshape(len(block), N, -1))
     return winners
+
+
+def _distinct(won: np.ndarray) -> list[np.ndarray]:
+    """Per sample of a (B, N, P) block of ERM rows, its distinct rows,
+    ascending lexicographically.  The values are nonnegative and +0.0 at
+    zero, so their bits order as they do."""
+    B, N, P = won.shape
+    order = np.lexsort(won.view(np.uint64).T[::-1].swapaxes(1, 2), axis=-1)
+    won = won.reshape(-1, P)[order + N * np.arange(B)[:, None]]
+    return [w[f] for w, f in zip(won, _firsts(won).any(axis=2))]
 
 
 def _scores_whole_sample(m: int, subsets: int) -> bool:
@@ -236,52 +244,37 @@ def _membership(subsets: np.ndarray, m: int) -> np.ndarray:
 
 def _reserve_winners(spec: ClassSpec, values: np.ndarray, alpha: float, subsets: np.ndarray,
                      ceiling: int) -> np.ndarray:
-    """A reserve rule's distinct ERM rows, ascending, over the subsets of one
-    (m, n, k) sample.  Each coordinate's values (``_coordinates``) are sorted
-    into a pool and each pool value's revenues built once on the counted
-    profiles; one product with a chunk's membership gives every subset's
-    closed forms.  A value is valid on a subset only as one of the closed
-    form's candidates there (a counted top or the coordinate's largest value
-    in it; repeats at their first position), else -inf.  Then, as in
-    ``_reserve_erm``, ``_near_max`` (terms = m: the product adds m revenues,
-    zeros too) keeps the values near each coordinate's max, a lone kept
-    value wins, and ``_tied_winners`` scores the product of the kept values
-    of the other subsets."""
+    """A reserve rule's ERM row on each subset of one (m, n, k) sample.  Each
+    coordinate's values (``_coordinates``) are sorted into a pool and each
+    pool value's revenues built once on the counted profiles; one product
+    with a chunk's membership gives every subset's closed forms.  A value is
+    valid on a subset only as one of the closed form's candidates there (a
+    counted top or the coordinate's largest value in it; repeats at their
+    first position), else -inf.  Then ``_shortlist`` decides each subset,
+    with terms = m: the product adds m revenues, zeros too."""
     m = len(values)
     x, counted, top, second = map(np.array, zip(*_coordinates(spec, values, alpha)))  # (C, m)
     C, N = len(x), len(subsets)
     pools = np.sort(x, axis=1) + 0.0        # + 0.0: a -0.0 value's candidate is 0.0
-    first = np.array([np.searchsorted(p, v) for p, v in zip(pools, x)])   # pool positions
+    first = np.array([np.searchsorted(p, c) for p, c in zip(pools, x)])   # pool positions
     # per pool position and profile: the closed form's revenue, and whether the
     # profile's counted top is the pool value there (at its first position)
     rev = reserve_revenue(pools[:, :, None], np.where(counted, top, -np.inf)[:, None],
                           second[:, None]).reshape(-1, m)
     offer = ((first[:, None] == np.arange(m)[:, None]) & counted[:, None]).reshape(-1, m) * 1.0
-    won = np.empty((C, N), dtype=np.intp)
+    rows = np.empty((N, C))
     step = max(1, _SUBSET_CELLS // (C * m))
+    v = np.broadcast_to(pools[:, :, None], (C, m, step))
     for at in range(0, N, step):
         block = subsets[at:at + step]
         member = _membership(block, m).T
         valid = (offer @ member).reshape(C, m, -1) > 0
-        valid |= np.arange(m)[:, None] == np.take(first, block.T, axis=1).max(axis=1)[:, None]
-        sums = (rev @ member).reshape(C, m, -1)
-        sums[~valid] = -np.inf
-        tops = sums.max(axis=1)
-        kept = _near_max(sums, tops[:, None], m * C, tops.sum(axis=0))
-        counts = kept.sum(axis=1)
-        won[:, at:at + len(block)] = kept.argmax(axis=1)    # a lone kept value's position
-        sizes = counts.prod(axis=0, dtype=float)
-        _check_ceiling(spec, math.prod(map(int, counts[:, sizes.argmax()])), ceiling)
-        tied = np.flatnonzero(sizes > 1)
-        if len(tied):       # each coordinate's kept values first, ascending
-            picks = [p[np.argsort(~keep[:, tied].T, axis=1, kind="stable")][..., None]
-                     for p, keep in zip(pools, kept)]
-            best = _tied_winners(spec, picks, counts[:, tied], values[block[tied]], alpha)
-            won[:, at + tied] = [np.searchsorted(p, r) for p, r in zip(pools, best.T)]
-    key = won[0]            # each subset's rank among the distinct prefixes, then the next
-    for w in won[1:]:
-        key = np.unique(key, return_inverse=True)[1] * m + w
-    return np.take_along_axis(pools, won[:, np.unique(key, return_index=True)[1]], axis=1).T
+        valid[np.arange(C)[:, None], np.take(first, block.T, axis=1).max(axis=1),
+              np.arange(len(block))] = True
+        sums = np.where(valid, (rev @ member).reshape(C, m, -1), -np.inf)
+        rows[at:at + len(block)] = _shortlist(spec, v[:, :, :len(block)], sums, values, block,
+                                              alpha, m, ceiling)
+    return rows
 
 
 def _joint_winners(spec: ClassSpec, values: np.ndarray, value_range: tuple[float, float],
@@ -377,7 +370,7 @@ class _Argmax:
 def _groups(owner: np.ndarray) -> tuple:
     """The first position of each run of an ascending owner array, and each
     entry's run."""
-    new = _firsts(owner[None])[0]
+    new = _firsts(owner[:, None])[:, 0]
     return np.flatnonzero(new), new.cumsum() - 1
 
 
@@ -400,43 +393,41 @@ def erm_block(spec: ClassSpec, values: np.ndarray, value_range: tuple[float, flo
               ceiling: int = DEFAULT_CANDIDATE_CEILING) -> np.ndarray:
     """The (R, P) parameter rows of ``erm`` on each sample of an (R, m, n, k)
     block of checked values; the first sample over the ceiling raises.
-    Reserve-rule classes learn all samples in one ``_reserve_erm`` call;
-    t-level and best-of learn each whole sample as its one subset."""
-    _, m, n, k = values.shape
+    A reserve rule learns all samples in one ``_shortlist`` call; t-level
+    and best-of learn each whole sample as its one subset."""
+    R, m, n, k = values.shape
     check_class_dims(spec, n, k)
     if spec.tag in _JOINT:
         return np.concatenate(subset_winners(spec, values, value_range, np.arange(m)[None],
                                              ceiling))
     _check_pools(spec, values, value_range[1], ceiling)
-    return _reserve_erm(spec, values, value_range[0], ceiling)
+    return _shortlist(spec, *_closed_forms(spec, values, value_range[0]), values,
+                      np.arange(R), value_range[0], m, ceiling)
 
 
-def _reserve_erm(spec: ClassSpec, values: np.ndarray, alpha: float, ceiling: int) -> np.ndarray:
-    """The ERM parameter row of each sample of an (R, m, n, k) block of a
-    reserve rule: ``_near_max`` keeps each coordinate's candidates whose
-    closed forms are near its max, relative to the row's joint total, and a
-    value kept alone wins.  Else ``_tied_winners`` scores the product of the
-    kept values; a product over `ceiling` rows raises."""
-    R, m = values.shape[:2]
-    coords = _closed_forms(spec, values, alpha)
-    # each row's max, reduced over a Fortran-ordered copy: numpy reduces the
-    # short rows of a C-ordered array one at a time
-    tops = [np.asfortranarray(closed).max(axis=1, keepdims=True) for _, closed, _ in coords]
-    total = sum(tops)
-    kept = [_near_max(closed, top, m * len(coords), total) & first
-            for (_, closed, first), top in zip(coords, tops)]
-    params = np.column_stack([v[np.arange(R), keep.argmax(axis=1)]
-                              for (v, _, _), keep in zip(coords, kept)])
-    counts = np.array([keep.sum(axis=1) for keep in kept])     # (coordinates, R)
+def _shortlist(spec: ClassSpec, v: np.ndarray, closed: np.ndarray, values: np.ndarray,
+               owners: np.ndarray, alpha: float, terms: int, ceiling: int) -> np.ndarray:
+    """The (T, C) ERM rows of a reserve rule's T owners (samples or subsets)
+    from (C, L, T) stacks of candidate values, ascending (`v` may broadcast),
+    and their closed forms, sums of at most `terms` revenues, -inf off the
+    candidates.  ``_near_max`` keeps each coordinate's values near its max,
+    relative to the owner's joint total; a value kept alone wins, else
+    ``_tied_winners`` scores the product of the kept values on the owner's
+    profiles, ``values[owners]``; a product over `ceiling` rows raises."""
+    C, _, T = closed.shape
+    tops = closed.max(axis=1)
+    kept = _near_max(closed, tops[:, None], terms * C, tops.sum(axis=0))
+    rows = v[np.arange(C), kept.argmax(axis=1).T, np.arange(T)[:, None]]
+    counts = kept.sum(axis=1)       # (C, T)
     sizes = counts.prod(axis=0, dtype=float)
     _check_ceiling(spec, math.prod(map(int, counts[:, sizes.argmax()])), ceiling)
     tied = np.flatnonzero(sizes > 1)
     if len(tied):       # each coordinate's kept values first, ascending
-        picks = [np.take_along_axis(v[tied], np.argsort(~keep[tied], axis=1, kind="stable"), 1)
-                 for (v, _, _), keep in zip(coords, kept)]
-        params[tied] = _tied_winners(spec, [p[..., None] for p in picks], counts[:, tied],
-                                     values[tied], alpha)
-    return params
+        order = np.argsort(~kept[:, :, tied], axis=1, kind="stable")[:, :counts[:, tied].max()]
+        picks = v[np.arange(C)[:, None, None], order, tied]
+        rows[tied] = _tied_winners(spec, [p.T[..., None] for p in picks], counts[:, tied],
+                                   values[owners[tied]], alpha)
+    return rows
 
 
 def _tied_winners(spec: ClassSpec, picks, counts: np.ndarray, values: np.ndarray,
@@ -471,21 +462,29 @@ def _tied_winners(spec: ClassSpec, picks, counts: np.ndarray, values: np.ndarray
     return rows_at(run.pos)[1]
 
 
-def _closed_forms(spec: ClassSpec, values: np.ndarray, alpha: float) -> list:
-    """Per coordinate (an auction, per bidder if lazy) of a reserve rule on
-    (R, m, n, k) values: (v, closed, first), v (R, L) ascending, first each
-    distinct candidate's first position and closed its revenue's closed
-    form there, no more elsewhere.  One bidder's price u at first position i
-    sells m - i times: u*(m - i)/m.  With n >= 2 reserve r earns
+def _closed_forms(spec: ClassSpec, values: np.ndarray, alpha: float) -> tuple:
+    """The (C, L, R) candidate values v and closed forms of a reserve rule's
+    coordinates (an auction, per bidder if lazy) on (R, m, n, k) values:
+    each sample's v ascending, a distinct candidate's closed form at its
+    first position and -inf elsewhere.  One bidder's price u at first
+    position i sells m - i times: u*(m - i)/m.  With n >= 2 reserve r earns
     r*#{second < r <= top} + sum{second >= r} second on its counted profiles
     (its bidder's wins if lazy); a value no counted top equals loses to the
     next larger, so the candidates are those tops and the largest value."""
-    m, n = values.shape[1:3]
-    if n == 1:      # i values lie below first position i; a repeat's closed form is no more
-        return [(v, v * np.arange(m, 0, -1.0) / m, _firsts(v)) for v in
-                (np.sort(columns[..., 0], axis=1) for columns in auction_columns(spec, values))]
-    return [_ranked(top, second, counted, x.max(axis=1, keepdims=True))
-            for x, counted, top, second in _coordinates(spec, values, alpha)]
+    R, m, n = values.shape[:3]
+    if n == 1:  # i values lie below first position i; + 0.0: -0.0's candidate is 0.0
+        x = np.array([columns[..., 0] for columns in auction_columns(spec, values)])
+        x.sort(axis=2)
+        v = np.add(x.transpose(0, 2, 1), 0.0, order="C")
+        closed = v * np.arange(m, 0, -1.0)[:, None]
+        closed /= m
+        closed[~_firsts(v)] = -np.inf
+        return v, closed
+    coords = _coordinates(spec, values, alpha)
+    v, closed = np.empty((2, len(coords), 2 * m + 1, R))
+    for c, (x, counted, top, second) in enumerate(coords):
+        _ranked(top, second, counted, x.max(axis=1, keepdims=True), v[c], closed[c])
+    return v, closed
 
 
 def _coordinates(spec: ClassSpec, values: np.ndarray, alpha: float) -> list:
@@ -501,38 +500,38 @@ def _coordinates(spec: ClassSpec, values: np.ndarray, alpha: float) -> list:
 
 
 def _firsts(v: np.ndarray) -> np.ndarray:
-    """The first position of each run of equal values in each ascending row."""
+    """The first position of each run of equal values down each column of v."""
     first = np.ones(v.shape, dtype=bool)
-    np.not_equal(v[:, 1:], v[:, :-1], out=first[:, 1:])
+    np.not_equal(v[..., 1:, :], v[..., :-1, :], out=first[..., 1:, :])
     return first
 
 
-def _ranked(top: np.ndarray, second: np.ndarray, counted: np.ndarray,
-            largest: np.ndarray) -> tuple:
-    """(v, closed, first) from the (R, m) tops, seconds and counted profiles
-    and the (R, 1) largest pool value, by one sort of uint64 keys
-    (bits(x) << 1) + 2 + is_second, 0 for an uncounted profile: values are
-    nonnegative, so their bits order as they do, and the shift drops -0.0's
-    sign.  A run's first key is a candidate's if it is even, and from there
-    on lie the counted tops and seconds at or above it (a top sorts before
-    an equal second), the largest and no zero key: its sales
-    #{second < r <= top} are the keys there, less one, less twice the
-    seconds, and sum{second >= r} second is a suffix sum too."""
+def _ranked(top: np.ndarray, second: np.ndarray, counted: np.ndarray, largest: np.ndarray,
+            v: np.ndarray, closed: np.ndarray) -> tuple:
+    """(v, closed), written into these two (2m + 1, R) arrays, from the
+    (R, m) tops, seconds and counted profiles and the (R, 1) largest pool
+    value by one sort of uint64 keys (bits(x) << 1) + 2 + is_second, 0 for an
+    uncounted profile: values are nonnegative, so their bits order as they do,
+    and the shift drops -0.0's sign.  A run's first key is a candidate's if it
+    is even and nonzero, and from there on lie the counted tops and seconds at
+    or above it (a top sorts before an equal second), the largest and no zero
+    key: its sales #{second < r <= top} are the keys there, less one, less
+    twice the seconds, and sum{second >= r} second is a suffix sum too."""
     m = top.shape[1]
     keys = np.concatenate([top, largest, second], axis=1).view(np.uint64) << 1
     keys += np.repeat(np.array([2, 3], dtype=np.uint64), [m + 1, m])
     keys[:, :m] *= counted
     keys[:, m + 1:] *= counted
     keys.sort(axis=1)
+    keys = np.ascontiguousarray(keys.T)        # one sample a column
     odd = (keys & 1).view(np.int64)
-    v = ((keys >> 1) - 1).view(np.float64)     # NaN at zero keys, which precede every candidate
-    closed = v * (np.arange(2 * m, -1, -1) - 2 * odd[:, ::-1].cumsum(axis=1)[:, ::-1])
-    closed += (v * odd)[:, ::-1].cumsum(axis=1)[:, ::-1]
-    first = _firsts(keys)
-    first[:, 0] = keys[:, 0] > 0
-    first &= odd == 0
-    closed[~first] = -np.inf
-    return v, closed, first
+    np.subtract(keys >> 1, 1, out=v.view(np.uint64))   # NaN at zero keys, which come first
+    closed[::-1] = -2 * odd[::-1].cumsum(axis=0)       # in place: no temporary closed
+    closed += np.arange(2 * m, -1, -1)[:, None]
+    closed *= v
+    closed += (v * odd)[::-1].cumsum(axis=0)[::-1]
+    closed[(odd == 1) | (keys == 0) | ~_firsts(keys)] = -np.inf
+    return v, closed
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ generalization bounds consume; the true supremum is not computable, so
 the closed-form per-class bound, never conflating the two.
 
 A posted price's space is the ERM prices of its few dominating subsets
-(``_posted_subsets``), learned on their gathered values by
-``erm._reserve_erm``; every other class scores all its subsets, from
-revenue rows built once on the whole sample where that pays and else
-gathered as a posted price's (``erm.subset_winners``).
+(``_posted_subsets``), learned on their gathered values; every other class
+scores all its subsets, from revenue rows built once on the whole sample
+where that pays and else gathered as a posted price's.  Either way
+``erm.subset_winners`` decides each subset by one ``erm._shortlist``.
 ``split_sample_block`` enumerates the exact spaces of a block of samples,
 and ``split_sample_space`` is its one-sample case.
 """

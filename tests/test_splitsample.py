@@ -3,6 +3,7 @@
 import contextlib
 import importlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -15,9 +16,9 @@ from auctionlearn import (AnonymousSecondPriceReserve, AuctionLearnError, Ceilin
                           ValuationProfile, candidate_count, erm, growth_rate_estimate,
                           rademacher_estimate, sample_values, split_sample_space,
                           theoretical_growth_bound)
-from auctionlearn.erm import _near_max, subset_winners
-from auctionlearn.mechanisms import _param_width, hypothesis_from_params
-from auctionlearn.splitsample import _posted_subsets, split_sample_block
+from auctionlearn.erm import DEFAULT_CANDIDATE_CEILING, _near_max, subset_winners
+from auctionlearn.mechanisms import _param_width, hypothesis_from_params, hypothesis_to_record
+from auctionlearn.splitsample import _combo_indices, _posted_subsets, split_sample_block
 from oracles import SPLIT_IDS, SPLIT_SPECS, exhaustive_argmax, split_dims
 
 SINGLE = ClassSpec("single-reserve")
@@ -273,6 +274,83 @@ def test_monte_carlo_subsets_of_a_large_sample_are_gathered(monkeypatch):
     expected = {erm(spec, SampleSet(values[np.sort(rng.choice(m, size=m // 2, replace=False))]))
                 for _ in range(trials)}
     assert set(space.hypotheses) == expected
+
+
+def signed_zero_block(data, shape):
+    """Values on a tenths grid, a halves grid or continuous in [0, 1], some
+    of their zeros as -0.0."""
+    size = math.prod(shape)
+    grid = data.draw(st.sampled_from([10, 2, None]), label="grid")
+    if grid:
+        cells = np.array(data.draw(st.lists(st.integers(0, grid), min_size=size, max_size=size),
+                                   label="cells")) / grid
+    else:
+        cells = np.array(data.draw(st.lists(st.floats(0, 1), min_size=size, max_size=size),
+                                   label="cells"))
+    signs = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size),
+                               label="negative zeros"))
+    cells[signs & (cells == 0)] = -0.0
+    return cells.reshape(shape)
+
+
+@pytest.mark.parametrize("spec", RESERVE_RULES,
+                         ids=[s.describe().replace(" ", "-") for s in RESERVE_RULES])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_whole_sample_and_gathered_subsets_agree(spec, data):
+    """Both reserve-rule subset paths give every sample of a block the same
+    rows, bit for bit, zeros' signs included: they share one shortlist and
+    one dedupe, and only build the closed forms differently."""
+    n = 1 if spec.tag == "single-reserve" else data.draw(st.integers(1, 3), label="n")
+    k = data.draw(st.integers(1, 2), label="k") if spec.tag in ("bundle-price",
+                                                                "item-prices") else 1
+    m = data.draw(st.integers(1, 9), label="m")
+    values = signed_zero_block(data, (data.draw(st.integers(1, 4), label="samples"), m, n, k))
+    rows = {}
+    for whole in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(erm_module, "_scores_whole_sample", lambda m, subsets: whole)
+            rows[whole] = subset_winners(spec, values, (0.0, 1.0),
+                                         _combo_indices(m, math.ceil(m / 2)),
+                                         DEFAULT_CANDIDATE_CEILING)
+    assert len(rows[True]) == len(rows[False]) == len(values)
+    for bulk, gathered in zip(rows[True], rows[False]):
+        assert np.array_equal(bulk, gathered)
+        assert np.array_equal(np.signbit(bulk), np.signbit(gathered))
+        assert not np.signbit(bulk).any()
+
+
+@pytest.mark.parametrize("spec,k", [(SINGLE, 1), (ClassSpec("bundle-price"), 2),
+                                    (ClassSpec("item-prices"), 2)],
+                         ids=["single-reserve", "bundle-price", "item-prices"])
+@pytest.mark.parametrize("whole", [False, True], ids=["gathered", "whole-sample"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_one_bidders_zero_price_does_not_depend_on_sample_order(spec, k, whole, data):
+    """At n = 1 a sample holding -0.0 and 0.0 learns the same records, bytes
+    and all, in any profile order: a zero price is 0.0, as at n >= 2."""
+    m = data.draw(st.integers(1, 6), label="m")
+    values = signed_zero_block(data, (m, 1, k))
+    order = data.draw(st.permutations(range(m)), label="order")
+
+    def records(values):
+        S = SampleSet(values)
+        return ([json.dumps(hypothesis_to_record(erm(spec, S)))]
+                + [json.dumps(hypothesis_to_record(h))
+                   for h in split_sample_space(spec, S, "exact").hypotheses])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(erm_module, "_scores_whole_sample", lambda m, subsets: whole)
+        assert records(values) == records(values[list(order)])
+        assert "-0.0" not in " ".join(records(values))
+
+
+@pytest.mark.parametrize("values", [(-0.0, 0.0), (0.0, -0.0)], ids=["negative-first", "zero-first"])
+def test_a_posted_zero_price_is_positive_zero_in_either_order(values):
+    """The sample (-0.0, 0.0) learned the price -0.0, and (0.0, -0.0) the price 0.0."""
+    prices = [erm(SINGLE, sample(values)).price]
+    prices += [h.price for h in split_sample_space(SINGLE, sample(values), "exact").hypotheses]
+    assert prices == [0.0, 0.0] and not np.signbit(prices).any()
 
 
 JOINT_CLASSES = [spec for spec in SPLIT_SPECS if spec.tag in ("t-level", "best-of")]
